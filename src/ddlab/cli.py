@@ -12,7 +12,6 @@ import argparse
 import configparser
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,7 +48,7 @@ class ExperimentConfig:
 
 
 DEFAULTS = {
-    "run": {"seed": "0", "threads": ""},
+    "run": {"seed": "0"},
     "symbol": {"poly": "1 + |x|^4", "n": "2", "m_expect": ""},
     "grid": {"N": "64", "L": "12.0"},
     "solve": {"t_list": "0.5,1.0,2.0", "q": "4", "width": "1.5"},
@@ -109,12 +108,12 @@ def _float(cfg, sec, key):
                           f"got {cfg[sec][key]!r}") from exc
 
 
-def _threads(cfg) -> int:
-    raw = cfg["run"]["threads"] or os.environ.get("DDLAB_THREADS", "") or "1"
+def _fraction(cfg, sec, key):
     try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ConfigError(f"thread count must be an integer, got {raw!r}") from exc
+        return Fraction(cfg[sec][key])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"field {sec}.{key} must be a rational number, "
+                          f"got {cfg[sec][key]!r}") from exc
 
 
 def _write_json(path, obj):
@@ -136,7 +135,7 @@ def _parse_symbol(cfg):
         raise ConfigError(f"field symbol.poly: {exc}") from exc
     expect = cfg["symbol"]["m_expect"]
     if expect.strip():
-        if p.order != int(expect):
+        if p.order != _int(cfg, "symbol", "m_expect"):
             raise ConfigError(
                 f"field symbol.m_expect: symbol has order {p.order}, expected {expect}")
     return p
@@ -179,7 +178,7 @@ def cmd_solve(cfg, outdir):
     u0 = np.exp(-sum(x**2 for x in xs) / (2.0 * width**2)).astype(complex)
     u1 = np.zeros(g.shape, dtype=complex)
     q_text = cfg["solve"]["q"]
-    q = math.inf if q_text.strip() == "inf" else float(q_text)
+    q = _float(cfg, "solve", "q")
     rows = []
     e0 = None
     drift = 0.0
@@ -207,7 +206,10 @@ def cmd_solve(cfg, outdir):
 
 def cmd_kernel_scan(cfg, outdir):
     p = _parse_symbol(cfg)
-    sign = +1 if cfg["kernel"]["sign"].strip() in ("+", "+1", "1") else -1
+    sign = {"+": +1, "+1": +1, "1": +1, "-": -1, "-1": -1}.get(cfg["kernel"]["sign"].strip())
+    if sign is None:
+        raise ConfigError("field kernel.sign must be +, +1, 1, - or -1, "
+                          f"got {cfg['kernel']['sign']!r}")
     qcfg = kernel.QuadConfig(
         eps_list=tuple(_floats(cfg["kernel"]["eps_list"])),
         order=_int(cfg, "kernel", "order"),
@@ -241,9 +243,9 @@ def cmd_decay_verify(cfg, outdir):
     p = _parse_symbol(cfg)
     qr = decay.ExponentQuery(
         part=cfg["decay"]["part"], regime=cfg["decay"]["regime"],
-        p=Fraction(cfg["decay"]["p"]),
+        p=_fraction(cfg, "decay", "p"),
         q=(math.inf if cfg["decay"]["q"].strip() == "inf"
-           else Fraction(cfg["decay"]["q"])),
+           else _fraction(cfg, "decay", "q")),
         m=p.order, n=p.n, route=cfg["decay"]["route"],
     )
     g = spectral.make_grid(p.n, _int(cfg, "decay", "N"), _float(cfg, "decay", "L"))
@@ -266,7 +268,7 @@ def cmd_regions(cfg, outdir):
     n = _int(cfg, "regions", "n")
     kind = cfg["regions"]["kind"]
     a_text = cfg["regions"]["a"].strip()
-    a = Fraction(a_text) if a_text else None
+    a = _fraction(cfg, "regions", "a") if a_text else None
     try:
         if kind == "all":
             built = [regions.build_region("delta_m", m, n),
@@ -312,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help="INI config file")
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--seed", default=None)
-    common.add_argument("--threads", default=None)
     common.add_argument("--poly", default=None, help="symbol literal")
     common.add_argument("--n", default=None, help="space dimension")
     common.add_argument("--m-expect", dest="m_expect", default=None)
@@ -352,7 +353,6 @@ def _apply_flags(cfg, args):
         "grid_N": ("grid", "N"),
         "grid_L": ("grid", "L"),
         "seed": ("run", "seed"),
-        "threads": ("run", "threads"),
     }
     for attr, target in simple.items():
         val = getattr(args, attr, None)
@@ -391,12 +391,14 @@ def run(argv) -> int:
     try:
         cfg = load_config(args.config)
         _apply_flags(cfg, args)
-        threads = _threads(cfg)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         checks, artifacts = COMMANDS[args.command](cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except spectral.LatticePositivityError as exc:
+        print(f"config error: field symbol.poly: {exc}", file=sys.stderr)
         return 2
     except (symbol.SymbolError, regions.RegionError, decay.NormError,
             kernel.KernelConfigError, spectral.GridError) as exc:
@@ -407,7 +409,6 @@ def run(argv) -> int:
         "tool": "ddlab",
         "version": VERSION,
         "command": args.command,
-        "threads": threads,
         "config": cfg.as_dict(),
         "checks": checks,
         "artifacts": sorted(artifacts),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fitting import DecayFit, FitError, fit_power_law
 from .regions import Classification, IndexPoint, RegionError, build_region, classify
-from .spectral import GridSpec, box_clearance, make_grid, propagate, spectral_tail_fraction
+from .spectral import GridSpec, box_clearance, make_grid, propagate_part, spectral_tail_fraction
 from .symbol import SymbolPoly
 
 __all__ = [
@@ -273,7 +273,6 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
         data = gaussian_family(grid)
 
     notes = []
-    zero = np.zeros(grid.shape, dtype=complex)
     series = []
     worst_clearance = 1.0
     worst_tail = 0.0
@@ -293,10 +292,7 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
         best = 0.0
         best_l2 = best_inf = 0.0
         for _, f in normalized:
-            if qr.part == "U":
-                _, out_field, _ = propagate(f, zero, t, p, grid, return_parts=True)
-            else:
-                _, _, out_field = propagate(zero, f, t, p, grid, return_parts=True)
+            out_field = propagate_part(f, t, p, grid, qr.part)
             val, out_kind = _output_norm(out_field, qr, cls, grid)
             best = max(best, val)
             best_l2 = max(best_l2, lq_norm(out_field, 2, grid))

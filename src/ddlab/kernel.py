@@ -22,7 +22,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import jv, roots_legendre
 
 from .symbol import SymbolPoly, principal_part, ray_coefficients
-from .spectral import LatticePositivityError
+from .spectral import sqrt_symbol
 
 KINDS = ("I1", "I2")
 
@@ -47,7 +47,6 @@ class QuadConfig:
     tail_tol: float = 1e-14
     method: str = "lattice"  # "lattice" or "radial"
     use_oracle: bool = False  # cross-check lattice values against the radial oracle
-    chunk_rows: int = 64
     flag_abs: float = 1e-4
     flag_rel: float = 0.25
     radial_rtol: float = 1e-9
@@ -82,17 +81,18 @@ class KernelSample:
 # Lattice truncation and evaluation
 # ---------------------------------------------------------------------------
 
+def _sqrt_p_on_ray(p: SymbolPoly, axis=0):
+    """r -> sqrt(max(P(r e_axis), 0)) for scalar or array r."""
+    c = ray_coefficients(p, np.eye(p.n)[axis])
+    return lambda r: np.sqrt(np.maximum(np.polynomial.polynomial.polyval(r, c), 0.0))
+
+
 def _axis_cutoff(p: SymbolPoly, eps_min, tail_tol) -> float:
     """Smallest R with exp(-eps_min sqrt(P(R e_i))) <= tail_tol on every axis."""
     target = math.log(1.0 / tail_tol) / eps_min  # need sqrt(P) >= target
     best = 0.0
     for i in range(p.n):
-        c = ray_coefficients(p, np.eye(p.n)[i])
-        polyval = np.polynomial.polynomial.polyval
-
-        def val(r):
-            return math.sqrt(max(polyval(r, c), 0.0))
-
+        val = _sqrt_p_on_ray(p, i)
         lo, hi = 0.0, 1.0
         for _ in range(200):
             if val(hi) >= target:
@@ -120,6 +120,9 @@ def _lattice_axis(p: SymbolPoly, cfg: QuadConfig):
 
 
 MAX_LATTICE_POINTS = 2**27
+# Each chunk of the lattice sums holds at most this many points (or one row,
+# if a row is larger), since it allocates several complex temporaries of its size.
+CHUNK_POINTS = 2**15
 
 
 def _lattice_sums(p, kind, sign, t, x, eps_list, cfg):
@@ -145,18 +148,10 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, cfg):
     fine = np.zeros(len(eps_list), dtype=complex)
     coarse = np.zeros(len(eps_list), dtype=complex)
 
-    chunk = max(1, cfg.chunk_rows) if n > 1 else len(axis)
+    chunk = max(1, CHUNK_POINTS // len(axis) ** (n - 1))
     for start in range(0, len(axis), chunk):
         rows = axis[start:start + chunk]
-        axes = [rows] + [axis] * (n - 1)
-        P = p.evaluate_on_axes(axes)
-        pmin = float(np.min(P))
-        if (kind == "I2" and pmin <= 0.0) or pmin < 0.0:
-            flat = int(np.argmin(P))
-            idx = np.unravel_index(flat, P.shape)
-            point = [rows[idx[0]]] + [axis[idx[k]] for k in range(1, n)]
-            raise LatticePositivityError(point, pmin)
-        A = np.sqrt(P)
+        A = sqrt_symbol(p, [rows] + [axis] * (n - 1), strict=(kind == "I2"))
         phase = sign * t * A
         for i in range(n):
             ax = rows if i == 0 else axis
@@ -207,15 +202,12 @@ def _angular_factor(n, rho):
     return np.where(small, limit, vals)
 
 
-def _radial_integrand(p, kind, sign, t, r_abs_x, eps):
-    """Factory for the reduced 1-d integrand in r."""
-    c = ray_coefficients(p, np.eye(p.n)[0])
-    polyval = np.polynomial.polynomial.polyval
+def _radial_integrand(p, kind, sign, t, r_abs_x, eps, sqrt_p):
+    """Factory for the reduced 1-d integrand in r; sqrt_p is r -> sqrt(P(r e_1))."""
     n = p.n
 
     def f(r):
-        P = polyval(r, c)
-        A = np.sqrt(np.maximum(P, 0.0))
+        A = sqrt_p(r)
         weight = np.ones_like(r) if kind == "I1" else 1.0 / np.where(A > 0, A, 1.0)
         if kind == "I2":
             weight = np.where(A > 0, weight, 0.0)
@@ -243,14 +235,12 @@ def eval_damped_radial(p, kind, sign, t, x, eps, cfg: QuadConfig | None = None) 
     x = np.asarray(x, dtype=float)
     r_abs_x = float(np.linalg.norm(x))
     R = _axis_cutoff(p, eps, cfg.tail_tol)
-    c = ray_coefficients(p, np.eye(p.n)[0])
-    polyval = np.polynomial.polynomial.polyval
-    sqrtP_R = math.sqrt(max(polyval(R, c), 0.0))
-    total_phase = abs(t) * sqrtP_R + r_abs_x * R + 8.0
+    sqrt_p = _sqrt_p_on_ray(p)
+    total_phase = abs(t) * sqrt_p(R) + r_abs_x * R + 8.0
     panels = int(min(cfg.radial_max_panels,
                      max(64, 2 ** math.ceil(math.log2(total_phase / math.pi + 1)))))
     nodes, weights = roots_legendre(16)
-    f = _radial_integrand(p, kind, sign, t, r_abs_x, eps)
+    f = _radial_integrand(p, kind, sign, t, r_abs_x, eps, sqrt_p)
 
     def compose(m):
         edges = np.linspace(0.0, R, m + 1)

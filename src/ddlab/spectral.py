@@ -75,11 +75,6 @@ class GridSpec:
         return [self.xi_axis.reshape([-1 if i == j else 1 for j in range(self.n)])
                 for i in range(self.n)]
 
-    def symbol_values(self, p: SymbolPoly) -> np.ndarray:
-        if p.n != self.n:
-            raise GridError(f"symbol dimension {p.n} != grid dimension {self.n}")
-        return p.evaluate_on_axes([self.xi_axis] * self.n)
-
 
 def make_grid(n, N, L, max_points=DEFAULT_MAX_POINTS) -> GridSpec:
     """Validated grid constructor: N a power of two, L > 0, N^n under the cap."""
@@ -109,15 +104,29 @@ class WaveState:
             raise GridError("state fields contain non-finite entries")
 
 
-def _sqrt_symbol(p: SymbolPoly, g: GridSpec, strict=True) -> np.ndarray:
-    P = g.symbol_values(p)
+def sqrt_symbol(p: SymbolPoly, axes, strict=True) -> np.ndarray:
+    """sqrt(P) on the tensor lattice spanned by the 1-d arrays in axes.
+
+    strict=True needs P > 0, as the propagator and the P^{-1/2} weight of I2
+    do; strict=False needs only P >= 0.  A violation raises
+    LatticePositivityError at the lattice point where P is smallest.
+    """
+    P = p.evaluate_on_axes(axes)
     pmin = float(np.min(P))
     if (pmin <= 0.0) if strict else (pmin < 0.0):
-        flat = int(np.argmin(P))
-        idx = np.unravel_index(flat, g.shape)
-        point = [float(g.xi_axis[i]) for i in idx]
-        raise LatticePositivityError(point, pmin)
+        idx = np.unravel_index(int(np.argmin(P)), P.shape)
+        raise LatticePositivityError([float(ax[i]) for ax, i in zip(axes, idx)], pmin)
     return np.sqrt(P)
+
+
+def _data_fields(g: GridSpec, *fields):
+    """The data fields as complex arrays, checked against the grid."""
+    fields = [np.asarray(f, dtype=complex) for f in fields]
+    if any(f.shape != g.shape for f in fields):
+        raise GridError("data fields do not match the grid shape")
+    if not all(np.all(np.isfinite(f)) for f in fields):
+        raise GridError("data fields contain non-finite entries")
+    return fields
 
 
 def sine_multiplier(w: np.ndarray, t: float) -> np.ndarray:
@@ -134,34 +143,36 @@ def sine_multiplier(w: np.ndarray, t: float) -> np.ndarray:
     return np.where(small, series, direct)
 
 
-def propagate(u0, u1, t, p: SymbolPoly, g: GridSpec, return_parts=False):
+def propagate(u0, u1, t, p: SymbolPoly, g: GridSpec) -> WaveState:
     """One-shot solution at time t from data (u0, u1).
 
     u  = F^-1[cos(w t) F u0] + F^-1[sin(w t)/w F u1]
     ut = F^-1[-w sin(w t) F u0] + F^-1[cos(w t) F u1]
-    with w = sqrt(P) on the frequency lattice.  With return_parts=True the
-    two summands of u (the cosine part applied to u0 and the sine part
-    applied to u1) are returned alongside the combined state.
+    with w = sqrt(P) on the frequency lattice.
     """
-    u0 = np.asarray(u0, dtype=complex)
-    u1 = np.asarray(u1, dtype=complex)
-    if u0.shape != g.shape or u1.shape != g.shape:
-        raise GridError("data fields do not match the grid shape")
-    if not (np.all(np.isfinite(u0)) and np.all(np.isfinite(u1))):
-        raise GridError("data fields contain non-finite entries")
-    w = _sqrt_symbol(p, g)
+    u0, u1 = _data_fields(g, u0, u1)
+    w = sqrt_symbol(p, [g.xi_axis] * g.n)
     u0_hat = np.fft.fftn(u0)
     u1_hat = np.fft.fftn(u1)
     coswt = np.cos(w * t)
     Q = sine_multiplier(w, t)
-    cos_part = np.fft.ifftn(coswt * u0_hat)
-    sin_part = np.fft.ifftn(Q * u1_hat)
-    u = cos_part + sin_part
+    u = np.fft.ifftn(coswt * u0_hat) + np.fft.ifftn(Q * u1_hat)
     ut = np.fft.ifftn(-w * np.sin(w * t) * u0_hat) + np.fft.ifftn(coswt * u1_hat)
-    state = WaveState(t=float(t), u=u, ut=ut)
-    if return_parts:
-        return state, cos_part, sin_part
-    return state
+    return WaveState(t=float(t), u=u, ut=ut)
+
+
+def propagate_part(f, t, p: SymbolPoly, g: GridSpec, part) -> np.ndarray:
+    """One summand of u at time t: part "U" is F^-1[cos(w t) F f], part "V"
+    is F^-1[sin(w t)/w F f], so propagate(u0, u1, t).u = U(t)u0 + V(t)u1.
+
+    Costs one forward and one inverse FFT.
+    """
+    if part not in ("U", "V"):
+        raise ValueError(f"part must be U or V, got {part!r}")
+    (f,) = _data_fields(g, f)
+    w = sqrt_symbol(p, [g.xi_axis] * g.n)
+    multiplier = np.cos(w * t) if part == "U" else sine_multiplier(w, t)
+    return np.fft.ifftn(multiplier * np.fft.fftn(f))
 
 
 def energy(state: WaveState, p: SymbolPoly, g: GridSpec) -> float:
@@ -171,7 +182,7 @@ def energy(state: WaveState, p: SymbolPoly, g: GridSpec) -> float:
     exp(i<k,x>) has ||.||_2^2 = (2L)^n.
     """
     state.validate(g)
-    w = _sqrt_symbol(p, g)
+    w = sqrt_symbol(p, [g.xi_axis] * g.n)
     ut_hat = np.fft.fftn(state.ut)
     u_hat = np.fft.fftn(state.u)
     scale = g.cell_volume / g.npoints

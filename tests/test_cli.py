@@ -51,6 +51,34 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("args, ini, field", [
+    (["check-symbol", "--m-expect", "abc"], None, "symbol.m_expect"),
+    (["decay-verify", "--p", "abc"], None, "decay.p"),
+    (["decay-verify", "--q", "abc"], None, "decay.q"),
+    (["decay-verify"], "[decay]\np = abc\n", "decay.p"),
+    (["decay-verify"], "[decay]\nq = 1/0\n", "decay.q"),
+    (["kernel-scan"], "[kernel]\nsign = garbage\n", "kernel.sign"),
+    (["solve"], "[solve]\nq = abc\n", "solve.q"),
+    (["regions", "--a", "abc"], None, "regions.a"),
+])
+def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
+    if ini is not None:
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(ini)
+        args = args + ["--config", str(cfg)]
+    assert run(args + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+
+
+def test_nonpositive_lattice_symbol_exits_2(tmp_path, capsys):
+    rc = run(["solve", "--poly", "x1^4+x2^4", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: field symbol.poly:")
+    assert "(0.0, 0.0)" in err
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[symbol]\nfrobnicator = 1\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from ddlab import kernel as K
 from ddlab import symbol as sym
+from ddlab.spectral import LatticePositivityError
 
 
 def beam(n=2):
@@ -41,6 +43,28 @@ def test_kind_and_sign_validation():
         K.eval_kernel(beam(), "I1", 2, 1.0, np.zeros(2), FAST)
     with pytest.raises(K.KernelConfigError):
         K.eval_kernel(beam(), "I1", +1, 0.0, np.zeros(2), FAST)
+
+
+def test_lattice_positivity_strict_only_for_I2():
+    # P = |x|^4 vanishes at the origin: the I1 integrand is fine there, the
+    # P^{-1/2} weight of I2 is not
+    p = sym.SymbolPoly.radial_power(2, 4)
+    cfg = K.QuadConfig(eps_list=(0.4, 0.2, 0.1), order=2, lattice_N=64)
+    assert np.isfinite(K.eval_kernel(p, "I1", +1, 1.0, np.zeros(2), cfg).value)
+    with pytest.raises(LatticePositivityError) as err:
+        K.eval_kernel(p, "I2", +1, 1.0, np.zeros(2), cfg)
+    assert err.value.point == (0.0, 0.0)
+
+
+def test_lattice_sample_memory_budget_n3():
+    cfg = K.QuadConfig(eps_list=(0.4, 0.2, 0.1), order=2, lattice_N=128)
+    tracemalloc.start()
+    try:
+        K.eval_kernel(beam(3), "I2", +1, 1.0, np.zeros(3), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
