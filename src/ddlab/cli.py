@@ -85,35 +85,39 @@ def load_config(path=None) -> ExperimentConfig:
     return cfg
 
 
-def _floats(text):
+def _field(cfg, sec, key, convert, expected):
+    """cfg[sec][key] passed through convert; a ValueError names the field."""
     try:
-        return [float(v) for v in str(text).split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated float list, got {text!r}") from exc
+        return convert(cfg[sec][key])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"field {sec}.{key} must be {expected}, "
+                          f"got {cfg[sec][key]!r}") from exc
 
 
 def _int(cfg, sec, key):
-    try:
-        return int(cfg[sec][key])
-    except ValueError as exc:
-        raise ConfigError(f"field {sec}.{key} must be an integer, "
-                          f"got {cfg[sec][key]!r}") from exc
+    return _field(cfg, sec, key, int, "an integer")
 
 
 def _float(cfg, sec, key):
-    try:
-        return float(cfg[sec][key])
-    except ValueError as exc:
-        raise ConfigError(f"field {sec}.{key} must be a number, "
-                          f"got {cfg[sec][key]!r}") from exc
+    return _field(cfg, sec, key, float, "a number")
 
 
 def _fraction(cfg, sec, key):
-    try:
-        return Fraction(cfg[sec][key])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"field {sec}.{key} must be a rational number, "
-                          f"got {cfg[sec][key]!r}") from exc
+    return _field(cfg, sec, key, Fraction, "a rational number")
+
+
+def _floats(cfg, sec, key):
+    def parse(text):
+        return [float(v) for v in text.split(",") if v.strip()]
+    return _field(cfg, sec, key, parse, "a comma-separated float list")
+
+
+def _choice(cfg, sec, key, allowed):
+    value = cfg[sec][key]
+    if value not in allowed:
+        raise ConfigError(f"field {sec}.{key} must be {' or '.join(allowed)}, "
+                          f"got {value!r}")
+    return value
 
 
 def _write_json(path, obj):
@@ -183,7 +187,7 @@ def cmd_solve(cfg, outdir):
     e0 = None
     drift = 0.0
     clear = 1.0
-    for t in _floats(cfg["solve"]["t_list"]):
+    for t in _floats(cfg, "solve", "t_list"):
         state = spectral.propagate(u0, u1, t, p, g)
         e = spectral.energy(state, p, g)
         e0 = e if e0 is None else e0
@@ -211,19 +215,17 @@ def cmd_kernel_scan(cfg, outdir):
         raise ConfigError("field kernel.sign must be +, +1, 1, - or -1, "
                           f"got {cfg['kernel']['sign']!r}")
     qcfg = kernel.QuadConfig(
-        eps_list=tuple(_floats(cfg["kernel"]["eps_list"])),
+        eps_list=tuple(_floats(cfg, "kernel", "eps_list")),
         order=_int(cfg, "kernel", "order"),
         lattice_N=_int(cfg, "kernel", "N"),
-        method=cfg["kernel"]["method"],
+        method=_choice(cfg, "kernel", "method", ("lattice", "radial")),
     )
-    kind = cfg["kernel"]["kind"]
-    if kind not in kernel.KINDS:
-        raise ConfigError(f"field kernel.kind must be I1 or I2, got {kind!r}")
+    kind = _choice(cfg, "kernel", "kind", kernel.KINDS)
     samples = []
     e1 = np.eye(p.n)[0]
-    for t in _floats(cfg["kernel"]["t_list"]):
+    for t in _floats(cfg, "kernel", "t_list"):
         tcfg = kernel.scaled_config(qcfg, t)
-        for r in _floats(cfg["kernel"]["x_list"]):
+        for r in _floats(cfg, "kernel", "x_list"):
             samples.append(kernel.eval_kernel(p, kind, sign, t, r * e1, tcfg))
     kernel.samples_to_csv(outdir / "samples.csv", samples)
     report = kernel.check_bound(samples, p)
@@ -242,11 +244,13 @@ def cmd_kernel_scan(cfg, outdir):
 def cmd_decay_verify(cfg, outdir):
     p = _parse_symbol(cfg)
     qr = decay.ExponentQuery(
-        part=cfg["decay"]["part"], regime=cfg["decay"]["regime"],
+        part=_choice(cfg, "decay", "part", ("U", "V")),
+        regime=_choice(cfg, "decay", "regime", ("small", "large")),
         p=_fraction(cfg, "decay", "p"),
         q=(math.inf if cfg["decay"]["q"].strip() == "inf"
            else _fraction(cfg, "decay", "q")),
-        m=p.order, n=p.n, route=cfg["decay"]["route"],
+        m=p.order, n=p.n,
+        route=_choice(cfg, "decay", "route", ("convolution", "multiplier")),
     )
     g = spectral.make_grid(p.n, _int(cfg, "decay", "N"), _float(cfg, "decay", "L"))
     lo, hi = decay.DEFAULT_WINDOWS[qr.regime]
@@ -346,39 +350,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_flags(cfg, args):
-    cmd = args.command
-    simple = {
-        "poly": ("symbol", "poly"),
-        "m_expect": ("symbol", "m_expect"),
-        "grid_N": ("grid", "N"),
-        "grid_L": ("grid", "L"),
-        "seed": ("run", "seed"),
+    scan = args.command == "kernel-scan"
+    targets = {
+        "poly": [("symbol", "poly")],
+        "m_expect": [("symbol", "m_expect")],
+        "grid_N": [("grid", "N")],
+        "grid_L": [("grid", "L")],
+        "seed": [("run", "seed")],
+        "n": [("symbol", "n"), ("regions", "n")],
+        "t_list": [("kernel" if scan else "solve", "t_list")],
+        "eps_list": [("kernel", "eps_list")],
+        "kind": [("kernel" if scan else "regions", "kind")],
+        "x_list": [("kernel", "x_list")],
+        "m": [("regions", "m")],
+        "a": [("regions", "a")],
+        **{attr: [("decay", attr)] for attr in ("part", "regime", "p", "q", "route")},
     }
-    for attr, target in simple.items():
+    for attr, fields in targets.items():
         val = getattr(args, attr, None)
         if val is not None:
-            cfg[target[0]][target[1]] = str(val)
-    if getattr(args, "n", None) is not None:
-        cfg["symbol"]["n"] = str(args.n)
-        cfg["regions"]["n"] = str(args.n)
-    if getattr(args, "t_list", None) is not None:
-        sec = "kernel" if cmd == "kernel-scan" else "solve"
-        cfg[sec]["t_list"] = str(args.t_list)
-    if getattr(args, "eps_list", None) is not None:
-        cfg["kernel"]["eps_list"] = str(args.eps_list)
-    if getattr(args, "kind", None) is not None:
-        sec = "kernel" if cmd == "kernel-scan" else "regions"
-        cfg[sec]["kind"] = str(args.kind)
-    if getattr(args, "x_list", None) is not None:
-        cfg["kernel"]["x_list"] = str(args.x_list)
-    for attr in ("part", "regime", "p", "q", "route"):
-        val = getattr(args, attr, None)
-        if val is not None:
-            cfg["decay"][attr] = str(val)
-    if getattr(args, "m", None) is not None:
-        cfg["regions"]["m"] = str(args.m)
-    if getattr(args, "a", None) is not None:
-        cfg["regions"]["a"] = str(args.a)
+            for sec, key in fields:
+                cfg[sec][key] = str(val)
 
 
 def run(argv) -> int:

@@ -269,30 +269,30 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
         lo, hi = DEFAULT_WINDOWS[qr.regime]
         t_grid = np.geomspace(lo, hi, 9)
     t_grid = np.asarray(t_grid, dtype=float)
-    if data is None:
-        data = gaussian_family(grid)
+    data = gaussian_family(grid) if data is None else list(data)
 
     notes = []
     series = []
     worst_clearance = 1.0
     worst_tail = 0.0
-    normalized = []
+    data_norms = []
     data_kind = out_kind = "strong"
     for name, f in data:
         dn, data_kind = _data_norm(f, qr, cls, grid)
         if dn == 0:
             raise NormError(f"datum {name} has zero norm")
-        normalized.append((name, f / dn))
+        data_norms.append(dn)
         worst_tail = max(worst_tail, spectral_tail_fraction(f, grid))
     if worst_tail > 1e-10:
         notes.append(f"spectral tail fraction {worst_tail:.3e} above 1e-10")
 
+    normalized = (f / dn for (_, f), dn in zip(data, data_norms))
+    parts = propagate_part(normalized, t_grid, p, grid, qr.part)
     norm_rows = []
     for t in t_grid:
-        best = 0.0
-        best_l2 = best_inf = 0.0
-        for _, f in normalized:
-            out_field = propagate_part(f, t, p, grid, qr.part)
+        best = best_l2 = best_inf = 0.0
+        for _ in data:
+            out_field = next(parts)
             val, out_kind = _output_norm(out_field, qr, cls, grid)
             best = max(best, val)
             best_l2 = max(best_l2, lq_norm(out_field, 2, grid))
@@ -303,8 +303,7 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
         norm_rows.append((float(t), float(best_l2), float(best), float(best_inf)))
 
     contaminated = worst_clearance < 1.0 - clearance_threshold
-    ts = np.array([s[0] for s in series])
-    vals = np.array([s[1] for s in series])
+    ts, vals = np.array(series).T
     fit = None
     c_emp = None
     verdict = "inconclusive"

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import jv, roots_legendre
+from scipy.special import j0, j1, jv, roots_legendre
 
 from .symbol import SymbolPoly, principal_part, ray_coefficients
 from .spectral import sqrt_symbol
@@ -194,11 +193,20 @@ def is_radial(p: SymbolPoly, probes=8, seed=0, rtol=1e-10) -> bool:
 def _angular_factor(n, rho):
     """Integral of exp(i rho <z, w>) over S^{n-1}: (2 pi)^{n/2} rho^{1-n/2} J_{n/2-1}(rho)."""
     rho = np.asarray(rho, dtype=float)
-    nu = n / 2.0 - 1.0
-    limit = 2.0 * np.pi ** (n / 2.0) / gamma_fn(n / 2.0)  # |S^{n-1}|
+    limit = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)  # |S^{n-1}|
     small = rho < 1e-8
+    if small.all():
+        return np.full(rho.shape, limit)
     safe = np.where(small, 1.0, rho)
-    vals = (2.0 * np.pi) ** (n / 2.0) * safe ** (-nu) * jv(nu, safe)
+    if n == 2:
+        vals = 2.0 * np.pi * j0(safe)
+    elif n == 3:  # DLMF 10.49.3
+        vals = 4.0 * np.pi * np.sin(safe) / safe
+    elif n == 4:
+        vals = 4.0 * np.pi**2 * j1(safe) / safe
+    else:
+        nu = n / 2.0 - 1.0
+        vals = (2.0 * np.pi) ** (n / 2.0) * safe ** (-nu) * jv(nu, safe)
     return np.where(small, limit, vals)
 
 

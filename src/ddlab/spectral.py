@@ -150,10 +150,8 @@ def propagate(u0, u1, t, p: SymbolPoly, g: GridSpec) -> WaveState:
     ut = F^-1[-w sin(w t) F u0] + F^-1[cos(w t) F u1]
     with w = sqrt(P) on the frequency lattice.
     """
-    u0, u1 = _data_fields(g, u0, u1)
+    u0_hat, u1_hat = (np.fft.fftn(f) for f in _data_fields(g, u0, u1))
     w = sqrt_symbol(p, [g.xi_axis] * g.n)
-    u0_hat = np.fft.fftn(u0)
-    u1_hat = np.fft.fftn(u1)
     coswt = np.cos(w * t)
     Q = sine_multiplier(w, t)
     u = np.fft.ifftn(coswt * u0_hat) + np.fft.ifftn(Q * u1_hat)
@@ -161,18 +159,21 @@ def propagate(u0, u1, t, p: SymbolPoly, g: GridSpec) -> WaveState:
     return WaveState(t=float(t), u=u, ut=ut)
 
 
-def propagate_part(f, t, p: SymbolPoly, g: GridSpec, part) -> np.ndarray:
-    """One summand of u at time t: part "U" is F^-1[cos(w t) F f], part "V"
-    is F^-1[sin(w t)/w F f], so propagate(u0, u1, t).u = U(t)u0 + V(t)u1.
+def propagate_part(fields, t_grid, p: SymbolPoly, g: GridSpec, part):
+    """Yield part "U" (F^-1[cos(w t) F f]) or "V" (F^-1[sin(w t)/w F f]) of each
+    field f at each t in t_grid, t-major: propagate(u0, u1, t).u = U(t)u0 + V(t)u1.
 
-    Costs one forward and one inverse FFT.
+    w is evaluated and each field transformed once, keeping only the transforms
+    (fields may be a generator); each (t, field) then costs one inverse FFT.
     """
     if part not in ("U", "V"):
         raise ValueError(f"part must be U or V, got {part!r}")
-    (f,) = _data_fields(g, f)
     w = sqrt_symbol(p, [g.xi_axis] * g.n)
-    multiplier = np.cos(w * t) if part == "U" else sine_multiplier(w, t)
-    return np.fft.ifftn(multiplier * np.fft.fftn(f))
+    hats = [np.fft.fftn(_data_fields(g, f)[0]) for f in fields]
+    for t in t_grid:
+        multiplier = np.cos(w * t) if part == "U" else sine_multiplier(w, t)
+        for h in hats:
+            yield np.fft.ifftn(multiplier * h)
 
 
 def energy(state: WaveState, p: SymbolPoly, g: GridSpec) -> float:

@@ -60,6 +60,11 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["kernel-scan"], "[kernel]\nsign = garbage\n", "kernel.sign"),
     (["solve"], "[solve]\nq = abc\n", "solve.q"),
     (["regions", "--a", "abc"], None, "regions.a"),
+    (["decay-verify", "--part", "X"], None, "decay.part"),
+    (["decay-verify", "--regime", "medium"], None, "decay.regime"),
+    (["decay-verify"], "[decay]\nroute = direct\n", "decay.route"),
+    (["kernel-scan"], "[kernel]\nmethod = foo\n", "kernel.method"),
+    (["solve", "--t-list", "0.5,abc"], None, "solve.t_list"),
 ])
 def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
     if ini is not None:

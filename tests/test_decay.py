@@ -253,6 +253,30 @@ def test_verify_contradicted_when_tolerance_is_absurd():
     assert rep.verdict == "contradicted"
 
 
+@pytest.mark.parametrize("part", ["U", "V"])
+def test_verify_norm_rows_match_full_propagator(part):
+    # verify_lp_lq's one-pass propagation against the independent full
+    # propagator, applied to each unnormalized datum at each t
+    g = sp.make_grid(2, 32, 8.0)
+    r2 = sum(x**2 for x in g.x_grids())
+    data = [("narrow", np.exp(-r2 / 2.0)), ("wide", np.exp(-r2 / 8.0) * (1 + 0.3 * r2))]
+    ts = [0.05, 0.2, 0.5]
+    qr = D.ExponentQuery(part, "small", 2, 2, 4, 2, route="multiplier")
+    rep = D.verify_lp_lq(beam(), qr, grid=g, t_grid=ts, data=data)
+    zero = np.zeros(g.shape)
+    for t, (t_row, l2, _, linf) in zip(ts, rep.norm_rows):
+        l2_ref = linf_ref = 0.0
+        for _, f in data:
+            u0, u1 = (f, zero) if part == "U" else (zero, f)
+            u = sp.propagate(u0, u1, t, beam(), g).u
+            dn = D.lq_norm(f, 2, g)
+            l2_ref = max(l2_ref, D.lq_norm(u, 2, g) / dn)
+            linf_ref = max(linf_ref, D.lq_norm(u, math.inf, g) / dn)
+        assert t_row == t
+        assert l2 == pytest.approx(l2_ref, rel=1e-12)
+        assert linf == pytest.approx(linf_ref, rel=1e-12)
+
+
 def test_verify_mismatched_symbol_rejected():
     qr = D.ExponentQuery("V", "small", 2, 2, 4, 6)
     with pytest.raises(D.RegionError):

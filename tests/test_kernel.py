@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from ddlab import kernel as K
 from ddlab import symbol as sym
@@ -183,6 +184,21 @@ def test_radial_closed_form_homogeneous():
         got = K.eval_damped_radial(p, "I1", +1, t, np.array([r, 0.0]), eps,
                                    K.QuadConfig())
         assert got == pytest.approx(exact, rel=1e-7)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_angular_factor_matches_generic_bessel(n):
+    sphere = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    nu = n / 2.0 - 1.0
+    rho = np.concatenate([[1e-9], np.geomspace(1e-6, 1e3, 400)])
+    generic = (2.0 * np.pi) ** (n / 2.0) * rho ** (-nu) * jv(nu, rho)
+    # |factor| <= |S^{n-1}| and decays like rho^{(1-n)/2}
+    magnitude = sphere * np.minimum(1.0, rho ** ((1.0 - n) / 2.0))
+    got = K._angular_factor(n, rho)
+    assert np.max(np.abs(got - generic) / magnitude) <= 1e-13
+    zeros = K._angular_factor(n, np.zeros((3, 2)))
+    assert zeros.shape == (3, 2)
+    assert np.all(zeros == sphere)
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,17 @@ def test_propagate_single_mode_closed_form():
 
 
 def test_propagate_parts_recombine():
+    # both data at both times: each (t, datum) pair recombines on its own
     g = sp.make_grid(2, 32, 8.0)
     u0, u1 = random_state(g, 7)
-    st = sp.propagate(u0, u1, 1.2, beam(), g)
-    cos_part = sp.propagate_part(u0, 1.2, beam(), g, "U")
-    sin_part = sp.propagate_part(u1, 1.2, beam(), g, "V")
-    recombine_err = np.max(np.abs(st.u - (cos_part + sin_part)))
-    assert recombine_err < 1e-14 * np.max(np.abs(st.u))
+    ts = [0.3, 1.2]
+    cos_parts = sp.propagate_part([u0, u1], ts, beam(), g, "U")
+    sin_parts = sp.propagate_part([u1, u0], ts, beam(), g, "V")
+    for t in ts:
+        for a, b in ((u0, u1), (u1, u0)):
+            u = sp.propagate(a, b, t, beam(), g).u
+            recombine_err = np.max(np.abs(u - (next(cos_parts) + next(sin_parts))))
+            assert recombine_err < 1e-14 * np.max(np.abs(u))
 
 
 def test_one_dimensional_probe_grid():
