@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -94,22 +95,23 @@ def _field(cfg, sec, key, convert, expected):
                           f"got {cfg[sec][key]!r}") from exc
 
 
-def _int(cfg, sec, key):
-    return _field(cfg, sec, key, int, "an integer")
-
-
-def _float(cfg, sec, key):
-    return _field(cfg, sec, key, float, "a number")
-
-
-def _fraction(cfg, sec, key):
-    return _field(cfg, sec, key, Fraction, "a rational number")
+_int = partial(_field, convert=int, expected="an integer")
+_float = partial(_field, convert=float, expected="a number")
+_fraction = partial(_field, convert=Fraction, expected="a rational number")
 
 
 def _floats(cfg, sec, key):
     def parse(text):
         return [float(v) for v in text.split(",") if v.strip()]
     return _field(cfg, sec, key, parse, "a comma-separated float list")
+
+
+def _grid(cfg, sec, n):
+    N, L = _int(cfg, sec, "N"), _float(cfg, sec, "L")
+    try:
+        return spectral.make_grid(n, N, L)
+    except spectral.GridError as exc:
+        raise ConfigError(f"field {sec}.{'N' if L > 0 else 'L'}: {exc}") from exc
 
 
 def _choice(cfg, sec, key, allowed):
@@ -176,7 +178,7 @@ def cmd_check_symbol(cfg, outdir):
 
 def cmd_solve(cfg, outdir):
     p = _parse_symbol(cfg)
-    g = spectral.make_grid(p.n, _int(cfg, "grid", "N"), _float(cfg, "grid", "L"))
+    g = _grid(cfg, "grid", p.n)
     width = _float(cfg, "solve", "width")
     xs = g.x_grids()
     u0 = np.exp(-sum(x**2 for x in xs) / (2.0 * width**2)).astype(complex)
@@ -243,19 +245,27 @@ def cmd_kernel_scan(cfg, outdir):
 
 def cmd_decay_verify(cfg, outdir):
     p = _parse_symbol(cfg)
-    qr = decay.ExponentQuery(
-        part=_choice(cfg, "decay", "part", ("U", "V")),
-        regime=_choice(cfg, "decay", "regime", ("small", "large")),
-        p=_fraction(cfg, "decay", "p"),
-        q=(math.inf if cfg["decay"]["q"].strip() == "inf"
-           else _fraction(cfg, "decay", "q")),
-        m=p.order, n=p.n,
-        route=_choice(cfg, "decay", "route", ("convolution", "multiplier")),
-    )
-    g = spectral.make_grid(p.n, _int(cfg, "decay", "N"), _float(cfg, "decay", "L"))
+    part = _choice(cfg, "decay", "part", ("U", "V"))
+    regime = _choice(cfg, "decay", "regime", ("small", "large"))
+    route = _choice(cfg, "decay", "route", ("convolution", "multiplier"))
+    lp = _fraction(cfg, "decay", "p")
+    lq = math.inf if cfg["decay"]["q"].strip() == "inf" else _fraction(cfg, "decay", "q")
+    try:
+        qr = decay.ExponentQuery(part, regime, lp, lq, p.order, p.n, route)
+    except regions.RegionError as exc:
+        raise ConfigError(f"field decay.{'q' if 1 <= lp <= 2 else 'p'}: {exc}") from exc
+    g = _grid(cfg, "decay", p.n)
     lo, hi = decay.DEFAULT_WINDOWS[qr.regime]
     t_grid = np.geomspace(lo, hi, _int(cfg, "decay", "t_count"))
-    report = decay.verify_lp_lq(p, qr, grid=g, t_grid=t_grid)
+    try:
+        report = decay.verify_lp_lq(p, qr, grid=g, t_grid=t_grid)
+    except regions.RegionError as exc:
+        # the route's region cannot be built for (m, n), or (1/p, 1/q) lies outside it
+        try:
+            decay.admissible_region(qr)
+        except regions.RegionError:
+            raise ConfigError(f"field decay.route: {exc}") from exc
+        raise ConfigError(f"fields decay.p, decay.q, decay.route: {exc}") from exc
     _write_json(outdir / "decay_report.json", report.to_dict())
     spectral.write_norm_series(outdir / "norms.csv", report.norm_rows)
     checks = [{

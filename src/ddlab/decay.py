@@ -131,18 +131,29 @@ def admissible_region(qr: ExponentQuery):
     return build_region("delta_m", qr.m, qr.n)
 
 
-def theoretical_exponent(qr: ExponentQuery) -> Fraction:
-    """Exact rational time exponent for the requested estimate.
-
-    Raises RegionError naming the region when the index pair is not
-    admissible for the route.
-    """
+def _classified_region(qr: ExponentQuery):
+    """(admissible region, classification of the query's index point); raises
+    RegionError naming the region when the pair is not admissible for the route."""
     region = admissible_region(qr)
     cls = classify(region, qr.point, a=region.a)
     if cls.location == "outside":
         raise RegionError(
             f"index point ({qr.inv_p}, {qr.inv_q}) outside region "
             f"{region.kind} (m={qr.m}, n={qr.n})")
+    return region, cls
+
+
+def theoretical_exponent(qr: ExponentQuery) -> Fraction:
+    """Exact rational time exponent for the requested estimate.
+
+    Raises RegionError naming the region when the index pair is not
+    admissible for the route.
+    """
+    _classified_region(qr)
+    return _time_exponent(qr)
+
+
+def _time_exponent(qr: ExponentQuery) -> Fraction:
     ip, iq = qr.inv_p, qr.inv_q
     m1 = Fraction(qr.m, 2)
     if qr.part == "V":
@@ -260,9 +271,8 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
         raise RegionError(
             f"query (m={qr.m}, n={qr.n}) does not match symbol "
             f"(m={p.order}, n={p.n})")
-    theo = theoretical_exponent(qr)  # also validates admissibility
-    region = admissible_region(qr)
-    cls = classify(region, qr.point, a=region.a)
+    _, cls = _classified_region(qr)
+    theo = _time_exponent(qr)
     if grid is None:
         grid = make_grid(qr.n, 128, 16.0)
     if t_grid is None:
@@ -292,13 +302,13 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
     for t in t_grid:
         best = best_l2 = best_inf = 0.0
         for _ in data:
-            out_field = next(parts)
-            val, out_kind = _output_norm(out_field, qr, cls, grid)
+            mag = np.abs(next(parts))  # every norm below depends on |u| only
+            val, out_kind = _output_norm(mag, qr, cls, grid)
             best = max(best, val)
-            best_l2 = max(best_l2, lq_norm(out_field, 2, grid))
-            best_inf = max(best_inf, lq_norm(out_field, math.inf, grid))
+            best_l2 = max(best_l2, lq_norm(mag, 2, grid))
+            best_inf = max(best_inf, lq_norm(mag, math.inf, grid))
             if t == t_grid[-1]:
-                worst_clearance = min(worst_clearance, box_clearance(out_field, grid))
+                worst_clearance = min(worst_clearance, box_clearance(mag, grid))
         series.append((float(t), float(best)))
         norm_rows.append((float(t), float(best_l2), float(best), float(best_inf)))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import j0, j1, jv, roots_legendre
@@ -86,32 +87,29 @@ def _sqrt_p_on_ray(p: SymbolPoly, axis=0):
     return lambda r: np.sqrt(np.maximum(np.polynomial.polynomial.polyval(r, c), 0.0))
 
 
-def _axis_cutoff(p: SymbolPoly, eps_min, tail_tol) -> float:
-    """Smallest R with exp(-eps_min sqrt(P(R e_i))) <= tail_tol on every axis."""
+def _ray_cutoff(sqrt_p, eps_min, tail_tol) -> float:
+    """Smallest R with exp(-eps_min sqrt_p(R)) <= tail_tol along one ray."""
     target = math.log(1.0 / tail_tol) / eps_min  # need sqrt(P) >= target
-    best = 0.0
-    for i in range(p.n):
-        val = _sqrt_p_on_ray(p, i)
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            if val(hi) >= target:
-                break
-            hi *= 2.0
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        if sqrt_p(hi) >= target:
+            break
+        hi *= 2.0
+    else:
+        raise KernelConfigError("damping never reaches the tail tolerance")
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if sqrt_p(mid) >= target:
+            hi = mid
         else:
-            raise KernelConfigError("damping never reaches the tail tolerance")
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if val(mid) >= target:
-                hi = mid
-            else:
-                lo = mid
-        best = max(best, hi)
-    return best
+            lo = mid
+    return hi
 
 
 def _lattice_axis(p: SymbolPoly, cfg: QuadConfig):
-    xi_max = cfg.xi_max if cfg.xi_max is not None else _axis_cutoff(
-        p, min(cfg.eps_list), cfg.tail_tol)
+    # the damping at the smallest eps must reach tail_tol along every axis
+    xi_max = cfg.xi_max if cfg.xi_max is not None else max(
+        _ray_cutoff(_sqrt_p_on_ray(p, i), min(cfg.eps_list), cfg.tail_tol) for i in range(p.n))
     N = cfg.lattice_N
     h = 2.0 * xi_max / N
     axis = -xi_max + h * np.arange(N)
@@ -176,6 +174,7 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, cfg):
 # Radial reduction: exact angular integral, refined Gauss-Legendre in r
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256)
 def is_radial(p: SymbolPoly, probes=8, seed=0, rtol=1e-10) -> bool:
     """Numerically verify that P depends on |xi| only."""
     from .symbol import sphere_directions
@@ -210,29 +209,16 @@ def _angular_factor(n, rho):
     return np.where(small, limit, vals)
 
 
-def _radial_integrand(p, kind, sign, t, r_abs_x, eps, sqrt_p):
-    """Factory for the reduced 1-d integrand in r; sqrt_p is r -> sqrt(P(r e_1))."""
-    n = p.n
+def _damped_radial_values(p, kind, sign, t, x, eps_list, cfg: QuadConfig) -> np.ndarray:
+    """Fixed-eps kernel values at every eps of eps_list via the 1-d reduction.
 
-    def f(r):
-        A = sqrt_p(r)
-        weight = np.ones_like(r) if kind == "I1" else 1.0 / np.where(A > 0, A, 1.0)
-        if kind == "I2":
-            weight = np.where(A > 0, weight, 0.0)
-        osc = np.exp((-eps + 1j * sign * t) * A)
-        return osc * weight * r ** (n - 1) * _angular_factor(n, r_abs_x * r)
-
-    return f
-
-
-def eval_damped_radial(p, kind, sign, t, x, eps, cfg: QuadConfig | None = None) -> complex:
-    """Fixed-eps kernel value for a radial symbol via the 1-d reduction.
-
-    Composite Gauss-Legendre panels are doubled until the value is stable
-    to cfg.radial_rtol; the panel budget starts from the total phase so
-    oscillations at large t stay resolved.
+    One Gauss-Legendre node set serves the whole list: the cutoff R comes
+    from the smallest eps, the panel budget starts from the total phase so
+    oscillations at large t stay resolved, and each refinement evaluates
+    sqrt(P), the eps-independent weight and exp(i s t sqrt(P)) once before
+    reducing each eps with its real damping factor.  Composite panels are
+    doubled until every value is stable to cfg.radial_rtol.
     """
-    cfg = cfg or QuadConfig()
     if kind not in KINDS:
         raise KernelConfigError(f"kind must be one of {KINDS}")
     if not is_radial(p):
@@ -240,32 +226,42 @@ def eval_damped_radial(p, kind, sign, t, x, eps, cfg: QuadConfig | None = None) 
     if kind == "I2" and p.coeff((0,) * p.n) <= 0.0:
         raise KernelConfigError(
             "radial I2 needs P(0) > 0: the P^{-1/2} weight is singular at the origin")
-    x = np.asarray(x, dtype=float)
-    r_abs_x = float(np.linalg.norm(x))
-    R = _axis_cutoff(p, eps, cfg.tail_tol)
+    r_abs_x = float(np.linalg.norm(np.asarray(x, dtype=float)))
     sqrt_p = _sqrt_p_on_ray(p)
+    R = _ray_cutoff(sqrt_p, min(eps_list), cfg.tail_tol)  # the same on every ray of a radial P
     total_phase = abs(t) * sqrt_p(R) + r_abs_x * R + 8.0
     panels = int(min(cfg.radial_max_panels,
                      max(64, 2 ** math.ceil(math.log2(total_phase / math.pi + 1)))))
     nodes, weights = roots_legendre(16)
-    f = _radial_integrand(p, kind, sign, t, r_abs_x, eps, sqrt_p)
 
     def compose(m):
         edges = np.linspace(0.0, R, m + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
         rr = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        ww = (half[:, None] * weights[None, :]).ravel()
-        return complex(np.sum(ww * f(rr)))
+        A = sqrt_p(rr)
+        weight = (half[:, None] * weights[None, :]).ravel()
+        weight *= rr ** (p.n - 1) * _angular_factor(p.n, r_abs_x * rr)
+        if kind == "I2":
+            weight = np.where(A > 0, weight / np.where(A > 0, A, 1.0), 0.0)
+        osc = np.exp(1j * sign * t * A)
+        osc *= weight
+        # einsum, not np.dot: an unpinned multithreaded BLAS dot is slower at these sizes
+        return np.array([np.einsum("i,i->", np.exp(-eps * A), osc) for eps in eps_list])
 
     prev = compose(panels)
     while panels < cfg.radial_max_panels:
         panels *= 2
         cur = compose(panels)
-        if abs(cur - prev) <= cfg.radial_rtol * max(abs(cur), 1e-300):
+        if np.all(np.abs(cur - prev) <= cfg.radial_rtol * np.maximum(np.abs(cur), 1e-300)):
             return cur
         prev = cur
     return prev
+
+
+def eval_damped_radial(p, kind, sign, t, x, eps, cfg: QuadConfig | None = None) -> complex:
+    """Fixed-eps kernel value for a radial symbol via the 1-d reduction."""
+    return complex(_damped_radial_values(p, kind, sign, t, x, [eps], cfg or QuadConfig())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +343,7 @@ def eval_kernel(p, kind, sign, t, x, cfg: QuadConfig | None = None) -> KernelSam
         raise KernelConfigError("kernel values are defined for t != 0")
     x = np.asarray(x, dtype=float)
     if cfg.method == "radial":
-        vals = [eval_damped_radial(p, kind, sign, t, x, e, cfg) for e in cfg.eps_list]
+        vals = _damped_radial_values(p, kind, sign, t, x, cfg.eps_list, cfg)
         extrap, stability = extrapolate_to_zero(cfg.eps_list, vals, cfg.order)
         err = abs(vals[-1] - extrap) + stability
         meta = {"method": "radial", "eps_list": cfg.eps_list}

@@ -197,17 +197,8 @@ def spectral_tail_fraction(field, g: GridSpec, cutoff=0.5) -> float:
 
     The box/resolution choice is validated by measuring this, not assumed.
     """
-    field = np.asarray(field, dtype=complex)
-    hat = np.fft.fftn(field)
-    power = np.abs(hat) ** 2
-    total = float(np.sum(power))
-    if total == 0.0:
-        return 0.0
-    mask = np.zeros(g.shape, dtype=bool)
-    limit = cutoff * g.xi_max
-    for axis_vals in g.xi_grids():
-        mask |= np.abs(axis_vals) > limit
-    return float(np.sum(power[mask]) / total)
+    power = np.abs(np.fft.fftn(np.asarray(field, dtype=complex))) ** 2
+    return _outer_fraction(power, g.xi_grids(), cutoff * g.xi_max)
 
 
 def box_clearance(field, g: GridSpec, band=0.25) -> float:
@@ -215,16 +206,19 @@ def box_clearance(field, g: GridSpec, band=0.25) -> float:
 
     The edge region is the outer `band` fraction per axis (|x_i| > (1-band) L).
     """
-    field = np.asarray(field)
-    power = np.abs(field) ** 2
+    return 1.0 - _outer_fraction(np.abs(np.asarray(field)) ** 2, g.x_grids(),
+                                 (1.0 - band) * g.L)
+
+
+def _outer_fraction(power, grids, limit) -> float:
+    """Share of sum(power) at points with some |coordinate| above limit (0 if empty)."""
     total = float(np.sum(power))
     if total == 0.0:
-        return 1.0
-    edge = np.zeros(g.shape, dtype=bool)
-    limit = (1.0 - band) * g.L
-    for axis_vals in g.x_grids():
-        edge |= np.abs(axis_vals) > limit
-    return 1.0 - float(np.sum(power[edge]) / total)
+        return 0.0
+    mask = np.zeros(power.shape, dtype=bool)
+    for axis_vals in grids:
+        mask |= np.abs(axis_vals) > limit
+    return float(np.sum(power[mask]) / total)
 
 
 # ---------------------------------------------------------------------------

@@ -347,28 +347,24 @@ def gradient_polys(p: SymbolPoly) -> tuple:
 
 @lru_cache(maxsize=512)
 def hessian_polys(p: SymbolPoly) -> tuple:
-    out = []
+    units = np.eye(p.n, dtype=int)
+    return tuple(tuple(derivative(p, tuple(units[i] + units[j])) for j in range(p.n))
+                 for i in range(p.n))
+
+
+def _hessian_values(p: SymbolPoly, points) -> np.ndarray:
+    """Hess p at a batch of points, shape (M, n) -> (M, n, n)."""
+    hp = hessian_polys(p)
+    H = np.empty((points.shape[0], p.n, p.n), dtype=float)
     for i in range(p.n):
-        row = []
         for j in range(p.n):
-            alpha = [0] * p.n
-            alpha[i] += 1
-            alpha[j] += 1
-            row.append(derivative(p, tuple(alpha)))
-        out.append(tuple(row))
-    return tuple(out)
+            H[:, i, j] = hp[i][j].evaluate(points)
+    return H
 
 
 def hessian_det_values(p: SymbolPoly, points) -> np.ndarray:
     """det Hess p at a batch of points, shape (M, n) -> (M,)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    hp = hessian_polys(p)
-    M = points.shape[0]
-    H = np.empty((M, p.n, p.n), dtype=float)
-    for i in range(p.n):
-        for j in range(p.n):
-            H[:, i, j] = hp[i][j].evaluate(points)
-    return np.linalg.det(H)
+    return np.linalg.det(_hessian_values(p, np.atleast_2d(np.asarray(points, dtype=float))))
 
 
 def sqrt_hessian_det_values(p: SymbolPoly, points) -> np.ndarray:
@@ -378,20 +374,14 @@ def sqrt_hessian_det_values(p: SymbolPoly, points) -> np.ndarray:
     (2 p p_ij - p_i p_j) / (4 p^{3/2}), built from exact derivatives of p.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    M = points.shape[0]
-    vals = p.evaluate(points)
-    vals = np.atleast_1d(vals)
+    vals = np.atleast_1d(p.evaluate(points))
     if np.any(vals <= 0):
         bad = points[int(np.argmin(vals))]
         raise SymbolError(f"sqrt(P) derivatives need P > 0; P({tuple(bad)}) <= 0")
-    gp = gradient_polys(p)
-    hp = hessian_polys(p)
-    grads = np.stack([g.evaluate(points) for g in gp], axis=-1)  # (M, n)
-    H = np.empty((M, p.n, p.n), dtype=float)
-    for i in range(p.n):
-        for j in range(p.n):
-            pij = hp[i][j].evaluate(points)
-            H[:, i, j] = (2.0 * vals * pij - grads[:, i] * grads[:, j]) / (4.0 * vals**1.5)
+    grads = np.stack([g.evaluate(points) for g in gradient_polys(p)], axis=-1)  # (M, n)
+    v = vals[:, None, None]
+    H = (2.0 * v * _hessian_values(p, points)
+         - grads[:, :, None] * grads[:, None, :]) / (4.0 * v**1.5)
     return np.linalg.det(H)
 
 

@@ -65,6 +65,12 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["decay-verify"], "[decay]\nroute = direct\n", "decay.route"),
     (["kernel-scan"], "[kernel]\nmethod = foo\n", "kernel.method"),
     (["solve", "--t-list", "0.5,abc"], None, "solve.t_list"),
+    (["solve", "--grid-N", "63"], None, "grid.N"),
+    (["decay-verify"], "[decay]\nN = 63\n", "decay.N"),
+    (["decay-verify", "--p", "3"], None, "decay.p"),
+    (["decay-verify", "--q", "1"], None, "decay.q"),
+    (["decay-verify", "--route", "convolution", "--regime", "large",
+      "--p", "1", "--q", "2"], None, "decay.route"),
 ])
 def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
     if ini is not None:

@@ -174,16 +174,54 @@ def test_radial_rejects_nonradial_and_singular():
                              "I2", +1, 1.0, np.zeros(2), 0.1, cfg)
 
 
+CRITERION_EPS = K.QuadConfig(eps_list=(0.2, 0.1, 0.05, 0.025), order=3, method="radial")
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("n, kind, t, r, scaled", [
+    (4, "I2", 50.0, 0.0, False),
+    (4, "I2", 3.0, 6.0, False),
+    (2, "I1", 0.05, 0.25, True),
+    (2, "I1", 0.5, 0.5, True),
+])
+def test_batched_radial_matches_per_eps_calls(n, kind, t, r, scaled, sign):
+    # one node set for the whole damping list against one refinement chain per eps
+    p = beam(n)
+    cfg = K.scaled_config(CRITERION_EPS, t) if scaled else CRITERION_EPS
+    x = np.zeros(n)
+    x[0] = r
+    batched = K._damped_radial_values(p, kind, sign, t, x, cfg.eps_list, cfg)
+    single = np.array([K.eval_damped_radial(p, kind, sign, t, x, e, cfg)
+                       for e in cfg.eps_list])
+    assert batched.shape == single.shape
+    assert np.max(np.abs(batched - single) / np.abs(single)) <= 1e-11
+
+
+def test_radial_sample_memory_budget_n4():
+    # one criterion-09 sample at t = 50; the first call is outside the trace
+    # so that lazily imported modules do not count
+    p = beam(4)
+    K.eval_kernel(p, "I2", +1, 1.0, np.zeros(4), CRITERION_EPS)
+    tracemalloc.start()
+    try:
+        K.eval_kernel(p, "I2", +1, 50.0, np.array([100.0, 0.0, 0.0, 0.0]), CRITERION_EPS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 105 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
+
+
 def test_radial_closed_form_homogeneous():
     # sqrt(P) = r^2 for P = |x|^4, n = 2: the damped integral is exactly
-    # pi/(eps - i t) exp(-|x|^2 / (4 (eps - i t)))
+    # pi/(eps - i s t) exp(-|x|^2 / (4 (eps - i s t)))
     p = sym.SymbolPoly.radial_power(2, 4)
     for (t, r, eps) in [(1.0, 0.0, 0.1), (2.0, 1.0, 0.05), (0.5, 2.0, 0.2)]:
-        z = eps - 1j * t
-        exact = np.pi / z * np.exp(-r * r / (4 * z))
-        got = K.eval_damped_radial(p, "I1", +1, t, np.array([r, 0.0]), eps,
-                                   K.QuadConfig())
-        assert got == pytest.approx(exact, rel=1e-7)
+        for sign in (+1, -1):
+            z = eps - 1j * sign * t
+            exact = np.pi / z * np.exp(-r * r / (4 * z))
+            got = K.eval_damped_radial(p, "I1", sign, t, np.array([r, 0.0]), eps,
+                                       K.QuadConfig())
+            assert got == pytest.approx(exact, rel=1e-7)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
