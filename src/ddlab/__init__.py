@@ -1,7 +1,7 @@
 """ddlab: desk-scale verification lab for wave-type equations u_tt + P(D)u = 0."""
 
 from .symbol import (
-    SymbolPoly, SamplingConfig, HypothesisReport, RadialInverse, Witness,
+    SymbolPoly, HypothesisReport, RadialInverse, Witness,
     check_H1, check_H2, derivative, principal_part, parse_symbol, to_literal,
     hessian_growth_sqrt, surface_type, radial_inverse, radial_threshold,
     sigma_decay_fit, sphere_directions,
@@ -9,7 +9,7 @@ from .symbol import (
 from .spectral import GridSpec, WaveState, make_grid, propagate, energy
 from .kernel import (
     QuadConfig, KernelSample, KernelBoundReport, eval_kernel, eval_damped,
-    eval_damped_radial, check_bound, scaling_check,
+    check_bound, scaling_check,
 )
 from .decay import (
     ExponentQuery, DecayFit, lq_norm, weak_lq_norm, theoretical_exponent,

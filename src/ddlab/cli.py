@@ -149,8 +149,8 @@ def _parse_symbol(cfg):
 
 def cmd_check_symbol(cfg, outdir):
     p = _parse_symbol(cfg)
-    scfg = symbol.SamplingConfig(seed=_int(cfg, "run", "seed"))
-    h1 = symbol.check_H1(p, scfg)
+    seed = _int(cfg, "run", "seed")
+    h1 = symbol.check_H1(p, seed)
     checks = [{
         "name": "H1",
         "verdict": "pass" if h1.passed else "fail",
@@ -161,7 +161,7 @@ def cmd_check_symbol(cfg, outdir):
                           for w in h1.witnesses],
         },
     }]
-    h2 = symbol.check_H2(p, scfg)
+    h2 = symbol.check_H2(p, seed)
     checks.append({
         "name": "H2",
         "verdict": "pass" if h2.passed else "fail",

@@ -135,7 +135,7 @@ def _classified_region(qr: ExponentQuery):
     """(admissible region, classification of the query's index point); raises
     RegionError naming the region when the pair is not admissible for the route."""
     region = admissible_region(qr)
-    cls = classify(region, qr.point, a=region.a)
+    cls = classify(region, qr.point)
     if cls.location == "outside":
         raise RegionError(
             f"index point ({qr.inv_p}, {qr.inv_q}) outside region "
@@ -172,21 +172,26 @@ def _time_exponent(qr: ExponentQuery) -> Fraction:
 # Data families
 # ---------------------------------------------------------------------------
 
-def gaussian_family(g: GridSpec, widths=(1.5, 2.5, 3.5), indicator_radius=2.0,
-                    mollify_sigma=1.0):
-    """Centered Gaussians plus a mollified ball indicator (all unnormalized).
+GAUSSIAN_WIDTHS = (1.5, 2.5, 3.5)
+INDICATOR_RADIUS = 2.0
+MOLLIFY_SIGMA = 1.0
+
+
+def gaussian_family(g: GridSpec):
+    """Centered Gaussians of GAUSSIAN_WIDTHS plus the ball indicator of
+    INDICATOR_RADIUS mollified at scale MOLLIFY_SIGMA (all unnormalized).
 
     The indicator is smoothed spectrally so its Nyquist tail is controlled;
     callers normalize in whatever data norm the estimate uses.
     """
     xs = g.x_grids()
     r2 = sum(x**2 for x in xs)
-    fields = [np.exp(-r2 / (2.0 * a * a)).astype(complex) for a in widths]
-    ind = (np.sqrt(r2) <= indicator_radius).astype(complex)
+    fields = [np.exp(-r2 / (2.0 * a * a)).astype(complex) for a in GAUSSIAN_WIDTHS]
+    ind = (np.sqrt(r2) <= INDICATOR_RADIUS).astype(complex)
     xi2 = sum(x**2 for x in g.xi_grids())
-    smooth = np.fft.ifftn(np.fft.fftn(ind) * np.exp(-0.5 * mollify_sigma**2 * xi2))
+    smooth = np.fft.ifftn(np.fft.fftn(ind) * np.exp(-0.5 * MOLLIFY_SIGMA**2 * xi2))
     fields.append(smooth)
-    names = [f"gaussian(width={a})" for a in widths] + ["smoothed-indicator"]
+    names = [f"gaussian(width={a})" for a in GAUSSIAN_WIDTHS] + ["smoothed-indicator"]
     return list(zip(names, fields))
 
 
@@ -255,11 +260,11 @@ class DecayReport:
 
 
 DEFAULT_WINDOWS = {"small": (0.01, 0.5), "large": (2.0, 50.0)}
+CLEARANCE_THRESHOLD = 1e-3  # box-contaminated below clearance 1 - CLEARANCE_THRESHOLD
 
 
 def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
-                 t_grid=None, data=None, slope_tol=0.1,
-                 clearance_threshold=1e-3) -> DecayReport:
+                 t_grid=None, data=None, slope_tol=0.1) -> DecayReport:
     """Measure the decay/growth of ||U(t)||_q or ||V(t)||_q over L^p data.
 
     The family maximum of the normalized output norms is fitted as a power
@@ -312,7 +317,7 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
         series.append((float(t), float(best)))
         norm_rows.append((float(t), float(best_l2), float(best), float(best_inf)))
 
-    contaminated = worst_clearance < 1.0 - clearance_threshold
+    contaminated = worst_clearance < 1.0 - CLEARANCE_THRESHOLD
     ts, vals = np.array(series).T
     fit = None
     c_emp = None

@@ -7,6 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+MIN_FIT_POINTS = 5
+
+
 class FitError(ValueError):
     """Raised when a power-law fit is requested on unusable data."""
 
@@ -16,7 +19,7 @@ class DecayFit:
     """Least-squares power law  y = exp(log_level) * t**exponent.
 
     residual is the RMS misfit in log-log coordinates; window is the
-    [t_min, t_max] interval that was actually fitted.
+    [t_min, t_max] interval of the fitted abscissae.
     """
 
     exponent: float
@@ -26,22 +29,18 @@ class DecayFit:
     npoints: int
 
 
-def fit_power_law(ts, values, window=None, min_points=5) -> DecayFit:
+def fit_power_law(ts, values) -> DecayFit:
     """Fit a line to (log t, log value) and return slope/level/residual.
 
-    ts must be positive and contain at least two distinct values inside
-    the window; values must be strictly positive.
+    ts must be positive and hold at least MIN_FIT_POINTS values, two of them
+    distinct; values must be strictly positive.
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     if ts.shape != values.shape or ts.ndim != 1:
         raise FitError("ts and values must be 1-d arrays of equal length")
-    if window is not None:
-        lo, hi = window
-        keep = (ts >= lo) & (ts <= hi)
-        ts, values = ts[keep], values[keep]
-    if ts.size < min_points:
-        raise FitError(f"need at least {min_points} points in window, got {ts.size}")
+    if ts.size < MIN_FIT_POINTS:
+        raise FitError(f"need at least {MIN_FIT_POINTS} points, got {ts.size}")
     if np.any(ts <= 0):
         raise FitError("power-law fit needs positive abscissae")
     if np.any(values <= 0):

@@ -19,12 +19,25 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j0, j1, jv, roots_legendre
 
-from .symbol import SymbolPoly, principal_part, ray_coefficients
+from .symbol import SymbolPoly, principal_part, ray_coefficients, sphere_directions
 from .spectral import sqrt_symbol
 
 KINDS = ("I1", "I2")
+
+TAIL_TOL = 1e-14  # damping at the truncation radius
+FLAG_ABS = 1e-4  # a sample is flagged when err > FLAG_ABS + FLAG_REL |value|
+FLAG_REL = 0.25
+# Radial panels double until every eps value is stable to RADIAL_RTOL, or its
+# change is below ROUNDING_FLOOR machine epsilons of the damped absolute mass
+# sum |weight| exp(-eps sqrt(P)) (a value at rounding level never meets a
+# relative test), or RADIAL_MAX_PANELS is reached.
+RADIAL_RTOL = 1e-9
+ROUNDING_FLOOR = 16
+RADIAL_MAX_PANELS = 2**18
+RADIAL_PROBES = 8  # sphere directions on which is_radial compares P with P along e1
+RADIAL_PROBE_RTOL = 1e-10
+SATURATION_TOL = 0.05  # see check_bound
 
 
 class KernelConfigError(ValueError):
@@ -36,21 +49,15 @@ class QuadConfig:
     """Damping / extrapolation / lattice parameters for kernel evaluation.
 
     eps_list must be strictly decreasing and positive; lattice truncation
-    is chosen so the damping at the smallest eps reaches tail_tol along
+    is chosen so the damping at the smallest eps reaches TAIL_TOL along
     every axis.
     """
 
     eps_list: tuple = (0.2, 0.1, 0.05, 0.025)
     order: int = 3
     lattice_N: int = 512
-    xi_max: float | None = None
-    tail_tol: float = 1e-14
     method: str = "lattice"  # "lattice" or "radial"
     use_oracle: bool = False  # cross-check lattice values against the radial oracle
-    flag_abs: float = 1e-4
-    flag_rel: float = 0.25
-    radial_rtol: float = 1e-9
-    radial_max_panels: int = 2**18
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_list)
@@ -87,9 +94,9 @@ def _sqrt_p_on_ray(p: SymbolPoly, axis=0):
     return lambda r: np.sqrt(np.maximum(np.polynomial.polynomial.polyval(r, c), 0.0))
 
 
-def _ray_cutoff(sqrt_p, eps_min, tail_tol) -> float:
-    """Smallest R with exp(-eps_min sqrt_p(R)) <= tail_tol along one ray."""
-    target = math.log(1.0 / tail_tol) / eps_min  # need sqrt(P) >= target
+def _ray_cutoff(sqrt_p, eps_min) -> float:
+    """Smallest R with exp(-eps_min sqrt_p(R)) <= TAIL_TOL along one ray."""
+    target = math.log(1.0 / TAIL_TOL) / eps_min  # need sqrt(P) >= target
     lo, hi = 0.0, 1.0
     for _ in range(200):
         if sqrt_p(hi) >= target:
@@ -107,9 +114,8 @@ def _ray_cutoff(sqrt_p, eps_min, tail_tol) -> float:
 
 
 def _lattice_axis(p: SymbolPoly, cfg: QuadConfig):
-    # the damping at the smallest eps must reach tail_tol along every axis
-    xi_max = cfg.xi_max if cfg.xi_max is not None else max(
-        _ray_cutoff(_sqrt_p_on_ray(p, i), min(cfg.eps_list), cfg.tail_tol) for i in range(p.n))
+    # the damping at the smallest eps must reach TAIL_TOL along every axis
+    xi_max = max(_ray_cutoff(_sqrt_p_on_ray(p, i), min(cfg.eps_list)) for i in range(p.n))
     N = cfg.lattice_N
     h = 2.0 * xi_max / N
     axis = -xi_max + h * np.arange(N)
@@ -175,16 +181,13 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, cfg):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
-def is_radial(p: SymbolPoly, probes=8, seed=0, rtol=1e-10) -> bool:
+def is_radial(p: SymbolPoly) -> bool:
     """Numerically verify that P depends on |xi| only."""
-    from .symbol import sphere_directions
-
-    dirs = sphere_directions(p.n, max(probes, 8), seed)[:probes]
     rs = np.array([0.3, 0.9, 1.7, 2.6])
     ref = p.evaluate(rs[:, None] * np.eye(p.n)[0][None, :])
-    for w in dirs:
+    for w in sphere_directions(p.n, RADIAL_PROBES):
         vals = p.evaluate(rs[:, None] * w[None, :])
-        if not np.allclose(vals, ref, rtol=rtol, atol=1e-12):
+        if not np.allclose(vals, ref, rtol=RADIAL_PROBE_RTOL, atol=1e-12):
             return False
     return True
 
@@ -196,6 +199,8 @@ def _angular_factor(n, rho):
     small = rho < 1e-8
     if small.all():
         return np.full(rho.shape, limit)
+    from scipy.special import j0, j1, jv  # imported on first use: scipy.special is slow to import
+
     safe = np.where(small, 1.0, rho)
     if n == 2:
         vals = 2.0 * np.pi * j0(safe)
@@ -209,7 +214,7 @@ def _angular_factor(n, rho):
     return np.where(small, limit, vals)
 
 
-def _damped_radial_values(p, kind, sign, t, x, eps_list, cfg: QuadConfig) -> np.ndarray:
+def _damped_radial_values(p, kind, sign, t, x, eps_list) -> np.ndarray:
     """Fixed-eps kernel values at every eps of eps_list via the 1-d reduction.
 
     One Gauss-Legendre node set serves the whole list: the cutoff R comes
@@ -217,7 +222,8 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list, cfg: QuadConfig) -> np.
     oscillations at large t stay resolved, and each refinement evaluates
     sqrt(P), the eps-independent weight and exp(i s t sqrt(P)) once before
     reducing each eps with its real damping factor.  Composite panels are
-    doubled until every value is stable to cfg.radial_rtol.
+    doubled until every value is stable to RADIAL_RTOL or to its rounding
+    floor.
     """
     if kind not in KINDS:
         raise KernelConfigError(f"kind must be one of {KINDS}")
@@ -228,13 +234,16 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list, cfg: QuadConfig) -> np.
             "radial I2 needs P(0) > 0: the P^{-1/2} weight is singular at the origin")
     r_abs_x = float(np.linalg.norm(np.asarray(x, dtype=float)))
     sqrt_p = _sqrt_p_on_ray(p)
-    R = _ray_cutoff(sqrt_p, min(eps_list), cfg.tail_tol)  # the same on every ray of a radial P
+    R = _ray_cutoff(sqrt_p, min(eps_list))  # the same on every ray of a radial P
     total_phase = abs(t) * sqrt_p(R) + r_abs_x * R + 8.0
-    panels = int(min(cfg.radial_max_panels,
+    panels = int(min(RADIAL_MAX_PANELS,
                      max(64, 2 ** math.ceil(math.log2(total_phase / math.pi + 1)))))
+    from scipy.special import roots_legendre  # imported on first use: slow to import
+
     nodes, weights = roots_legendre(16)
 
-    def compose(m):
+    def compose(m, prev=None):
+        """Values on m panels and whether all of them have converged against prev."""
         edges = np.linspace(0.0, R, m + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
@@ -247,21 +256,24 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list, cfg: QuadConfig) -> np.
         osc = np.exp(1j * sign * t * A)
         osc *= weight
         # einsum, not np.dot: an unpinned multithreaded BLAS dot is slower at these sizes
-        return np.array([np.einsum("i,i->", np.exp(-eps * A), osc) for eps in eps_list])
+        cur = np.array([np.einsum("i,i->", np.exp(-eps * A), osc) for eps in eps_list])
+        if prev is None:
+            return cur, False
+        delta = np.abs(cur - prev)
+        for k in np.flatnonzero(delta > RADIAL_RTOL * np.maximum(np.abs(cur), 1e-300)):
+            mass = np.einsum("i,i->", np.exp(-eps_list[k] * A), np.abs(weight))
+            if delta[k] > ROUNDING_FLOOR * np.finfo(float).eps * mass:
+                return cur, False
+        return cur, True
 
-    prev = compose(panels)
-    while panels < cfg.radial_max_panels:
+    prev, _ = compose(panels)
+    while panels < RADIAL_MAX_PANELS:
         panels *= 2
-        cur = compose(panels)
-        if np.all(np.abs(cur - prev) <= cfg.radial_rtol * np.maximum(np.abs(cur), 1e-300)):
+        cur, converged = compose(panels, prev)
+        if converged:
             return cur
         prev = cur
     return prev
-
-
-def eval_damped_radial(p, kind, sign, t, x, eps, cfg: QuadConfig | None = None) -> complex:
-    """Fixed-eps kernel value for a radial symbol via the 1-d reduction."""
-    return complex(_damped_radial_values(p, kind, sign, t, x, [eps], cfg or QuadConfig())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +332,8 @@ def eval_damped(p, kind, sign, t, x, eps, cfg: QuadConfig | None = None) -> comp
     if kind not in KINDS:
         raise KernelConfigError(f"kind must be one of {KINDS}")
     if cfg.method == "radial":
-        return eval_damped_radial(p, kind, sign, t, x, eps, cfg)
-    sub_cfg = replace(cfg, eps_list=(float(eps),), xi_max=cfg.xi_max)
+        return complex(_damped_radial_values(p, kind, sign, t, x, [eps])[0])
+    sub_cfg = replace(cfg, eps_list=(float(eps),))
     fine, _ = _lattice_sums(p, kind, sign, t, np.asarray(x, dtype=float),
                             [float(eps)], sub_cfg)
     return complex(fine[0])
@@ -343,7 +355,7 @@ def eval_kernel(p, kind, sign, t, x, cfg: QuadConfig | None = None) -> KernelSam
         raise KernelConfigError("kernel values are defined for t != 0")
     x = np.asarray(x, dtype=float)
     if cfg.method == "radial":
-        vals = _damped_radial_values(p, kind, sign, t, x, cfg.eps_list, cfg)
+        vals = _damped_radial_values(p, kind, sign, t, x, cfg.eps_list)
         extrap, stability = extrapolate_to_zero(cfg.eps_list, vals, cfg.order)
         err = abs(vals[-1] - extrap) + stability
         meta = {"method": "radial", "eps_list": cfg.eps_list}
@@ -354,9 +366,9 @@ def eval_kernel(p, kind, sign, t, x, cfg: QuadConfig | None = None) -> KernelSam
         err = abs(fine[-1] - extrap) + abs(extrap - extrap_coarse)
         meta = {"method": "lattice", "eps_list": cfg.eps_list, "N": cfg.lattice_N}
         if cfg.use_oracle and is_radial(p):
-            oracle = eval_damped_radial(p, kind, sign, t, x, cfg.eps_list[-1], cfg)
+            oracle = complex(_damped_radial_values(p, kind, sign, t, x, cfg.eps_list[-1:])[0])
             meta["oracle_delta"] = abs(complex(fine[-1]) - oracle)
-    flagged = err > cfg.flag_abs + cfg.flag_rel * abs(extrap)
+    flagged = err > FLAG_ABS + FLAG_REL * abs(extrap)
     return KernelSample(kind=kind, sign=sign, t=float(t), x=tuple(float(v) for v in x),
                         value=complex(extrap), err=float(err), flagged=bool(flagged),
                         meta=meta)
@@ -441,13 +453,12 @@ def saturation_drift(keys, ratios):
     return max(0.0, final / base - 1.0)
 
 
-def check_bound(samples, p: SymbolPoly, kind=None,
-                saturation_tol=0.05) -> KernelBoundReport:
+def check_bound(samples, p: SymbolPoly, kind=None) -> KernelBoundReport:
     """Empirical envelope constants C_emp = max |I| / envelope per time regime.
 
     Samples are split at |t| = 1; each regime records C_emp and whether
     the running max has stopped drifting (saturated means the upward
-    drift across the last decade stayed within saturation_tol).  Empty
+    drift across the last decade stayed within SATURATION_TOL).  Empty
     regimes are reported as no-data.
     """
     samples = list(samples)
@@ -491,7 +502,7 @@ def check_bound(samples, p: SymbolPoly, kind=None,
         drift = saturation_drift(keys_sorted, ratios_sorted)
         regimes.append(RegimeBound(regime, te, ae, sp, float(np.max(ratios)),
                                    float(drift), len(sub), False,
-                                   saturated=bool(drift <= saturation_tol)))
+                                   saturated=bool(drift <= SATURATION_TOL)))
     desc = f"{len(samples)} samples of {kind} for m={m}, n={n}"
     return KernelBoundReport(kind=kind, m=m, n=n, mu=mu, nu=nu,
                              regimes=tuple(regimes), description=desc,

@@ -226,7 +226,7 @@ class Classification:
     norm_tag: str  # which (input, output) norm pair applies at this point
 
 
-def classify(region: IndexRegion, pt: IndexPoint, a=None) -> Classification:
+def classify(region: IndexRegion, pt: IndexPoint) -> Classification:
     """Locate pt in the region and name the norm pair that applies there.
 
     At B = (1, 1/q_a) the output norm weakens to weak-L^{q_a}; at
@@ -236,19 +236,17 @@ def classify(region: IndexRegion, pt: IndexPoint, a=None) -> Classification:
     """
     loc = locate(region, pt)
     tag = "(L^p, L^q)"
-    if region.kind in ("delta_a", "hexagon"):
-        a_eff = _fr(a) if a is not None else (region.a if region.a is not None else None)
-        if a_eff is not None:
-            mu, q = mu_q(a_eff, region.m, region.n)
-            if q is not None and q != 1:
-                inv_q_B = 1 / q
-                B = IndexPoint(Fraction(1), inv_q_B)
-                D = IndexPoint(1 - inv_q_B, Fraction(0))
-                q_conj = q / (q - 1)
-                if pt == B:
-                    tag = f"(L^1, weak-L^{q})"
-                elif pt == D:
-                    tag = f"(lorentz-L^({q_conj},1), L^inf)"
+    if region.kind in ("delta_a", "hexagon"):  # build_region sets a for both
+        _, q = mu_q(region.a, region.m, region.n)
+        if q is not None and q != 1:
+            inv_q_B = 1 / q
+            B = IndexPoint(Fraction(1), inv_q_B)
+            D = IndexPoint(1 - inv_q_B, Fraction(0))
+            q_conj = q / (q - 1)
+            if pt == B:
+                tag = f"(L^1, weak-L^{q})"
+            elif pt == D:
+                tag = f"(lorentz-L^({q_conj},1), L^inf)"
     if region.kind == "AEF":
         m_over_2n = Fraction(region.m, 2 * region.n)
         if pt.inv_q == pt.inv_p - m_over_2n and loc != "outside":
@@ -305,9 +303,14 @@ _SVG_STYLES = {
 }
 
 
-def regions_svg(regions, size=480, margin=48) -> str:
+SVG_SIZE = 480  # pixels per side
+SVG_MARGIN = 48
+
+
+def regions_svg(regions) -> str:
     """Index-square picture with the region overlays (solid quadrangle,
     dashed triangle, dotted extensions), as a deterministic SVG string."""
+    size, margin = SVG_SIZE, SVG_MARGIN
     span = size - 2 * margin
 
     def px(fr):

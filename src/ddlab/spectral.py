@@ -7,7 +7,6 @@ the cost of reaching any t is a fixed number of transforms.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -15,7 +14,9 @@ import numpy as np
 
 from .symbol import SymbolPoly
 
-DEFAULT_MAX_POINTS = 2**26
+MAX_GRID_POINTS = 2**26  # memory cap on N^n
+TAIL_CUTOFF = 0.5  # see spectral_tail_fraction
+EDGE_BAND = 0.25  # see box_clearance
 
 
 class GridError(ValueError):
@@ -76,7 +77,7 @@ class GridSpec:
                 for i in range(self.n)]
 
 
-def make_grid(n, N, L, max_points=DEFAULT_MAX_POINTS) -> GridSpec:
+def make_grid(n, N, L) -> GridSpec:
     """Validated grid constructor: N a power of two, L > 0, N^n under the cap."""
     if n < 1:
         raise GridError(f"dimension must be >= 1, got {n}")
@@ -84,8 +85,8 @@ def make_grid(n, N, L, max_points=DEFAULT_MAX_POINTS) -> GridSpec:
         raise GridError(f"N must be a power of two >= 2, got {N}")
     if not L > 0:
         raise GridError(f"box half-length must be positive, got {L}")
-    if N**n > max_points:
-        raise GridError(f"N^n = {N**n} exceeds the memory cap of {max_points} points")
+    if N**n > MAX_GRID_POINTS:
+        raise GridError(f"N^n = {N**n} exceeds the memory cap of {MAX_GRID_POINTS} points")
     return GridSpec(n=n, N=N, L=float(L))
 
 
@@ -192,22 +193,23 @@ def energy(state: WaveState, p: SymbolPoly, g: GridSpec) -> float:
     return float(scale * (kinetic + potential))
 
 
-def spectral_tail_fraction(field, g: GridSpec, cutoff=0.5) -> float:
-    """Fraction of spectral energy beyond cutoff * xi_max (per-axis max norm).
+def spectral_tail_fraction(field, g: GridSpec) -> float:
+    """Fraction of spectral energy beyond TAIL_CUTOFF * xi_max (per-axis max norm).
 
     The box/resolution choice is validated by measuring this, not assumed.
     """
     power = np.abs(np.fft.fftn(np.asarray(field, dtype=complex))) ** 2
-    return _outer_fraction(power, g.xi_grids(), cutoff * g.xi_max)
+    return _outer_fraction(power, g.xi_grids(), TAIL_CUTOFF * g.xi_max)
 
 
-def box_clearance(field, g: GridSpec, band=0.25) -> float:
+def box_clearance(field, g: GridSpec) -> float:
     """Interior-mass fraction: 1 means the solution has not reached the box edge.
 
-    The edge region is the outer `band` fraction per axis (|x_i| > (1-band) L).
+    The edge region is the outer EDGE_BAND fraction per axis
+    (|x_i| > (1 - EDGE_BAND) L).
     """
     return 1.0 - _outer_fraction(np.abs(np.asarray(field)) ** 2, g.x_grids(),
-                                 (1.0 - band) * g.L)
+                                 (1.0 - EDGE_BAND) * g.L)
 
 
 def _outer_fraction(power, grids, limit) -> float:
@@ -219,41 +221,6 @@ def _outer_fraction(power, grids, limit) -> float:
     for axis_vals in grids:
         mask |= np.abs(axis_vals) > limit
     return float(np.sum(power[mask]) / total)
-
-
-# ---------------------------------------------------------------------------
-# Field I/O: one ASCII header line, then (u, ut) pairs as little-endian
-# complex64, point-major in C order.
-# ---------------------------------------------------------------------------
-
-_HEADER_RE = re.compile(
-    r"^ddlab-field n=(\d+) N=(\d+) L=([^ ]+) t=([^ \n]+)\n$")
-
-
-def save_state(path, state: WaveState, g: GridSpec):
-    state.validate(g)
-    header = f"ddlab-field n={g.n} N={g.N} L={g.L!r} t={state.t!r}\n"
-    pairs = np.empty((g.npoints, 2), dtype="<c8")
-    pairs[:, 0] = state.u.ravel()
-    pairs[:, 1] = state.ut.ravel()
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(pairs.tobytes())
-
-
-def load_state(path):
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii")
-        m = _HEADER_RE.match(header)
-        if not m:
-            raise GridError(f"unrecognized field header: {header!r}")
-        n, N = int(m.group(1)), int(m.group(2))
-        L, t = float(m.group(3)), float(m.group(4))
-        g = make_grid(n, N, L)
-        raw = np.frombuffer(fh.read(), dtype="<c8").reshape(g.npoints, 2)
-    u = raw[:, 0].astype(complex).reshape(g.shape)
-    ut = raw[:, 1].astype(complex).reshape(g.shape)
-    return WaveState(t=t, u=u, ut=ut), g
 
 
 def write_norm_series(path, rows):

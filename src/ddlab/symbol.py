@@ -423,32 +423,15 @@ def sphere_directions(n, count=None, seed=0) -> np.ndarray:
     return g / norms[:, None]
 
 
-@dataclass(frozen=True)
-class SamplingConfig:
-    """Probe sizes and tolerances for the hypothesis checks.
-
-    ball_radii, when given, is the explicit radial probe set for the
-    positivity check; otherwise radial_count equispaced radii from 0 to
-    ball_radius are used (the origin is always probed).
-    """
-
-    sphere_count: int | None = None
-    ball_radius: float = 4.0
-    ball_dir_count: int = 256
-    radial_count: int = 17
-    ball_radii: tuple | None = None
-    seed: int = 0
-    positivity_rtol: float = 1e-12
-    nondegeneracy_rtol: float = 1e-8  # relative floor for |det Hess P_m| on the sphere
-    max_witnesses: int = 4
-
-    def directions(self, n):
-        return sphere_directions(n, self.sphere_count, self.seed)
-
-    def radii(self):
-        if self.ball_radii is not None:
-            return np.asarray(self.ball_radii, dtype=float)
-        return np.linspace(0.0, self.ball_radius, self.radial_count)
+# Probe set of the hypothesis checks.  Both use the default sphere_directions
+# count; H1 probes positivity at BALL_RADIAL_COUNT equispaced radii from 0 (the
+# origin included) to BALL_RADIUS along BALL_DIR_COUNT of those directions.
+BALL_RADIUS = 4.0
+BALL_RADIAL_COUNT = 17
+BALL_DIR_COUNT = 256
+POSITIVITY_RTOL = 1e-12  # P_m counts as positive above this share of max |P_m|
+NONDEGENERACY_RTOL = 1e-8  # relative floor for |det Hess P_m| on the sphere
+MAX_WITNESSES = 4
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +467,13 @@ class HypothesisReport:
             raise SymbolError("a failing report must carry at least one witness")
 
 
-def check_H1(p: SymbolPoly, cfg: SamplingConfig | None = None) -> HypothesisReport:
+def check_H1(p: SymbolPoly, seed=0) -> HypothesisReport:
     """Structural check: even order >= 4, n >= 2, elliptic principal part, P > 0.
 
     Ellipticity is probed on sphere directions; positivity on a compact
-    ball including the origin.  Failures carry reproducible witnesses.
+    ball including the origin.  seed drives the n > 3 sphere probe.
+    Failures carry reproducible witnesses.
     """
-    cfg = cfg or SamplingConfig()
     if p.is_zero:
         raise SymbolError("check_H1: zero polynomial is not a valid symbol")
     if p.n < 1:
@@ -506,11 +489,11 @@ def check_H1(p: SymbolPoly, cfg: SamplingConfig | None = None) -> HypothesisRepo
     if p.n < 2:
         witnesses.append(Witness("structure", None, float(p.n), f"dimension n={p.n} < 2"))
 
-    dirs = cfg.directions(p.n)
+    dirs = sphere_directions(p.n, seed=seed)
     pm = principal_part(p)
     pm_vals = np.atleast_1d(pm.evaluate(dirs))
     pm_max = float(np.max(np.abs(pm_vals)))
-    tol = cfg.positivity_rtol * max(1.0, pm_max)
+    tol = POSITIVITY_RTOL * max(1.0, pm_max)
     bad = np.nonzero(pm_vals <= tol)[0]
     if bad.size:
         first = int(bad[0])
@@ -520,8 +503,8 @@ def check_H1(p: SymbolPoly, cfg: SamplingConfig | None = None) -> HypothesisRepo
                 "ellipticity", tuple(float(v) for v in dirs[idx]), float(pm_vals[idx]),
                 "principal part is not positive on this direction"))
 
-    radii = cfg.radii()
-    ball_dirs = dirs[:: max(1, len(dirs) // cfg.ball_dir_count)]
+    radii = np.linspace(0.0, BALL_RADIUS, BALL_RADIAL_COUNT)
+    ball_dirs = dirs[:: max(1, len(dirs) // BALL_DIR_COUNT)]
     pts = (radii[:, None, None] * ball_dirs[None, :, :]).reshape(-1, p.n)
     p_vals = np.atleast_1d(p.evaluate(pts))
     p_min = float(np.min(p_vals))
@@ -532,29 +515,29 @@ def check_H1(p: SymbolPoly, cfg: SamplingConfig | None = None) -> HypothesisRepo
             "P is not strictly positive at this point"))
 
     passed = not witnesses
-    desc = (f"{len(dirs)} sphere directions; ball radius {cfg.ball_radius} with "
-            f"{cfg.radial_count} radii x {len(ball_dirs)} directions; "
+    desc = (f"{len(dirs)} sphere directions; ball radius {BALL_RADIUS} with "
+            f"{BALL_RADIAL_COUNT} radii x {len(ball_dirs)} directions; "
             f"min P_m on sphere = {float(np.min(pm_vals))!r}, min P on ball = {p_min!r}")
     return HypothesisReport(
-        name="H1", passed=passed, witnesses=tuple(witnesses[: cfg.max_witnesses]),
+        name="H1", passed=passed, witnesses=tuple(witnesses[:MAX_WITNESSES]),
         sampled_min=float(np.min(pm_vals)), sampled_max=pm_max,
         description=desc, flags=tuple(flags),
     )
 
 
-def check_H2(p: SymbolPoly, cfg: SamplingConfig | None = None) -> HypothesisReport:
+def check_H2(p: SymbolPoly, seed=0) -> HypothesisReport:
     """Non-degeneracy of Hess P_m on the sphere.
 
     det Hess P_m is homogeneous of degree n(m-2), so a dense sphere probe
     determines the sign pattern everywhere away from 0.  Pass requires
-    min |det| >= nondegeneracy_rtol * max |det| over the samples, which
-    makes the verdict invariant under positive rescaling of p.
+    min |det| >= NONDEGENERACY_RTOL * max |det| over the samples, which
+    makes the verdict invariant under positive rescaling of p.  seed drives
+    the n > 3 sphere probe.
 
     An equivalent formulation checks, for each z on the sphere, that
     w -> <z, w> P_m(w)^{-1/m} has non-degenerate spherical Hessians at its
     critical points; only the determinant form above is implemented here.
     """
-    cfg = cfg or SamplingConfig()
     if p.is_zero:
         raise SymbolError("check_H2: zero polynomial is not a valid symbol")
     m = p.order
@@ -562,11 +545,11 @@ def check_H2(p: SymbolPoly, cfg: SamplingConfig | None = None) -> HypothesisRepo
     if m < 4:
         flags.append(f"m={m} < 4: outside the intended symbol class, checked anyway")
     pm = principal_part(p)
-    dirs = cfg.directions(p.n)
+    dirs = sphere_directions(p.n, seed=seed)
     dets = hessian_det_values(pm, dirs)
     abs_dets = np.abs(dets)
     dmin, dmax = float(np.min(abs_dets)), float(np.max(abs_dets))
-    floor = cfg.nondegeneracy_rtol * dmax
+    floor = NONDEGENERACY_RTOL * dmax
     witnesses = []
     bad = np.nonzero(abs_dets < floor)[0]
     if bad.size:
@@ -578,9 +561,9 @@ def check_H2(p: SymbolPoly, cfg: SamplingConfig | None = None) -> HypothesisRepo
                 "det Hess of the principal part vanishes (relative to sphere max)"))
     passed = not witnesses
     desc = (f"{len(dirs)} sphere directions; min |det Hess P_m| = {dmin!r}, "
-            f"max = {dmax!r}, relative floor = {cfg.nondegeneracy_rtol!r}")
+            f"max = {dmax!r}, relative floor = {NONDEGENERACY_RTOL!r}")
     return HypothesisReport(
-        name="H2", passed=passed, witnesses=tuple(witnesses[: cfg.max_witnesses]),
+        name="H2", passed=passed, witnesses=tuple(witnesses[:MAX_WITNESSES]),
         sampled_min=dmin, sampled_max=dmax, description=desc, flags=tuple(flags),
     )
 
@@ -708,9 +691,16 @@ def ray_coefficients(p: SymbolPoly, omega) -> np.ndarray:
     return c
 
 
-def radial_threshold(p: SymbolPoly, directions=None, dir_count=64, seed=0) -> float:
+# radial_threshold probes THRESHOLD_DIR_COUNT sphere directions by default.
+THRESHOLD_DIR_COUNT = 64
+NEWTON_TOL = 1e-12  # radial_inverse accepts |P(rho w) - s| <= NEWTON_TOL (1 + s)
+NEWTON_MAX_ITER = 60
+
+
+def radial_threshold(p: SymbolPoly, directions=None) -> float:
     """Computed threshold a: for s >= a the equation P(rho w) = s has a
-    unique positive root along every probed direction.
+    unique positive root along every probed direction (directions defaults
+    to THRESHOLD_DIR_COUNT sphere directions).
 
     Per direction, the largest value of P over the radial critical set
     (rho = 0 plus positive roots of d/drho P(rho w)) bounds the region
@@ -718,7 +708,7 @@ def radial_threshold(p: SymbolPoly, directions=None, dir_count=64, seed=0) -> fl
     the worst such value for margin.
     """
     if directions is None:
-        directions = sphere_directions(p.n, dir_count, seed)
+        directions = sphere_directions(p.n, THRESHOLD_DIR_COUNT)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     worst = 0.0
     for w in directions:
@@ -754,8 +744,7 @@ class RadialInverse:
         return (np.asarray(self.s), np.asarray(self.rho), np.asarray(self.sigma))
 
 
-def radial_inverse(p: SymbolPoly, omega, s_grid, newton_tol=1e-12,
-                   max_iter=60, threshold=None) -> RadialInverse:
+def radial_inverse(p: SymbolPoly, omega, s_grid) -> RadialInverse:
     """Solve P(rho w) = s for each s in s_grid by Newton iteration.
 
     The initial guess is the homogeneous prediction s^{1/m} P_m(w)^{-1/m};
@@ -771,9 +760,8 @@ def radial_inverse(p: SymbolPoly, omega, s_grid, newton_tol=1e-12,
     if pm_w <= 0:
         raise RadialInverseError("principal part non-positive along this direction",
                                  omega=tuple(omega))
-    if threshold is None:
-        probe = np.vstack([sphere_directions(p.n, 64, 0), omega[None, :]])
-        threshold = radial_threshold(p, probe)
+    probe = np.vstack([sphere_directions(p.n, THRESHOLD_DIR_COUNT), omega[None, :]])
+    threshold = radial_threshold(p, probe)
     if np.min(s_grid) < threshold:
         raise RadialInverseError(
             f"s = {float(np.min(s_grid))!r} below computed threshold a = {threshold!r}",
@@ -787,9 +775,9 @@ def radial_inverse(p: SymbolPoly, omega, s_grid, newton_tol=1e-12,
         lo, hi = rho0 / 4.0, 4.0 * rho0
         rho = rho0
         ok = False
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             f = polyval(rho, c) - s
-            if abs(f) <= newton_tol * (1.0 + s):
+            if abs(f) <= NEWTON_TOL * (1.0 + s):
                 ok = True
                 break
             df = polyval(rho, dc)
@@ -811,11 +799,11 @@ def radial_inverse(p: SymbolPoly, omega, s_grid, newton_tol=1e-12,
                 rho = rho - step
         if not ok:
             f = polyval(rho, c) - s
-            if abs(f) <= newton_tol * (1.0 + s):
+            if abs(f) <= NEWTON_TOL * (1.0 + s):
                 ok = True
         if not ok:
             raise RadialInverseError(
-                f"no convergence after {max_iter} iterations",
+                f"no convergence after {NEWTON_MAX_ITER} iterations",
                 s=float(s), omega=tuple(omega))
         if rho <= 0:
             raise RadialInverseError("converged to a non-positive radius",

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from ddlab import cli
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
@@ -189,3 +192,13 @@ def test_report_json_schema(tmp_path):
         assert {"name", "verdict", "details"} <= set(check)
         assert check["verdict"] in ("pass", "fail", "consistent",
                                     "inconclusive", "contradicted")
+
+
+def test_cli_import_does_not_load_scipy_special():
+    # scipy.special is imported on first radial evaluation, not with the CLI
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    code = "import sys, ddlab.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -178,14 +178,6 @@ def test_fit_requires_points_and_spread():
         D.fit_power_law(np.geomspace(1, 2, 6), [1, 2, 3, -4, 5, 6])
 
 
-def test_fit_window_filter():
-    ts = np.geomspace(0.01, 100, 30)
-    vals = 2.0 * ts**0.5
-    fit = D.fit_power_law(ts, vals, window=(0.1, 10))
-    assert fit.window[0] >= 0.1 and fit.window[1] <= 10
-    assert fit.exponent == pytest.approx(0.5, abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # verify_lp_lq
 # ---------------------------------------------------------------------------
@@ -212,7 +204,7 @@ def test_output_norm_weakens_at_lorentz_endpoint():
 
     reg = R.build_region("delta_m", 4, 6)
     qr = D.ExponentQuery("V", "large", 1, 3, 4, 6)
-    cls = R.classify(reg, qr.point, a=reg.a)
+    cls = R.classify(reg, qr.point)
     g = sp.make_grid(2, 32, 4.0)
     rng = np.random.default_rng(1)
     f = rng.standard_normal(g.shape)
@@ -227,7 +219,7 @@ def test_data_norm_proxy_at_dual_endpoint():
 
     reg = R.build_region("delta_m", 4, 6)
     qr = D.ExponentQuery("V", "large", F(3, 2), math.inf, 4, 6)  # the D corner
-    cls = R.classify(reg, qr.point, a=reg.a)
+    cls = R.classify(reg, qr.point)
     g = sp.make_grid(2, 32, 4.0)
     f = np.ones(g.shape)
     val, kind = D._data_norm(f, qr, cls, g)

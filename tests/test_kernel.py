@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -136,7 +137,7 @@ def test_lattice_matches_radial_oracle():
     for t, r in pairs:
         x = np.array([r, 0.0])
         lat = K.eval_damped(p, "I1", +1, t, x, 0.1, cfg)
-        rad = K.eval_damped_radial(p, "I1", +1, t, x, 0.1, cfg)
+        rad = K.eval_damped(p, "I1", +1, t, x, 0.1, replace(cfg, method="radial"))
         assert abs(lat - rad) <= 1e-6 * max(abs(lat), abs(rad))
 
 
@@ -146,7 +147,7 @@ def test_lattice_matches_radial_oracle_3d():
     for t, r in [(0.5, 0.0), (0.5, 1.0)]:
         x = np.array([r, 0.0, 0.0])
         lat = K.eval_damped(p, "I1", +1, t, x, 0.2, cfg)
-        rad = K.eval_damped_radial(p, "I1", +1, t, x, 0.2, cfg)
+        rad = K.eval_damped(p, "I1", +1, t, x, 0.2, replace(cfg, method="radial"))
         assert abs(lat - rad) <= 1e-8 * abs(rad)
 
 
@@ -165,13 +166,13 @@ def test_extrapolation_robust_across_eps_lists():
 
 
 def test_radial_rejects_nonradial_and_singular():
-    cfg = K.QuadConfig()
+    cfg = replace(K.QuadConfig(), method="radial")
     with pytest.raises(K.KernelConfigError):
-        K.eval_damped_radial(sym.parse_symbol("1 + x1^4 + 2*x2^4", 2),
-                             "I1", +1, 1.0, np.zeros(2), 0.1, cfg)
+        K.eval_damped(sym.parse_symbol("1 + x1^4 + 2*x2^4", 2),
+                      "I1", +1, 1.0, np.zeros(2), 0.1, cfg)
     with pytest.raises(K.KernelConfigError):
-        K.eval_damped_radial(sym.SymbolPoly.radial_power(2, 4),
-                             "I2", +1, 1.0, np.zeros(2), 0.1, cfg)
+        K.eval_damped(sym.SymbolPoly.radial_power(2, 4),
+                      "I2", +1, 1.0, np.zeros(2), 0.1, cfg)
 
 
 CRITERION_EPS = K.QuadConfig(eps_list=(0.2, 0.1, 0.05, 0.025), order=3, method="radial")
@@ -190,11 +191,33 @@ def test_batched_radial_matches_per_eps_calls(n, kind, t, r, scaled, sign):
     cfg = K.scaled_config(CRITERION_EPS, t) if scaled else CRITERION_EPS
     x = np.zeros(n)
     x[0] = r
-    batched = K._damped_radial_values(p, kind, sign, t, x, cfg.eps_list, cfg)
-    single = np.array([K.eval_damped_radial(p, kind, sign, t, x, e, cfg)
+    batched = K._damped_radial_values(p, kind, sign, t, x, cfg.eps_list)
+    single = np.array([K.eval_damped(p, kind, sign, t, x, e, replace(cfg, method="radial"))
                        for e in cfg.eps_list])
     assert batched.shape == single.shape
     assert np.max(np.abs(batched - single) / np.abs(single)) <= 1e-11
+
+
+def test_radial_rounding_level_values_stop_refining(monkeypatch):
+    # at t = 2, |x| = 50 the eps = 0.2 and 0.1 values sit at rounding level,
+    # where no relative test can pass: without the rounding floor the panels
+    # double to RADIAL_MAX_PANELS (9 compositions from 1024 panels)
+    calls = []
+    angular = K._angular_factor
+
+    def counted(n, rho):
+        calls.append(rho.size)
+        return angular(n, rho)
+
+    monkeypatch.setattr(K, "_angular_factor", counted)
+    got = K._damped_radial_values(beam(4), "I2", +1, 2.0, np.array([50.0, 0.0, 0.0, 0.0]),
+                                  (0.2, 0.1, 0.05))
+    assert len(calls) <= 3
+    # the same sample refined to RADIAL_MAX_PANELS = 2**18 panels
+    full = [-2.70653139526598e-17 + 5.668589431905404e-16j,
+            2.0598129770586154e-09 - 1.7233225552536075e-09j,
+            1.8353999631050488e-06 - 6.149633309924513e-06j]
+    assert np.max(np.abs(got - full)) <= 1e-16
 
 
 def test_radial_sample_memory_budget_n4():
@@ -219,8 +242,8 @@ def test_radial_closed_form_homogeneous():
         for sign in (+1, -1):
             z = eps - 1j * sign * t
             exact = np.pi / z * np.exp(-r * r / (4 * z))
-            got = K.eval_damped_radial(p, "I1", sign, t, np.array([r, 0.0]), eps,
-                                       K.QuadConfig())
+            got = K.eval_damped(p, "I1", sign, t, np.array([r, 0.0]), eps,
+                                replace(K.QuadConfig(), method="radial"))
             assert got == pytest.approx(exact, rel=1e-7)
 
 

@@ -100,14 +100,14 @@ def test_ef_on_smoothing_line():
 def test_classification_endpoints():
     reg = R.build_region("delta_m", 4, 6)
     B = R.IndexPoint(F(1), F(1, 3))
-    cls = R.classify(reg, B, a=reg.a)
+    cls = R.classify(reg, B)
     assert cls.location == "boundary"
     assert cls.norm_tag == "(L^1, weak-L^3)"
-    A = R.classify(reg, R.IndexPoint(F(1, 2), F(1, 2)), a=reg.a)
+    A = R.classify(reg, R.IndexPoint(F(1, 2), F(1, 2)))
     assert A.location == "boundary" and A.norm_tag == "(L^p, L^q)"
     out = R.classify(reg, R.IndexPoint(F(1, 2), F(3, 4)))
     assert out.location == "outside"
-    Dv = R.classify(reg, R.IndexPoint(F(2, 3), F(0)), a=reg.a)
+    Dv = R.classify(reg, R.IndexPoint(F(2, 3), F(0)))
     assert Dv.norm_tag.startswith("(lorentz-L^(3/2,1)")
 
 

@@ -207,20 +207,6 @@ def test_box_clearance_detects_edge_mass():
     assert sp.box_clearance(shifted, g) < 0.5
 
 
-def test_state_io_roundtrip(tmp_path):
-    g = sp.make_grid(2, 32, 6.0)
-    u0, u1 = random_state(g, 3)
-    st = sp.WaveState(1.25, u0, u1)
-    path = tmp_path / "state.bin"
-    sp.save_state(path, st, g)
-    back, g2 = sp.load_state(path)
-    assert g2 == g
-    assert back.t == 1.25
-    # complex64 storage: single-precision round trip
-    assert np.max(np.abs(back.u - u0)) < 1e-6 * np.max(np.abs(u0))
-    assert np.max(np.abs(back.ut - u1)) < 1e-6 * np.max(np.abs(u1))
-
-
 def test_norm_series_csv(tmp_path):
     path = tmp_path / "norms.csv"
     sp.write_norm_series(path, [(0.1, 1.0, 2.0, 3.0), (0.2, 0.5, 0.25, 0.125)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ddlab import symbol as sym
-from ddlab.symbol import SymbolPoly, SamplingConfig
+from ddlab.symbol import SymbolPoly
 
 
 def beam(n=2):
@@ -125,6 +125,14 @@ def test_h1_ellipticity_failure_witnessed_on_diagonal():
     assert abs(first.value) < 1e-12
 
 
+def test_hypothesis_probe_set_descriptions():
+    # the fixed probe set is what report.json prints for check-symbol
+    assert sym.check_H1(beam(2)).description.startswith(
+        "4096 sphere directions; ball radius 4.0 with 17 radii x 256 directions;")
+    assert sym.check_H1(beam(3)).description.startswith("8192 sphere directions;")
+    assert sym.check_H2(beam(2)).description.endswith("relative floor = 1e-08")
+
+
 def test_h1_rejects_zero_polynomial():
     with pytest.raises(sym.SymbolError):
         sym.check_H1(SymbolPoly.from_terms(2, {}))
@@ -235,14 +243,6 @@ def test_hessian_growth_reports_unfittable_directions():
     on_axis, generic = fits
     assert on_axis.sign_change and on_axis.fit is None
     assert not generic.sign_change and generic.fit is not None
-
-
-def test_h1_explicit_radial_probe_set():
-    cfg = SamplingConfig(ball_radii=(0.0, 1.0, 3.0))
-    rep = sym.check_H1(beam(), cfg)
-    assert rep.passed
-    rep2 = sym.check_H1(sym.SymbolPoly.radial_power(2, 4), cfg)
-    assert not rep2.passed  # origin still probed
 
 
 # ---------------------------------------------------------------------------
