@@ -150,6 +150,8 @@ def _parse_symbol(cfg):
 def cmd_check_symbol(cfg, outdir):
     p = _parse_symbol(cfg)
     seed = _int(cfg, "run", "seed")
+    if seed < 0:  # the n > 3 sphere probe's Sobol generator needs seed >= 0
+        raise ConfigError(f"field run.seed must be a non-negative integer, got {seed}")
     h1 = symbol.check_H1(p, seed)
     checks = [{
         "name": "H1",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -97,20 +98,22 @@ class ExponentQuery:
             raise RegionError(f"regime must be small or large, got {self.regime!r}")
         if self.route not in ("convolution", "multiplier"):
             raise RegionError(f"route must be convolution or multiplier, got {self.route!r}")
-        ip, iq = _inv(self.p), _inv(self.q)
+        ip, iq = self.inv_p, self.inv_q
         if not (Fraction(1, 2) <= ip <= 1 and 0 <= iq <= Fraction(1, 2)):
             raise RegionError(
                 f"(1/p, 1/q) = ({ip}, {iq}) outside 1 <= p <= 2 <= q <= inf")
 
-    @property
+    # cached in the instance dict: the dataclass __eq__ and __hash__ see
+    # only the fields, so cached values never change equality
+    @cached_property
     def inv_p(self) -> Fraction:
         return _inv(self.p)
 
-    @property
+    @cached_property
     def inv_q(self) -> Fraction:
         return _inv(self.q)
 
-    @property
+    @cached_property
     def point(self) -> IndexPoint:
         return IndexPoint(self.inv_p, self.inv_q)
 

@@ -1,13 +1,16 @@
 """Exact rational geometry of admissible (1/p, 1/q) index regions.
 
-Everything here is Fraction arithmetic; no floating point enters the
-region builders or the membership tests.
+No floating point enters the region builders or the membership tests:
+the builders use Fraction arithmetic, and `locate` tests a point against
+each region's half-planes in integers over the common denominator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 
 class RegionError(ValueError):
@@ -61,6 +64,54 @@ class IndexRegion:
                 seen.append(v)
         return seen
 
+    @cached_property
+    def halfplanes(self) -> tuple:
+        """Integer rows (A, B, C), each a line A x + B y + C = 0 scaled to
+        integers, whose closed half-planes A x + B y + C >= 0 intersect to
+        the region.
+
+        A polygon gives its counter-clockwise edges, a segment (two distinct
+        or only collinear vertices) its line in both directions plus an end
+        cap at each extreme vertex, and a single point four axis half-planes.
+        A point satisfies every row iff it lies in the closed region, and
+        then some row vanishes iff it lies on the region's boundary.  That
+        needs convexity, so a vertex list that is not convex raises
+        RegionError.
+        """
+        verts = self.distinct_vertices()
+        if len(verts) == 1:
+            (v,) = verts
+            return tuple(_integer_row(*row) for row in (
+                (1, 0, -v.inv_p), (-1, 0, v.inv_p), (0, 1, -v.inv_q), (0, -1, v.inv_q)))
+        homog = [_homogeneous(v) for v in verts]
+        A, B, C = _edge_row(verts[0], verts[1])
+        if all(A * x + B * y + C * w == 0 for x, y, w in homog[2:]):
+            lo = min(verts, key=IndexPoint.as_tuple)
+            hi = max(verts, key=IndexPoint.as_tuple)
+            line = _edge_row(lo, hi)
+            return (line, _flip(line), _cap_row(lo, hi), _cap_row(hi, lo))
+        rows = [_edge_row(a, b) for a, b in zip(verts, verts[1:] + verts[:1])]
+        values = [A * x + B * y + C * w for A, B, C in rows for x, y, w in homog]
+        if all(s <= 0 for s in values):  # every vertex right of every edge: clockwise
+            return tuple(_flip(row) for row in rows)
+        if any(s < 0 for s in values):
+            raise RegionError(f"region {self.kind}: vertex list is not convex")
+        return tuple(rows)
+
+    @cached_property
+    def endpoint_tags(self) -> dict:
+        """Norm tags at B = (1, 1/q_a) and D = (1/q_a', 0) of the quadrangle
+        and the hexagon, keyed by point; empty for the other kinds."""
+        if self.kind not in ("delta_a", "hexagon"):  # build_region sets a for both
+            return {}
+        _, q = mu_q(self.a, self.m, self.n)
+        if q is None or q == 1:
+            return {}
+        inv_q_B = 1 / q
+        q_conj = q / (q - 1)
+        return {IndexPoint(Fraction(1), inv_q_B): f"(L^1, weak-L^{q})",
+                IndexPoint(1 - inv_q_B, Fraction(0)): f"(lorentz-L^({q_conj},1), L^inf)"}
+
 
 def mu_q(a, m, n):
     """Exact pair (mu_a, q_a) with mu_a = (mn - 4n + 2a)/(2(m-2)), q_a = n/mu_a.
@@ -100,13 +151,16 @@ def _ef_points(m, n):
     return E, F
 
 
+@lru_cache(maxsize=256, typed=True)
 def build_region(kind, m, n, a=None) -> IndexRegion:
     """Construct one of the admissible index regions.
 
     kinds: "delta_a" (quadrangle ABCD for the given a; "delta_m" and
     "delta_0" are shorthands), "AEF" (triangle), "hexagon" (AEBCDF), and
     "pentagon" (the n < m < 2n variant; m >= 2n yields the full half
-    square).  Degenerate collapses are flagged, not hidden.
+    square).  Degenerate collapses are flagged, not hidden.  Regions are
+    frozen values, so repeated calls share one region and its cached
+    half-plane table.
     """
     m, n = int(m), int(n)
     notes = []
@@ -192,30 +246,48 @@ def _on_segment(p, a, b):
             and min(a.inv_q, b.inv_q) <= p.inv_q <= max(a.inv_q, b.inv_q))
 
 
+def _integer_row(A, B, C):
+    """(A, B, C) rational -> the same line scaled by its common denominator."""
+    scale = math.lcm(*(Fraction(c).denominator for c in (A, B, C)))
+    return tuple(int(c * scale) for c in (A, B, C))
+
+
+def _flip(row):
+    """The same line with the opposite half-plane."""
+    return tuple(-c for c in row)
+
+
+def _homogeneous(pt):
+    """(xn yd, yn xd, xd yd) for pt = (xn/xd, yn/yd): row (A, B, C) holds at
+    pt iff A x + B y + C w >= 0 for this (x, y, w), since xd yd > 0."""
+    xn, xd = pt.inv_p.numerator, pt.inv_p.denominator
+    yn, yd = pt.inv_q.numerator, pt.inv_q.denominator
+    return xn * yd, yn * xd, xd * yd
+
+
+def _edge_row(a, b):
+    """Row whose value at p is a positive multiple of the cross product
+    (b - a) x (p - a): p lies on the left of a -> b, or on its line."""
+    dx, dy = b.inv_p - a.inv_p, b.inv_q - a.inv_q
+    return _integer_row(-dy, dx, a.inv_p * b.inv_q - a.inv_q * b.inv_p)
+
+
+def _cap_row(a, b):
+    """Row whose value at p is a positive multiple of (p - a) . (b - a)."""
+    dx, dy = b.inv_p - a.inv_p, b.inv_q - a.inv_q
+    return _integer_row(dx, dy, -(a.inv_p * dx + a.inv_q * dy))
+
+
 def locate(region: IndexRegion, pt: IndexPoint) -> str:
-    """Exact point location: "interior", "boundary", or "outside"."""
-    verts = region.distinct_vertices()
-    if len(verts) == 1:
-        return "boundary" if pt == verts[0] else "outside"
-    if len(verts) == 2 or all(
-            _cross(verts[0], verts[1], v) == 0 for v in verts[2:]):
-        for a in verts:
-            for b in verts:
-                if a != b and _on_segment(pt, a, b):
-                    return "boundary"
-        return "outside"
-    # orient counterclockwise
-    area = sum(_cross(verts[0], verts[i], verts[i + 1])
-               for i in range(1, len(verts) - 1))
-    if area < 0:
-        verts = verts[::-1]
+    """Exact point location: "interior", "boundary", or "outside", by one
+    pass over the region's integer half-plane table."""
+    x, y, w = _homogeneous(pt)
     on_edge = False
-    for i in range(len(verts)):
-        a, b = verts[i], verts[(i + 1) % len(verts)]
-        c = _cross(a, b, pt)
-        if c < 0:
+    for A, B, C in region.halfplanes:
+        s = A * x + B * y + C * w
+        if s < 0:
             return "outside"
-        if c == 0 and _on_segment(pt, a, b):
+        if s == 0:
             on_edge = True
     return "boundary" if on_edge else "interior"
 
@@ -235,18 +307,7 @@ def classify(region: IndexRegion, pt: IndexPoint) -> Classification:
     Everywhere else the strong pair applies.
     """
     loc = locate(region, pt)
-    tag = "(L^p, L^q)"
-    if region.kind in ("delta_a", "hexagon"):  # build_region sets a for both
-        _, q = mu_q(region.a, region.m, region.n)
-        if q is not None and q != 1:
-            inv_q_B = 1 / q
-            B = IndexPoint(Fraction(1), inv_q_B)
-            D = IndexPoint(1 - inv_q_B, Fraction(0))
-            q_conj = q / (q - 1)
-            if pt == B:
-                tag = f"(L^1, weak-L^{q})"
-            elif pt == D:
-                tag = f"(lorentz-L^({q_conj},1), L^inf)"
+    tag = region.endpoint_tags.get(pt, "(L^p, L^q)")
     if region.kind == "AEF":
         m_over_2n = Fraction(region.m, 2 * region.n)
         if pt.inv_q == pt.inv_p - m_over_2n and loc != "outside":

@@ -74,6 +74,7 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["decay-verify", "--q", "1"], None, "decay.q"),
     (["decay-verify", "--route", "convolution", "--regime", "large",
       "--p", "1", "--q", "2"], None, "decay.route"),
+    (["check-symbol", "--n", "4", "--seed", "-1"], None, "run.seed"),
 ])
 def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
     if ini is not None:

@@ -149,6 +149,16 @@ def test_exponent_outside_region_raises():
         D.theoretical_exponent(qr)  # (1, 2/5) outside the AEF triangle
 
 
+def test_exponent_query_equality_ignores_cached_values():
+    a = D.ExponentQuery("V", "large", 1, 3, 4, 6)
+    b = D.ExponentQuery("V", "large", 1, 3, 4, 6)
+    assert a.point.as_tuple() == (Fraction(1), Fraction(1, 3))  # cached on a only
+    assert "point" in vars(a) and "point" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    assert {a: "B corner"}[b] == "B corner"
+    assert a != D.ExponentQuery("V", "large", 1, 3, 4, 6, route="multiplier")
+
+
 # ---------------------------------------------------------------------------
 # power-law fitting
 # ---------------------------------------------------------------------------

@@ -139,6 +139,101 @@ def test_locate_agrees_with_bruteforce_halfplanes():
     assert disagreements == 0
 
 
+def _hand_region(kind, *points):
+    verts = tuple(R.IndexPoint(x, y) for x, y in points)
+    return R.IndexRegion(kind=kind, m=4, n=6, a=None, vertices=verts,
+                         labels=tuple(f"V{i}" for i in range(len(verts))))
+
+
+def _pushed(pt, dx, dy):
+    """pt moved by 1/97 in the max norm along (dx, dy); None off the unit square."""
+    s = F(1, 97) / max(abs(dx), abs(dy))
+    x, y = pt.inv_p + s * dx, pt.inv_q + s * dy
+    return R.IndexPoint(x, y) if 0 <= x <= 1 and 0 <= y <= 1 else None
+
+
+THREE_WAY_REGIONS = (
+    R.build_region("delta_m", 4, 6), R.build_region("AEF", 4, 6),
+    R.build_region("hexagon", 4, 6), R.build_region("pentagon", 4, 3),
+    R.build_region("pentagon", 4, 2), R.build_region("delta_a", 4, 6, a=F(1, 3)),
+    R.build_region("delta_0", 4, 6),  # B and D collapse onto C: the segment A--C
+    _hand_region("point", (F(3, 4), F(1, 4))),
+    _hand_region("collinear", (F(1, 2), F(1, 3)), (F(7, 8), F(1, 12)), (F(5, 8), F(1, 4))),
+)
+
+
+@pytest.mark.parametrize("reg", THREE_WAY_REGIONS, ids=lambda r: f"{r.kind}-{r.m}-{r.n}-{r.a}")
+def test_locate_three_way_labels(reg):
+    verts = reg.distinct_vertices()
+    o = verts[0]
+    area = sum((b.inv_p - o.inv_p) * (c.inv_q - o.inv_q)
+               - (b.inv_q - o.inv_q) * (c.inv_p - o.inv_p)
+               for b, c in zip(verts[1:], verts[2:]))
+    if area < 0:
+        verts = verts[::-1]
+    for v in verts:
+        assert R.locate(reg, v) == "boundary"
+    if len(verts) == 1:
+        edges, pushes = [], [(o, dx, dy) for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+    else:
+        edges, pushes = list(zip(verts, verts[1:] + verts[:1])), []
+    for a, b in edges:
+        mid = R.IndexPoint((a.inv_p + b.inv_p) / 2, (a.inv_q + b.inv_q) / 2)
+        assert R.locate(reg, mid) == "boundary"
+        dx, dy = b.inv_p - a.inv_p, b.inv_q - a.inv_q
+        pushes.append((mid, dy, -dx))  # right of a -> b: outward on a ccw polygon
+        if area == 0:
+            pushes.append((mid, -dy, dx))
+    if area == 0 and edges:  # segment: also past each end
+        lo, hi = min(verts, key=R.IndexPoint.as_tuple), max(verts, key=R.IndexPoint.as_tuple)
+        dx, dy = hi.inv_p - lo.inv_p, hi.inv_q - lo.inv_q
+        pushes += [(hi, dx, dy), (lo, -dx, -dy)]
+    if area != 0:
+        centroid = R.IndexPoint(sum(v.inv_p for v in verts) / len(verts),
+                                sum(v.inv_q for v in verts) / len(verts))
+        assert R.locate(reg, centroid) == "interior"
+    outside = [pt for pt in (_pushed(*push) for push in pushes) if pt is not None]
+    assert outside  # edges on the square's sides have no pushed point
+    for pt in outside:
+        assert R.locate(reg, pt) == "outside", pt
+
+
+def test_non_convex_vertex_list_rejected():
+    bow_tie = _hand_region("bow-tie", (F(1, 2), F(0)), (F(1), F(1, 2)),
+                           (F(1), F(0)), (F(1, 2), F(1, 2)))
+    for pt in (R.IndexPoint(F(3, 4), F(1, 4)), R.IndexPoint(F(0), F(1))):
+        with pytest.raises(R.RegionError, match="bow-tie"):
+            R.locate(bow_tie, pt)
+
+
+def test_build_region_cache_shares_values_not_errors():
+    assert R.build_region("hexagon", 4, 6) is R.build_region("hexagon", 4, 6)
+    assert R.build_region("delta_a", 4, 6, a=F(1, 3)) is R.build_region("delta_a", 4, 6, a=F(1, 3))
+    for _ in range(2):
+        with pytest.raises(R.RegionError):
+            R.build_region("AEF", 4, 2)
+    # 4.0 == 4 with equal hashes: the cache must not answer a float a
+    R.build_region("delta_a", 4, 6, a=4)
+    with pytest.raises(R.RegionError, match="exact rational"):
+        R.build_region("delta_a", 4, 6, a=4.0)
+
+
+@pytest.mark.parametrize("kind, a, B, D, tag_B, tag_D", [
+    ("delta_m", None, (F(1), F(1, 3)), (F(2, 3), F(0)),
+     "(L^1, weak-L^3)", "(lorentz-L^(3/2,1), L^inf)"),
+    ("delta_a", F(1, 3), (F(1), F(1, 36)), (F(35, 36), F(0)),
+     "(L^1, weak-L^36)", "(lorentz-L^(36/35,1), L^inf)"),
+    ("hexagon", None, (F(1), F(1, 3)), (F(2, 3), F(0)),
+     "(L^1, weak-L^3)", "(lorentz-L^(3/2,1), L^inf)"),
+], ids=["delta_m", "delta_a-1/3", "hexagon"])
+def test_classify_endpoint_tags(kind, a, B, D, tag_B, tag_D):
+    reg = R.build_region(kind, 4, 6, a=a)
+    for _ in range(2):  # the second pass reads the cached tag map
+        assert R.classify(reg, R.IndexPoint(*B)) == R.Classification("boundary", tag_B)
+        assert R.classify(reg, R.IndexPoint(*D)) == R.Classification("boundary", tag_D)
+        assert R.classify(reg, reg.vertices[0]).norm_tag == "(L^p, L^q)"
+
+
 def test_json_export_rational_strings():
     d = R.region_to_dict(R.build_region("delta_m", 4, 6))
     assert d["vertices"][0] == ["1/2", "1/2"]
