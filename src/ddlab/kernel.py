@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .symbol import SymbolPoly, principal_part, ray_coefficients, sphere_directions
+from .symbol import SymbolPoly, principal_part, ray_coefficients
 from .spectral import sqrt_symbol
 
 KINDS = ("I1", "I2")
@@ -124,7 +124,8 @@ def _lattice_axis(p: SymbolPoly, cfg: QuadConfig):
 
 MAX_LATTICE_POINTS = 2**27
 # Each chunk of the lattice sums holds at most this many points (or one row,
-# if a row is larger), since it allocates several complex temporaries of its size.
+# if a row is larger), and each block of radial nodes this many nodes, since
+# both allocate several complex temporaries of their size.
 CHUNK_POINTS = 2**15
 
 
@@ -143,9 +144,6 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, cfg):
         raise KernelConfigError(
             f"lattice has {cfg.lattice_N**n} points, over the cap of "
             f"{MAX_LATTICE_POINTS}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise KernelConfigError(f"x must have length {n}")
     axis, h = _lattice_axis(p, cfg)
     eps_arr = np.asarray(eps_list, dtype=float)
     fine = np.zeros(len(eps_list), dtype=complex)
@@ -180,12 +178,23 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, cfg):
 # Radial reduction: exact angular integral, refined Gauss-Legendre in r
 # ---------------------------------------------------------------------------
 
+def _radial_probes(n):
+    """RADIAL_PROBES unit vectors of R^n built with numpy alone: the points
+    k alpha mod 1, k = 1..RADIAL_PROBES, of the Kronecker sequence with
+    alpha_i = g^-i (g > 1 the root of g^(n+1) = g + 1), centred and normalised."""
+    g = 2.0
+    for _ in range(64):
+        g = (1.0 + g) ** (1.0 / (n + 1))
+    w = (0.5 + np.arange(1, RADIAL_PROBES + 1)[:, None] * g ** -np.arange(1.0, n + 1)) % 1.0 - 0.5
+    return w / np.linalg.norm(w, axis=1, keepdims=True)
+
+
 @lru_cache(maxsize=256)
 def is_radial(p: SymbolPoly) -> bool:
     """Numerically verify that P depends on |xi| only."""
     rs = np.array([0.3, 0.9, 1.7, 2.6])
     ref = p.evaluate(rs[:, None] * np.eye(p.n)[0][None, :])
-    for w in sphere_directions(p.n, RADIAL_PROBES):
+    for w in _radial_probes(p.n):
         vals = p.evaluate(rs[:, None] * w[None, :])
         if not np.allclose(vals, ref, rtol=RADIAL_PROBE_RTOL, atol=1e-12):
             return False
@@ -214,25 +223,25 @@ def _angular_factor(n, rho):
     return np.where(small, limit, vals)
 
 
-def _damped_radial_values(p, kind, sign, t, x, eps_list) -> np.ndarray:
+def _damped_radial_values(p, kind, sign, t, x, eps_list):
     """Fixed-eps kernel values at every eps of eps_list via the 1-d reduction.
 
+    Returns (values, panels), panels being the final composite panel count.
     One Gauss-Legendre node set serves the whole list: the cutoff R comes
     from the smallest eps, the panel budget starts from the total phase so
     oscillations at large t stay resolved, and each refinement evaluates
     sqrt(P), the eps-independent weight and exp(i s t sqrt(P)) once before
-    reducing each eps with its real damping factor.  Composite panels are
-    doubled until every value is stable to RADIAL_RTOL or to its rounding
-    floor.
+    reducing each eps with its real damping factor.  The panels are walked
+    in blocks of CHUNK_POINTS nodes, so memory does not grow with t or |x|.
+    Composite panels are doubled until every value is stable to RADIAL_RTOL
+    or to its rounding floor.
     """
-    if kind not in KINDS:
-        raise KernelConfigError(f"kind must be one of {KINDS}")
     if not is_radial(p):
         raise KernelConfigError("radial reduction requires a radial symbol")
     if kind == "I2" and p.coeff((0,) * p.n) <= 0.0:
         raise KernelConfigError(
             "radial I2 needs P(0) > 0: the P^{-1/2} weight is singular at the origin")
-    r_abs_x = float(np.linalg.norm(np.asarray(x, dtype=float)))
+    r_abs_x = float(np.linalg.norm(x))
     sqrt_p = _sqrt_p_on_ray(p)
     R = _ray_cutoff(sqrt_p, min(eps_list))  # the same on every ray of a radial P
     total_phase = abs(t) * sqrt_p(R) + r_abs_x * R + 8.0
@@ -241,39 +250,44 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list) -> np.ndarray:
     from scipy.special import roots_legendre  # imported on first use: slow to import
 
     nodes, weights = roots_legendre(16)
+    block = CHUNK_POINTS // nodes.size  # panels per block
 
-    def compose(m, prev=None):
-        """Values on m panels and whether all of them have converged against prev."""
+    def compose(m):
+        """Values on m panels and the damped masses sum |weight| exp(-eps sqrt(P))."""
         edges = np.linspace(0.0, R, m + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        rr = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        A = sqrt_p(rr)
-        weight = (half[:, None] * weights[None, :]).ravel()
-        weight *= rr ** (p.n - 1) * _angular_factor(p.n, r_abs_x * rr)
-        if kind == "I2":
-            weight = np.where(A > 0, weight / np.where(A > 0, A, 1.0), 0.0)
-        osc = np.exp(1j * sign * t * A)
-        osc *= weight
-        # einsum, not np.dot: an unpinned multithreaded BLAS dot is slower at these sizes
-        cur = np.array([np.einsum("i,i->", np.exp(-eps * A), osc) for eps in eps_list])
-        if prev is None:
-            return cur, False
-        delta = np.abs(cur - prev)
-        for k in np.flatnonzero(delta > RADIAL_RTOL * np.maximum(np.abs(cur), 1e-300)):
-            mass = np.einsum("i,i->", np.exp(-eps_list[k] * A), np.abs(weight))
-            if delta[k] > ROUNDING_FLOOR * np.finfo(float).eps * mass:
-                return cur, False
-        return cur, True
+        vals = np.zeros(len(eps_list), dtype=complex)
+        mass = np.zeros(len(eps_list))
+        for start in range(0, m, block):
+            e = edges[start:start + block + 1]
+            mid = 0.5 * (e[:-1] + e[1:])
+            half = 0.5 * (e[1:] - e[:-1])
+            rr = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+            A = sqrt_p(rr)
+            weight = (half[:, None] * weights[None, :]).ravel()
+            weight *= rr ** (p.n - 1) * _angular_factor(p.n, r_abs_x * rr)
+            if kind == "I2":
+                weight = np.where(A > 0, weight / np.where(A > 0, A, 1.0), 0.0)
+            osc = np.exp(1j * sign * t * A)
+            osc *= weight
+            abs_weight = np.abs(weight)
+            for k, eps in enumerate(eps_list):
+                damp = np.exp(-eps * A)
+                # einsum, not np.dot: an unpinned multithreaded BLAS dot is slower at these sizes
+                vals[k] += np.einsum("i,i->", damp, osc)
+                mass[k] += np.einsum("i,i->", damp, abs_weight)
+        return vals, mass
 
     prev, _ = compose(panels)
     while panels < RADIAL_MAX_PANELS:
         panels *= 2
-        cur, converged = compose(panels, prev)
-        if converged:
-            return cur
+        cur, mass = compose(panels)
+        delta = np.abs(cur - prev)
+        # a value at rounding level never meets the relative test
+        if not np.any((delta > RADIAL_RTOL * np.maximum(np.abs(cur), 1e-300))
+                      & (delta > ROUNDING_FLOOR * np.finfo(float).eps * mass)):
+            return cur, panels
         prev = cur
-    return prev
+    return prev, panels
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +339,27 @@ def scaled_config(cfg: QuadConfig, t) -> QuadConfig:
     return replace(cfg, eps_list=tuple(e * factor for e in cfg.eps_list))
 
 
+def _checked_point(p: SymbolPoly, kind, sign, x) -> np.ndarray:
+    """Validate kind and sign of a query; return x as a float array of length p.n."""
+    if kind not in KINDS:
+        raise KernelConfigError(f"kind must be one of {KINDS}")
+    if sign not in (+1, -1):
+        raise KernelConfigError("sign must be +1 or -1")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (p.n,):
+        raise KernelConfigError(f"x must have length {p.n}")
+    return x
+
+
 def eval_damped(p, kind, sign, t, x, eps, cfg: QuadConfig | None = None) -> complex:
     """Single fixed-eps evaluation (no extrapolation).  t = 0 is allowed here;
     the x = 0, t = 0 probe is the plain damped transform of the weight."""
     cfg = cfg or QuadConfig()
-    if kind not in KINDS:
-        raise KernelConfigError(f"kind must be one of {KINDS}")
+    x = _checked_point(p, kind, sign, x)
     if cfg.method == "radial":
-        return complex(_damped_radial_values(p, kind, sign, t, x, [eps])[0])
+        return complex(_damped_radial_values(p, kind, sign, t, x, [eps])[0][0])
     sub_cfg = replace(cfg, eps_list=(float(eps),))
-    fine, _ = _lattice_sums(p, kind, sign, t, np.asarray(x, dtype=float),
-                            [float(eps)], sub_cfg)
+    fine, _ = _lattice_sums(p, kind, sign, t, x, [float(eps)], sub_cfg)
     return complex(fine[0])
 
 
@@ -347,18 +371,14 @@ def eval_kernel(p, kind, sign, t, x, cfg: QuadConfig | None = None) -> KernelSam
     configured cap are flagged, never silently dropped.
     """
     cfg = cfg or QuadConfig()
-    if kind not in KINDS:
-        raise KernelConfigError(f"kind must be one of {KINDS}")
-    if sign not in (+1, -1):
-        raise KernelConfigError("sign must be +1 or -1")
+    x = _checked_point(p, kind, sign, x)
     if t == 0:
         raise KernelConfigError("kernel values are defined for t != 0")
-    x = np.asarray(x, dtype=float)
     if cfg.method == "radial":
-        vals = _damped_radial_values(p, kind, sign, t, x, cfg.eps_list)
+        vals, panels = _damped_radial_values(p, kind, sign, t, x, cfg.eps_list)
         extrap, stability = extrapolate_to_zero(cfg.eps_list, vals, cfg.order)
         err = abs(vals[-1] - extrap) + stability
-        meta = {"method": "radial", "eps_list": cfg.eps_list}
+        meta = {"method": "radial", "eps_list": cfg.eps_list, "panels": panels}
     else:
         fine, coarse = _lattice_sums(p, kind, sign, t, x, cfg.eps_list, cfg)
         extrap, _ = extrapolate_to_zero(cfg.eps_list, fine, cfg.order)
@@ -366,7 +386,7 @@ def eval_kernel(p, kind, sign, t, x, cfg: QuadConfig | None = None) -> KernelSam
         err = abs(fine[-1] - extrap) + abs(extrap - extrap_coarse)
         meta = {"method": "lattice", "eps_list": cfg.eps_list, "N": cfg.lattice_N}
         if cfg.use_oracle and is_radial(p):
-            oracle = complex(_damped_radial_values(p, kind, sign, t, x, cfg.eps_list[-1:])[0])
+            oracle = complex(_damped_radial_values(p, kind, sign, t, x, cfg.eps_list[-1:])[0][0])
             meta["oracle_delta"] = abs(complex(fine[-1]) - oracle)
     flagged = err > FLAG_ABS + FLAG_REL * abs(extrap)
     return KernelSample(kind=kind, sign=sign, t=float(t), x=tuple(float(v) for v in x),

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -10,6 +13,8 @@ from scipy.special import jv
 from ddlab import kernel as K
 from ddlab import symbol as sym
 from ddlab.spectral import LatticePositivityError
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def beam(n=2):
@@ -45,6 +50,21 @@ def test_kind_and_sign_validation():
         K.eval_kernel(beam(), "I1", 2, 1.0, np.zeros(2), FAST)
     with pytest.raises(K.KernelConfigError):
         K.eval_kernel(beam(), "I1", +1, 0.0, np.zeros(2), FAST)
+    for method in ("lattice", "radial"):
+        for sign in (0, 2):
+            with pytest.raises(K.KernelConfigError, match="sign must be"):
+                K.eval_damped(beam(), "I1", sign, 1.0, np.zeros(2), 0.2,
+                              replace(FAST, method=method))
+
+
+@pytest.mark.parametrize("method", ["lattice", "radial"])
+@pytest.mark.parametrize("length", [1, 3])
+def test_x_of_wrong_length_rejected(method, length):
+    cfg = replace(FAST, method=method)
+    with pytest.raises(K.KernelConfigError, match="x must have length 2"):
+        K.eval_kernel(beam(), "I1", +1, 1.0, np.ones(length), cfg)
+    with pytest.raises(K.KernelConfigError, match="x must have length 2"):
+        K.eval_damped(beam(), "I1", +1, 1.0, np.ones(length), 0.2, cfg)
 
 
 def test_lattice_positivity_strict_only_for_I2():
@@ -125,9 +145,13 @@ def test_lattice_refinement_converged():
 # radial oracle
 # ---------------------------------------------------------------------------
 
-def test_is_radial():
-    assert K.is_radial(beam())
-    assert not K.is_radial(sym.parse_symbol("1 + |x|^4 + x1^2", 2))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_is_radial(n):
+    assert K.is_radial(beam(n))
+    assert not K.is_radial(sym.parse_symbol("1 + |x|^4 + x1^2", n))
+    assert not K.is_radial(sym.parse_symbol("|x|^4 + x1^4", n))
+    # equal to |x|^4 on every coordinate axis, so axis probes cannot tell
+    assert not K.is_radial(sym.parse_symbol(" + ".join(f"x{i}^4" for i in range(1, n + 1)), n))
 
 
 def test_lattice_matches_radial_oracle():
@@ -191,7 +215,7 @@ def test_batched_radial_matches_per_eps_calls(n, kind, t, r, scaled, sign):
     cfg = K.scaled_config(CRITERION_EPS, t) if scaled else CRITERION_EPS
     x = np.zeros(n)
     x[0] = r
-    batched = K._damped_radial_values(p, kind, sign, t, x, cfg.eps_list)
+    batched, _ = K._damped_radial_values(p, kind, sign, t, x, cfg.eps_list)
     single = np.array([K.eval_damped(p, kind, sign, t, x, e, replace(cfg, method="radial"))
                        for e in cfg.eps_list])
     assert batched.shape == single.shape
@@ -210,8 +234,8 @@ def test_radial_rounding_level_values_stop_refining(monkeypatch):
         return angular(n, rho)
 
     monkeypatch.setattr(K, "_angular_factor", counted)
-    got = K._damped_radial_values(beam(4), "I2", +1, 2.0, np.array([50.0, 0.0, 0.0, 0.0]),
-                                  (0.2, 0.1, 0.05))
+    got, _ = K._damped_radial_values(beam(4), "I2", +1, 2.0, np.array([50.0, 0.0, 0.0, 0.0]),
+                                     (0.2, 0.1, 0.05))
     assert len(calls) <= 3
     # the same sample refined to RADIAL_MAX_PANELS = 2**18 panels
     full = [-2.70653139526598e-17 + 5.668589431905404e-16j,
@@ -231,7 +255,48 @@ def test_radial_sample_memory_budget_n4():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 105 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
+    assert peak < 16 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("n, kind, t, r, scaled", [
+    (4, "I2", 50.0, 0.0, False),
+    (4, "I2", 50.0, 100.0, False),
+    (4, "I2", 2.0, 50.0, False),  # stops on the rounding floor
+    (2, "I1", 0.5, 0.5, True),
+])
+def test_radial_values_independent_of_block_size(monkeypatch, n, kind, t, r, scaled):
+    # 2**10 nodes per block splits every composition of more than 64 panels;
+    # the damped mass, like the values, must sum over all blocks
+    p = beam(n)
+    cfg = K.scaled_config(CRITERION_EPS, t) if scaled else CRITERION_EPS
+    x = np.zeros(n)
+    x[0] = r
+    ref = K.eval_kernel(p, kind, +1, t, x, cfg)
+    monkeypatch.setattr(K, "CHUNK_POINTS", 2**10)
+    got = K.eval_kernel(p, kind, +1, t, x, cfg)
+    assert got.meta["panels"] == ref.meta["panels"] > 64
+    assert ref.meta["panels"] < K.RADIAL_MAX_PANELS
+    assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value)
+    assert got.err == pytest.approx(ref.err, rel=1e-6, abs=1e-12 * abs(ref.value))
+
+
+def test_radial_sample_records_panel_count():
+    # t = 50 at n = 4 starts from 2**15 panels, so one doubling ends at 2**16
+    s = K.eval_kernel(beam(4), "I2", +1, 50.0, np.zeros(4), CRITERION_EPS)
+    assert s.meta["panels"] == 2**16
+
+
+def test_radial_sample_does_not_import_scipy_stats():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, numpy as np; from ddlab import kernel as K, symbol as sym; "
+            "p = sym.parse_symbol('1 + |x|^4', 4); "
+            "cfg = K.QuadConfig(eps_list=(0.2, 0.1), order=1, method='radial'); "
+            "K.eval_kernel(p, 'I2', +1, 2.0, np.zeros(4), cfg); "
+            "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["True", "False"]
 
 
 def test_radial_closed_form_homogeneous():
