@@ -218,12 +218,16 @@ def cmd_kernel_scan(cfg, outdir):
     if sign is None:
         raise ConfigError("field kernel.sign must be +, +1, 1, - or -1, "
                           f"got {cfg['kernel']['sign']!r}")
-    qcfg = kernel.QuadConfig(
-        eps_list=tuple(_floats(cfg, "kernel", "eps_list")),
-        order=_int(cfg, "kernel", "order"),
-        lattice_N=_int(cfg, "kernel", "N"),
-        method=_choice(cfg, "kernel", "method", ("lattice", "radial")),
-    )
+    try:
+        qcfg = kernel.QuadConfig(
+            eps_list=tuple(_floats(cfg, "kernel", "eps_list")),
+            order=_int(cfg, "kernel", "order"),
+            lattice_N=_int(cfg, "kernel", "N"),
+            method=_choice(cfg, "kernel", "method", ("lattice", "radial")),
+        )
+    except kernel.KernelConfigError as exc:
+        key = {"lattice_N": "N"}.get(exc.field, exc.field)
+        raise ConfigError(f"field kernel.{key}: {exc}") from exc
     kind = _choice(cfg, "kernel", "kind", kernel.KINDS)
     samples = []
     e1 = np.eye(p.n)[0]

@@ -41,7 +41,12 @@ SATURATION_TOL = 0.05  # see check_bound
 
 
 class KernelConfigError(ValueError):
-    """Bad quadrature configuration (eps list, kind, method)."""
+    """Bad quadrature configuration (eps list, kind, method); `field` names
+    the QuadConfig field at fault, when there is one."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,8 @@ class QuadConfig:
 
     eps_list must be strictly decreasing and positive; lattice truncation
     is chosen so the damping at the smallest eps reaches TAIL_TOL along
-    every axis.
+    every axis.  lattice_N must be even, so that the lattice can be folded
+    onto its mirror halves (see _lattice_sums).
     """
 
     eps_list: tuple = (0.2, 0.1, 0.05, 0.025)
@@ -62,12 +68,19 @@ class QuadConfig:
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_list)
         if not eps or any(e <= 0 for e in eps):
-            raise KernelConfigError("eps_list must contain positive values")
+            raise KernelConfigError("eps_list must contain positive values", "eps_list")
         if any(a <= b for a, b in zip(eps, eps[1:])):
-            raise KernelConfigError("eps_list must be strictly decreasing")
+            raise KernelConfigError("eps_list must be strictly decreasing", "eps_list")
         object.__setattr__(self, "eps_list", eps)
+        if not (isinstance(self.order, int) and self.order >= 0):
+            raise KernelConfigError(
+                f"order must be a non-negative integer, got {self.order!r}", "order")
+        N = self.lattice_N
+        if not (isinstance(N, int) and N > 0 and N % 2 == 0):
+            raise KernelConfigError(
+                f"lattice_N must be a positive even integer, got {N!r}", "lattice_N")
         if self.method not in ("lattice", "radial"):
-            raise KernelConfigError(f"unknown method {self.method!r}")
+            raise KernelConfigError(f"unknown method {self.method!r}", "method")
 
 
 @dataclass(frozen=True)
@@ -129,11 +142,25 @@ MAX_LATTICE_POINTS = 2**27
 CHUNK_POINTS = 2**15
 
 
+def _folded_axes(p: SymbolPoly) -> tuple:
+    """Axes i on which P is even: every term has an even exponent in xi_i."""
+    return tuple(i for i in range(p.n) if all(a[i] % 2 == 0 for a, _ in p.terms))
+
+
 def _lattice_sums(p, kind, sign, t, x, eps_list, cfg):
     """Trapezoid sums at every eps, on the full lattice and on the
     every-other-point sublattice (for the refinement delta).
 
-    Returns (fine_values, coarse_values) as complex arrays over eps_list.
+    An axis on which P is even is folded onto its mirror halves: its nodes
+    are -xi_max (which has no mirror on the lattice) and the xi >= 0, with
+    weights exp(i x_i xi), 1 at xi = 0 and 2 cos(x_i xi) for each pair +-xi.
+    Any other axis keeps its N nodes with weights exp(i x_i xi).  The coarse
+    sublattice is the even original indices k on every axis; k and N - k
+    have the same parity.  A fully even symbol thus takes (N/2 + 1)^n values
+    of sqrt(P) and exp(i s t sqrt(P)) instead of N^n.
+
+    Returns (fine_values, coarse_values, work): complex arrays over eps_list
+    and {"points": lattice points evaluated, "folded_axes": tuple of axes}.
     """
     n = p.n
     if n > 3:
@@ -145,33 +172,44 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, cfg):
             f"lattice has {cfg.lattice_N**n} points, over the cap of "
             f"{MAX_LATTICE_POINTS}")
     axis, h = _lattice_axis(p, cfg)
+    N = cfg.lattice_N
+    folded = _folded_axes(p)
+    nodes, weights, coarse_masks = [], [], []
+    for i in range(n):
+        idx = np.arange(N)  # original lattice indices of this axis's nodes
+        if i in folded:
+            idx = np.concatenate(([0], idx[N // 2:]))
+            w = 2.0 * np.cos(x[i] * axis[idx]) + 0j
+            w[0] = np.exp(1j * x[i] * axis[0])
+            w[1] = 1.0
+        else:
+            w = np.exp(1j * x[i] * axis)
+        nodes.append(axis[idx])
+        weights.append(w)
+        coarse_masks.append(idx % 2 == 0)
+    rest_weight = np.ones(())  # outer product of the weights of axes 1..n-1
+    for w in weights[1:]:
+        rest_weight = np.multiply.outer(rest_weight, w)
     eps_arr = np.asarray(eps_list, dtype=float)
     fine = np.zeros(len(eps_list), dtype=complex)
     coarse = np.zeros(len(eps_list), dtype=complex)
 
-    chunk = max(1, CHUNK_POINTS // len(axis) ** (n - 1))
-    for start in range(0, len(axis), chunk):
-        rows = axis[start:start + chunk]
-        A = sqrt_symbol(p, [rows] + [axis] * (n - 1), strict=(kind == "I2"))
-        phase = sign * t * A
-        for i in range(n):
-            ax = rows if i == 0 else axis
-            shape = [1] * n
-            shape[i] = ax.size
-            phase = phase + x[i] * ax.reshape(shape)
-        base = np.exp(1j * phase)
+    chunk = max(1, CHUNK_POINTS // rest_weight.size)
+    for start in range(0, nodes[0].size, chunk):
+        rows = slice(start, start + chunk)
+        A = sqrt_symbol(p, [nodes[0][rows]] + nodes[1:], strict=(kind == "I2"))
+        base = np.exp(1j * sign * t * A)
+        base *= np.multiply.outer(weights[0][rows], rest_weight)
         if kind == "I2":
-            base = base / A
-        # even global rows of this chunk belong to the coarse sublattice
-        row_parity = np.nonzero((start + np.arange(rows.size)) % 2 == 0)[0]
-        sub = (row_parity,) + tuple([slice(None, None, 2)] * (n - 1))
+            base /= A
+        sub = np.ix_(coarse_masks[0][rows], *coarse_masks[1:])
         for k, eps in enumerate(eps_arr):
             damped = np.exp(-eps * A) * base
             fine[k] += damped.sum()
             coarse[k] += damped[sub].sum()
     fine *= h**n
     coarse *= (2.0 * h) ** n
-    return fine, coarse
+    return fine, coarse, {"points": math.prod(v.size for v in nodes), "folded_axes": folded}
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +397,7 @@ def eval_damped(p, kind, sign, t, x, eps, cfg: QuadConfig | None = None) -> comp
     if cfg.method == "radial":
         return complex(_damped_radial_values(p, kind, sign, t, x, [eps])[0][0])
     sub_cfg = replace(cfg, eps_list=(float(eps),))
-    fine, _ = _lattice_sums(p, kind, sign, t, x, [float(eps)], sub_cfg)
+    fine, _, _ = _lattice_sums(p, kind, sign, t, x, [float(eps)], sub_cfg)
     return complex(fine[0])
 
 
@@ -380,11 +418,12 @@ def eval_kernel(p, kind, sign, t, x, cfg: QuadConfig | None = None) -> KernelSam
         err = abs(vals[-1] - extrap) + stability
         meta = {"method": "radial", "eps_list": cfg.eps_list, "panels": panels}
     else:
-        fine, coarse = _lattice_sums(p, kind, sign, t, x, cfg.eps_list, cfg)
-        extrap, _ = extrapolate_to_zero(cfg.eps_list, fine, cfg.order)
+        fine, coarse, work = _lattice_sums(p, kind, sign, t, x, cfg.eps_list, cfg)
+        extrap, stability = extrapolate_to_zero(cfg.eps_list, fine, cfg.order)
         extrap_coarse, _ = extrapolate_to_zero(cfg.eps_list, coarse, cfg.order)
         err = abs(fine[-1] - extrap) + abs(extrap - extrap_coarse)
-        meta = {"method": "lattice", "eps_list": cfg.eps_list, "N": cfg.lattice_N}
+        meta = {"method": "lattice", "eps_list": cfg.eps_list, "N": cfg.lattice_N,
+                **work, "stability": float(stability)}
         if cfg.use_oracle and is_radial(p):
             oracle = complex(_damped_radial_values(p, kind, sign, t, x, cfg.eps_list[-1:])[0][0])
             meta["oracle_delta"] = abs(complex(fine[-1]) - oracle)

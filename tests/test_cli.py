@@ -75,6 +75,12 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["decay-verify", "--route", "convolution", "--regime", "large",
       "--p", "1", "--q", "2"], None, "decay.route"),
     (["check-symbol", "--n", "4", "--seed", "-1"], None, "run.seed"),
+    (["kernel-scan", "--eps-list", "0.1,0.2"], None, "kernel.eps_list"),
+    (["kernel-scan"], "[kernel]\neps_list = 0.2,-0.1\n", "kernel.eps_list"),
+    (["kernel-scan"], "[kernel]\nN = 0\n", "kernel.N"),
+    (["kernel-scan"], "[kernel]\nN = -4\n", "kernel.N"),
+    (["kernel-scan"], "[kernel]\nN = 63\n", "kernel.N"),
+    (["kernel-scan"], "[kernel]\norder = -1\n", "kernel.order"),
 ])
 def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
     if ini is not None:

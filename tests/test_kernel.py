@@ -35,6 +35,19 @@ def test_eps_list_must_decrease():
         K.QuadConfig(eps_list=(0.1, -0.05))
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"lattice_N": 0}, "lattice_N"),
+    ({"lattice_N": 1}, "lattice_N"),
+    ({"lattice_N": 63}, "lattice_N"),
+    ({"lattice_N": -4}, "lattice_N"),
+    ({"order": -1}, "order"),
+])
+def test_lattice_size_and_order_validated(kwargs, field):
+    with pytest.raises(K.KernelConfigError) as err:
+        K.QuadConfig(**kwargs)
+    assert err.value.field == field
+
+
 def test_lattice_guard_rejects_high_dimension():
     with pytest.raises(K.KernelConfigError):
         K.eval_kernel(beam(4), "I1", +1, 1.0, np.zeros(4), FAST)
@@ -87,6 +100,72 @@ def test_lattice_sample_memory_budget_n3():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# folded lattice sums against a direct full-lattice sum
+# ---------------------------------------------------------------------------
+
+def _full_lattice_sums(p, kind, sign, t, x, eps_list, cfg):
+    """Fine and coarse trapezoid sums over all N^n lattice points, coarse
+    being every other point on every axis."""
+    axis, h = K._lattice_axis(p, cfg)
+    xi = np.stack(np.meshgrid(*([axis] * p.n), indexing="ij"), axis=-1)
+    A = np.sqrt(p.evaluate(xi))
+    base = np.exp(1j * (sign * t * A + xi @ x))
+    if kind == "I2":
+        base = base / A
+    every_other = (slice(None, None, 2),) * p.n
+    fine = [h**p.n * np.sum(np.exp(-e * A) * base) for e in eps_list]
+    coarse = [(2 * h) ** p.n * np.sum((np.exp(-e * A) * base)[every_other])
+              for e in eps_list]
+    return np.array(fine), np.array(coarse)
+
+
+FOLD_CASES = [  # (symbol, n, axes on which it is even)
+    pytest.param("1 + |x|^4", 2, (0, 1), id="beam2d"),
+    pytest.param("1 + |x|^4 + x1^2", 2, (0, 1), id="aniso2d"),
+    pytest.param("1 + |x|^4 + x1^2*x2", 2, (0,), id="even-x1"),
+    pytest.param("2 + |x|^4 + x1*x2", 2, (), id="not-even"),
+    pytest.param("1 + |x|^4", 3, (0, 1, 2), id="beam3d"),
+    pytest.param("1 + |x|^4 + x1^2*x3", 3, (0, 1), id="even-x1-x2-3d"),
+]
+
+
+@pytest.mark.parametrize("text, n, folded", FOLD_CASES)
+@pytest.mark.parametrize("kind", ["I1", "I2"])
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("x", ["origin", "off-axis"])
+def test_lattice_sums_match_full_lattice(monkeypatch, text, n, folded, kind, sign, x):
+    p = sym.parse_symbol(text, n)
+    cfg = K.QuadConfig(eps_list=(0.4, 0.2, 0.1), order=2, lattice_N=128 if n == 2 else 32)
+    x = np.zeros(n) if x == "origin" else np.array([0.7, -1.3, 0.4][:n])
+    # the lattice is cut for eps >= 0.1; at eps = 0.02 its edge rows, among
+    # them the unmirrored -xi_max, still carry weight
+    eps_list = cfg.eps_list + (0.02,)
+    ref_fine, ref_coarse = _full_lattice_sums(p, kind, sign, 0.8, x, eps_list, cfg)
+    # the default chunking, and chunks of an odd number of rows
+    for chunk_points in (K.CHUNK_POINTS, 999):
+        monkeypatch.setattr(K, "CHUNK_POINTS", chunk_points)
+        fine, coarse, work = K._lattice_sums(p, kind, sign, 0.8, x, eps_list, cfg)
+        assert work["folded_axes"] == folded
+        np.testing.assert_array_less(np.abs(fine - ref_fine), 1e-12 * np.abs(ref_fine))
+        np.testing.assert_array_less(np.abs(coarse - ref_coarse), 1e-12 * np.abs(ref_coarse))
+
+
+def test_lattice_sample_records_work():
+    cfg = K.QuadConfig(eps_list=(0.4, 0.2, 0.1), order=2, lattice_N=512)
+    even = K.eval_kernel(beam(), "I1", +1, 0.5, np.array([0.5, 0.0]), cfg)
+    assert even.meta["points"] == 257**2
+    assert even.meta["folded_axes"] == (0, 1)
+    fine, _, _ = K._lattice_sums(beam(), "I1", +1, 0.5, np.array([0.5, 0.0]),
+                                 cfg.eps_list, cfg)
+    _, stability = K.extrapolate_to_zero(cfg.eps_list, fine, cfg.order)
+    assert even.meta["stability"] == stability > 0.0
+    odd = K.eval_kernel(sym.parse_symbol("2 + |x|^4 + x1*x2", 2), "I1", +1, 0.5,
+                        np.array([0.5, 0.0]), cfg)
+    assert odd.meta["points"] == 512**2
+    assert odd.meta["folded_axes"] == ()
 
 
 # ---------------------------------------------------------------------------
