@@ -13,7 +13,6 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -29,23 +28,6 @@ OK_VERDICTS = {"pass", "consistent"}
 
 class ConfigError(ValueError):
     """Bad config file or flag value; maps to exit code 2."""
-
-
-@dataclass
-class ExperimentConfig:
-    """Layered experiment configuration: defaults, then INI file, then flags.
-
-    Sections and keys are fixed by DEFAULTS; anything else in a config
-    file is rejected with the offending field named.
-    """
-
-    sections: dict = field(default_factory=dict)
-
-    def __getitem__(self, section):
-        return self.sections[section]
-
-    def as_dict(self) -> dict:
-        return self.sections
 
 
 DEFAULTS = {
@@ -66,11 +48,13 @@ DEFAULTS = {
 }
 
 
-def load_config(path=None) -> ExperimentConfig:
+def load_config(path=None) -> dict:
+    """Layered configuration {section: {key: text}}: DEFAULTS, then the INI
+    file at path.  Sections and keys are fixed by DEFAULTS; anything else in
+    the file is rejected with the offending field named."""
     sections = {sec: dict(keys) for sec, keys in DEFAULTS.items()}
-    cfg = ExperimentConfig(sections)
     if path is None:
-        return cfg
+        return sections
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive (N vs n)
     read = parser.read(path)
@@ -83,7 +67,7 @@ def load_config(path=None) -> ExperimentConfig:
             if key not in sections[sec]:
                 raise ConfigError(f"unknown key {key!r} in section [{sec}]")
             sections[sec][key] = value
-    return cfg
+    return sections
 
 
 def _field(cfg, sec, key, convert, expected):
@@ -150,7 +134,7 @@ def _parse_symbol(cfg):
 def cmd_check_symbol(cfg, outdir):
     p = _parse_symbol(cfg)
     seed = _int(cfg, "run", "seed")
-    if seed < 0:  # the n > 3 sphere probe's Sobol generator needs seed >= 0
+    if seed < 0:  # sphere_directions rejects a negative seed at every n
         raise ConfigError(f"field run.seed must be a non-negative integer, got {seed}")
     h1 = symbol.check_H1(p, seed)
     checks = [{
@@ -202,7 +186,7 @@ def cmd_solve(cfg, outdir):
                      decay.lq_norm(state.u, q, g),
                      decay.lq_norm(state.u, math.inf, g)))
     spectral.write_norm_series(outdir / "norms.csv", rows)
-    tail = spectral.spectral_tail_fraction(u0, g)
+    tail = spectral.spectral_tail_fraction(np.fft.fftn(u0), g)
     checks = [{
         "name": "energy-conservation",
         "verdict": "pass" if drift <= 1e-9 else "fail",
@@ -225,16 +209,18 @@ def cmd_kernel_scan(cfg, outdir):
             lattice_N=_int(cfg, "kernel", "N"),
             method=_choice(cfg, "kernel", "method", ("lattice", "radial")),
         )
+        kind = _choice(cfg, "kernel", "kind", kernel.KINDS)
+        samples = []
+        e1 = np.eye(p.n)[0]
+        for t in _floats(cfg, "kernel", "t_list"):
+            tcfg = kernel.scaled_config(qcfg, t)
+            for r in _floats(cfg, "kernel", "x_list"):
+                samples.append(kernel.eval_kernel(p, kind, sign, t, r * e1, tcfg))
     except kernel.KernelConfigError as exc:
-        key = {"lattice_N": "N"}.get(exc.field, exc.field)
+        if exc.field is None:
+            raise
+        key = {"lattice_N": "N", "t": "t_list"}.get(exc.field, exc.field)
         raise ConfigError(f"field kernel.{key}: {exc}") from exc
-    kind = _choice(cfg, "kernel", "kind", kernel.KINDS)
-    samples = []
-    e1 = np.eye(p.n)[0]
-    for t in _floats(cfg, "kernel", "t_list"):
-        tcfg = kernel.scaled_config(qcfg, t)
-        for r in _floats(cfg, "kernel", "x_list"):
-            samples.append(kernel.eval_kernel(p, kind, sign, t, r * e1, tcfg))
     kernel.samples_to_csv(outdir / "samples.csv", samples)
     report = kernel.check_bound(samples, p)
     _write_json(outdir / "kernel_bounds.json", kernel.bound_report_dict(report))
@@ -402,13 +388,10 @@ def run(argv) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         checks, artifacts = COMMANDS[args.command](cfg, outdir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except spectral.LatticePositivityError as exc:
         print(f"config error: field symbol.poly: {exc}", file=sys.stderr)
         return 2
-    except (symbol.SymbolError, regions.RegionError, decay.NormError,
+    except (ConfigError, symbol.SymbolError, regions.RegionError, decay.NormError,
             kernel.KernelConfigError, spectral.GridError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -417,7 +400,7 @@ def run(argv) -> int:
         "tool": "ddlab",
         "version": VERSION,
         "command": args.command,
-        "config": cfg.as_dict(),
+        "config": cfg,
         "checks": checks,
         "artifacts": sorted(artifacts),
     }

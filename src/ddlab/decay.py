@@ -17,7 +17,8 @@ import numpy as np
 
 from .fitting import DecayFit, FitError, fit_power_law
 from .regions import Classification, IndexPoint, RegionError, build_region, classify
-from .spectral import GridSpec, box_clearance, make_grid, propagate_part, spectral_tail_fraction
+from .spectral import (GridSpec, box_clearance, data_transforms, make_grid, propagate_part,
+                       spectral_tail_fraction)
 from .symbol import SymbolPoly
 
 __all__ = [
@@ -292,7 +293,6 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
     notes = []
     series = []
     worst_clearance = 1.0
-    worst_tail = 0.0
     data_norms = []
     data_kind = out_kind = "strong"
     for name, f in data:
@@ -300,12 +300,13 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
         if dn == 0:
             raise NormError(f"datum {name} has zero norm")
         data_norms.append(dn)
-        worst_tail = max(worst_tail, spectral_tail_fraction(f, grid))
+    # one transform per normalized datum serves the tail fraction and the propagation
+    hats = data_transforms(grid, (f / dn for (_, f), dn in zip(data, data_norms)))
+    worst_tail = max((spectral_tail_fraction(h, grid) for h in hats), default=0.0)
     if worst_tail > 1e-10:
         notes.append(f"spectral tail fraction {worst_tail:.3e} above 1e-10")
 
-    normalized = (f / dn for (_, f), dn in zip(data, data_norms))
-    parts = propagate_part(normalized, t_grid, p, grid, qr.part)
+    parts = propagate_part(hats, t_grid, p, grid, qr.part)
     norm_rows = []
     for t in t_grid:
         best = best_l2 = best_inf = 0.0

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .symbol import SymbolPoly, principal_part, ray_coefficients
+from .symbol import SymbolPoly, principal_part, ray_coefficients, sphere_directions
 from .spectral import sqrt_symbol
 
 KINDS = ("I1", "I2")
@@ -35,14 +35,18 @@ FLAG_REL = 0.25
 RADIAL_RTOL = 1e-9
 ROUNDING_FLOOR = 16
 RADIAL_MAX_PANELS = 2**18
-RADIAL_PROBES = 8  # sphere directions on which is_radial compares P with P along e1
+# is_radial compares P along e1 with P along sphere_directions(n, RADIAL_PROBES).
+# At n = 2 these are uniform angles, which can miss only angular harmonics of
+# an order that is a multiple of RADIAL_PROBES / 2 (8 angles miss the order-4
+# harmonic x1^3 x2 - x1 x2^3).
+RADIAL_PROBES = 64
 RADIAL_PROBE_RTOL = 1e-10
 SATURATION_TOL = 0.05  # see check_bound
 
 
 class KernelConfigError(ValueError):
     """Bad quadrature configuration (eps list, kind, method); `field` names
-    the QuadConfig field at fault, when there is one."""
+    the input at fault, when there is one: a QuadConfig field, or "t"."""
 
     def __init__(self, message, field=None):
         super().__init__(message)
@@ -166,11 +170,11 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, cfg):
     if n > 3:
         raise KernelConfigError(
             f"full-lattice evaluation is desk-scale only for n <= 3 (got n={n}); "
-            "use method='radial' for radial symbols in higher dimension")
+            "use method='radial' for radial symbols in higher dimension", "method")
     if cfg.lattice_N**n > MAX_LATTICE_POINTS:
         raise KernelConfigError(
             f"lattice has {cfg.lattice_N**n} points, over the cap of "
-            f"{MAX_LATTICE_POINTS}")
+            f"{MAX_LATTICE_POINTS}", "lattice_N")
     axis, h = _lattice_axis(p, cfg)
     N = cfg.lattice_N
     folded = _folded_axes(p)
@@ -216,27 +220,15 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, cfg):
 # Radial reduction: exact angular integral, refined Gauss-Legendre in r
 # ---------------------------------------------------------------------------
 
-def _radial_probes(n):
-    """RADIAL_PROBES unit vectors of R^n built with numpy alone: the points
-    k alpha mod 1, k = 1..RADIAL_PROBES, of the Kronecker sequence with
-    alpha_i = g^-i (g > 1 the root of g^(n+1) = g + 1), centred and normalised."""
-    g = 2.0
-    for _ in range(64):
-        g = (1.0 + g) ** (1.0 / (n + 1))
-    w = (0.5 + np.arange(1, RADIAL_PROBES + 1)[:, None] * g ** -np.arange(1.0, n + 1)) % 1.0 - 0.5
-    return w / np.linalg.norm(w, axis=1, keepdims=True)
-
-
 @lru_cache(maxsize=256)
 def is_radial(p: SymbolPoly) -> bool:
     """Numerically verify that P depends on |xi| only."""
     rs = np.array([0.3, 0.9, 1.7, 2.6])
     ref = p.evaluate(rs[:, None] * np.eye(p.n)[0][None, :])
-    for w in _radial_probes(p.n):
-        vals = p.evaluate(rs[:, None] * w[None, :])
-        if not np.allclose(vals, ref, rtol=RADIAL_PROBE_RTOL, atol=1e-12):
-            return False
-    return True
+    dirs = sphere_directions(p.n, RADIAL_PROBES)
+    vals = p.evaluate((dirs[:, None, :] * rs[:, None]).reshape(-1, p.n))
+    return bool(np.allclose(vals.reshape(len(dirs), rs.size), ref,
+                            rtol=RADIAL_PROBE_RTOL, atol=1e-12))
 
 
 def _angular_factor(n, rho):
@@ -275,7 +267,7 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list):
     or to its rounding floor.
     """
     if not is_radial(p):
-        raise KernelConfigError("radial reduction requires a radial symbol")
+        raise KernelConfigError("radial reduction requires a radial symbol", "method")
     if kind == "I2" and p.coeff((0,) * p.n) <= 0.0:
         raise KernelConfigError(
             "radial I2 needs P(0) > 0: the P^{-1/2} weight is singular at the origin")
@@ -371,7 +363,7 @@ def scaled_config(cfg: QuadConfig, t) -> QuadConfig:
     """
     factor = min(1.0, abs(float(t)))
     if factor <= 0:
-        raise KernelConfigError("scaled_config needs t != 0")
+        raise KernelConfigError("scaled_config needs t != 0", "t")
     if factor == 1.0:
         return cfg
     return replace(cfg, eps_list=tuple(e * factor for e in cfg.eps_list))
@@ -411,7 +403,7 @@ def eval_kernel(p, kind, sign, t, x, cfg: QuadConfig | None = None) -> KernelSam
     cfg = cfg or QuadConfig()
     x = _checked_point(p, kind, sign, x)
     if t == 0:
-        raise KernelConfigError("kernel values are defined for t != 0")
+        raise KernelConfigError("kernel values are defined for t != 0", "t")
     if cfg.method == "radial":
         vals, panels = _damped_radial_values(p, kind, sign, t, x, cfg.eps_list)
         extrap, stability = extrapolate_to_zero(cfg.eps_list, vals, cfg.order)

@@ -120,14 +120,18 @@ def sqrt_symbol(p: SymbolPoly, axes, strict=True) -> np.ndarray:
     return np.sqrt(P)
 
 
-def _data_fields(g: GridSpec, *fields):
-    """The data fields as complex arrays, checked against the grid."""
-    fields = [np.asarray(f, dtype=complex) for f in fields]
-    if any(f.shape != g.shape for f in fields):
-        raise GridError("data fields do not match the grid shape")
-    if not all(np.all(np.isfinite(f)) for f in fields):
-        raise GridError("data fields contain non-finite entries")
-    return fields
+def data_transforms(g: GridSpec, fields) -> list:
+    """The FFT of each data field, one field at a time (fields may be a
+    generator), after checking it against the grid."""
+    hats = []
+    for f in fields:
+        f = np.asarray(f, dtype=complex)
+        if f.shape != g.shape:
+            raise GridError("data fields do not match the grid shape")
+        if not np.all(np.isfinite(f)):
+            raise GridError("data fields contain non-finite entries")
+        hats.append(np.fft.fftn(f))
+    return hats
 
 
 def sine_multiplier(w: np.ndarray, t: float) -> np.ndarray:
@@ -151,7 +155,7 @@ def propagate(u0, u1, t, p: SymbolPoly, g: GridSpec) -> WaveState:
     ut = F^-1[-w sin(w t) F u0] + F^-1[cos(w t) F u1]
     with w = sqrt(P) on the frequency lattice.
     """
-    u0_hat, u1_hat = (np.fft.fftn(f) for f in _data_fields(g, u0, u1))
+    u0_hat, u1_hat = data_transforms(g, (u0, u1))
     w = sqrt_symbol(p, [g.xi_axis] * g.n)
     coswt = np.cos(w * t)
     Q = sine_multiplier(w, t)
@@ -160,17 +164,17 @@ def propagate(u0, u1, t, p: SymbolPoly, g: GridSpec) -> WaveState:
     return WaveState(t=float(t), u=u, ut=ut)
 
 
-def propagate_part(fields, t_grid, p: SymbolPoly, g: GridSpec, part):
+def propagate_part(hats, t_grid, p: SymbolPoly, g: GridSpec, part):
     """Yield part "U" (F^-1[cos(w t) F f]) or "V" (F^-1[sin(w t)/w F f]) of each
     field f at each t in t_grid, t-major: propagate(u0, u1, t).u = U(t)u0 + V(t)u1.
 
-    w is evaluated and each field transformed once, keeping only the transforms
-    (fields may be a generator); each (t, field) then costs one inverse FFT.
+    hats are the transforms F f (see data_transforms), so a caller that also
+    needs them for something else transforms each field once; w is evaluated
+    once, and each (t, field) then costs one inverse FFT.
     """
     if part not in ("U", "V"):
         raise ValueError(f"part must be U or V, got {part!r}")
     w = sqrt_symbol(p, [g.xi_axis] * g.n)
-    hats = [np.fft.fftn(_data_fields(g, f)[0]) for f in fields]
     for t in t_grid:
         multiplier = np.cos(w * t) if part == "U" else sine_multiplier(w, t)
         for h in hats:
@@ -193,12 +197,13 @@ def energy(state: WaveState, p: SymbolPoly, g: GridSpec) -> float:
     return float(scale * (kinetic + potential))
 
 
-def spectral_tail_fraction(field, g: GridSpec) -> float:
-    """Fraction of spectral energy beyond TAIL_CUTOFF * xi_max (per-axis max norm).
+def spectral_tail_fraction(field_hat, g: GridSpec) -> float:
+    """Fraction of the spectral energy of a field, given by its transform
+    field_hat, beyond TAIL_CUTOFF * xi_max (per-axis max norm).
 
     The box/resolution choice is validated by measuring this, not assumed.
     """
-    power = np.abs(np.fft.fftn(np.asarray(field, dtype=complex))) ** 2
+    power = np.abs(field_hat) ** 2
     return _outer_fraction(power, g.xi_grids(), TAIL_CUTOFF * g.xi_max)
 
 

@@ -392,11 +392,20 @@ def sqrt_hessian_det_values(p: SymbolPoly, points) -> np.ndarray:
 def sphere_directions(n, count=None, seed=0) -> np.ndarray:
     """Deterministic unit-vector probe of S^{n-1}, shape (count, n).
 
-    n=2: uniform angles (includes the axes and diagonals for count % 8 == 0);
-    n=3: Fibonacci lattice; n>3: Sobol points pushed through the normal map.
+    n=1: the two points +-1; n=2: uniform angles (includes the axes and
+    diagonals for count % 8 == 0); n=3: Fibonacci lattice.  n>3: the
+    additive-recurrence (Kronecker) points k alpha + s mod 1, k = 1..count,
+    in d = 2 ceil(n/2) dimensions, with alpha_i = g^-i (g > 1 the root of
+    g^(d+1) = g + 1), mapped pair by pair to Gaussians by Box-Muller and
+    normalised, so they are uniform on S^{n-1}.  The shift
+    s = default_rng(seed).random(d) (a Cranley-Patterson rotation) lets the
+    seed select the set; n <= 3 does not depend on it.  The seed must be a
+    non-negative integer at every n.
     """
     if n < 1:
         raise SymbolError("dimension must be >= 1")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise SymbolError(f"seed must be a non-negative integer, got {seed!r}")
     if n == 1:
         return np.array([[1.0], [-1.0]])
     if count is None:
@@ -411,16 +420,18 @@ def sphere_directions(n, count=None, seed=0) -> np.ndarray:
         phi = golden * i
         rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-    from scipy.stats import qmc
-    from scipy.special import ndtri
-
-    sob = qmc.Sobol(d=n, scramble=True, seed=seed)
-    u = sob.random(count)
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    g = ndtri(u)
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0] = 1.0
-    return g / norms[:, None]
+    d = 2 * ((n + 1) // 2)
+    g = 2.0
+    for _ in range(64):
+        g = (1.0 + g) ** (1.0 / (d + 1))
+    u = np.arange(1.0, count + 1)[:, None] * g ** -np.arange(1.0, d + 1)
+    u += np.random.default_rng(seed).random(d)
+    u -= np.floor(u)  # the fractional part, in place: faster than % 1.0
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))  # 1 - u lies in (0, 1]
+    angle = 2.0 * np.pi * u[:, 1::2]
+    u[:, 0::2] = radius * np.cos(angle)  # u now holds the Gaussians
+    u[:, 1::2] = radius * np.sin(angle)
+    return u[:, :n] / np.linalg.norm(u[:, :n], axis=1, keepdims=True)
 
 
 # Probe set of the hypothesis checks.  Both use the default sphere_directions

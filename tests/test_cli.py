@@ -81,6 +81,8 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["kernel-scan"], "[kernel]\nN = -4\n", "kernel.N"),
     (["kernel-scan"], "[kernel]\nN = 63\n", "kernel.N"),
     (["kernel-scan"], "[kernel]\norder = -1\n", "kernel.order"),
+    (["kernel-scan", "--poly", "1+|x|^4", "--n", "4"], None, "kernel.method"),
+    (["kernel-scan", "--t-list", "0"], None, "kernel.t_list"),
 ])
 def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
     if ini is not None:
@@ -209,3 +211,15 @@ def test_cli_import_does_not_load_scipy_special():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_check_symbol_n4_loads_no_scipy(tmp_path):
+    # the n > 3 sphere probe is built with numpy alone
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from ddlab import cli; "
+            f"rc = cli.run(['check-symbol', '--n', '4', '--out', {str(tmp_path)!r}]); "
+            "print(rc, 'scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1].split() == ["0", "False", "False"]

@@ -279,6 +279,26 @@ def test_verify_norm_rows_match_full_propagator(part):
         assert linf == pytest.approx(linf_ref, rel=1e-12)
 
 
+def test_verify_transforms_each_datum_once(monkeypatch):
+    # one forward FFT per datum serves both the tail fraction and the propagation
+    g = sp.make_grid(2, 32, 8.0)
+    r2 = sum(x**2 for x in g.x_grids())
+    data = [(f"w{a}", np.exp(-r2 / (2.0 * a * a))) for a in (0.8, 1.0, 1.5, 2.0)]
+    tail = max(sp.spectral_tail_fraction(np.fft.fftn(f), g) for _, f in data)
+    calls = []
+    fftn = np.fft.fftn
+
+    def counting_fftn(*args, **kwargs):
+        calls.append(1)
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+    qr = D.ExponentQuery("V", "small", 2, 2, 4, 2, route="multiplier")
+    rep = D.verify_lp_lq(beam(), qr, grid=g, t_grid=[0.05, 0.2, 0.5], data=data)
+    assert len(calls) == 4
+    assert rep.nyquist_tail == pytest.approx(tail, rel=1e-9)
+
+
 def test_verify_mismatched_symbol_rejected():
     qr = D.ExponentQuery("V", "small", 2, 2, 4, 6)
     with pytest.raises(D.RegionError):

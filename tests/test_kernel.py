@@ -231,6 +231,8 @@ def test_is_radial(n):
     assert not K.is_radial(sym.parse_symbol("|x|^4 + x1^4", n))
     # equal to |x|^4 on every coordinate axis, so axis probes cannot tell
     assert not K.is_radial(sym.parse_symbol(" + ".join(f"x{i}^4" for i in range(1, n + 1)), n))
+    # r^4 sin(4 theta) / 4 in the (x1, x2) plane: zero on the axes and diagonals
+    assert not K.is_radial(sym.parse_symbol("|x|^4 + x1^3*x2 - x1*x2^3", n))
 
 
 def test_lattice_matches_radial_oracle():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -131,6 +132,46 @@ def test_hypothesis_probe_set_descriptions():
         "4096 sphere directions; ball radius 4.0 with 17 radii x 256 directions;")
     assert sym.check_H1(beam(3)).description.startswith("8192 sphere directions;")
     assert sym.check_H2(beam(2)).description.endswith("relative floor = 1e-08")
+
+
+# ---------------------------------------------------------------------------
+# sphere directions
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_sphere_directions_unit_uniform_and_reproducible(n):
+    dirs = sym.sphere_directions(n, 4096, seed=3)
+    assert dirs.shape == (4096, n)
+    assert np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) < 1e-14
+    assert np.array_equal(dirs, sym.sphere_directions(n, 4096, seed=3))
+    # moments of the uniform measure on S^{n-1}: E x_i^2 = 1/n and
+    # E x_i^4 = 3/(n(n+2)); points of a cube pushed onto the sphere miss
+    # the fourth moment by 0.013-0.018 here
+    assert np.max(np.abs(np.mean(dirs**2, axis=0) - 1.0 / n)) < 0.005
+    assert np.max(np.abs(np.mean(dirs**4, axis=0) - 3.0 / (n * (n + 2)))) < 0.005
+
+
+def test_sphere_directions_seed_selects_set():
+    assert not np.allclose(sym.sphere_directions(4, 256, seed=0),
+                           sym.sphere_directions(4, 256, seed=1))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_sphere_directions_rejects_bad_seed(n, seed):
+    with pytest.raises(sym.SymbolError, match="seed"):
+        sym.sphere_directions(n, 16, seed=seed)
+
+
+@pytest.mark.parametrize("n, max_angle", [(4, 0.2), (5, 0.3), (6, 0.4)])
+def test_sphere_directions_cover_axes_and_diagonals(n, max_angle):
+    # every +-e_i and every (+-1, ..., +-1)/sqrt(n) has a probe nearby
+    dirs = sym.sphere_directions(n, 4096)
+    eye = np.eye(n)
+    targets = np.vstack([eye, -eye,
+                         np.array(list(itertools.product((-1.0, 1.0), repeat=n))) / math.sqrt(n)])
+    nearest = np.arccos(np.clip(np.max(targets @ dirs.T, axis=1), -1.0, 1.0))
+    assert np.max(nearest) < max_angle
 
 
 def test_h1_rejects_zero_polynomial():
