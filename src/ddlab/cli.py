@@ -136,7 +136,7 @@ def cmd_check_symbol(cfg, outdir):
     seed = _int(cfg, "run", "seed")
     if seed < 0:  # sphere_directions rejects a negative seed at every n
         raise ConfigError(f"field run.seed must be a non-negative integer, got {seed}")
-    h1 = symbol.check_H1(p, seed)
+    h1, h2 = symbol.check_hypotheses(p, seed)
     checks = [{
         "name": "H1",
         "verdict": "pass" if h1.passed else "fail",
@@ -147,7 +147,6 @@ def cmd_check_symbol(cfg, outdir):
                           for w in h1.witnesses],
         },
     }]
-    h2 = symbol.check_H2(p, seed)
     checks.append({
         "name": "H2",
         "verdict": "pass" if h2.passed else "fail",
@@ -219,8 +218,10 @@ def cmd_kernel_scan(cfg, outdir):
     except kernel.KernelConfigError as exc:
         if exc.field is None:
             raise
-        key = {"lattice_N": "N", "t": "t_list"}.get(exc.field, exc.field)
-        raise ConfigError(f"field kernel.{key}: {exc}") from exc
+        names = (exc.field,) if isinstance(exc.field, str) else exc.field
+        keys = {"lattice_N": "kernel.N", "t": "kernel.t_list", "poly": "symbol.poly"}
+        fields = ", ".join(keys.get(name, f"kernel.{name}") for name in names)
+        raise ConfigError(f"field {fields}: {exc}") from exc
     kernel.samples_to_csv(outdir / "samples.csv", samples)
     report = kernel.check_bound(samples, p)
     _write_json(outdir / "kernel_bounds.json", kernel.bound_report_dict(report))

@@ -20,7 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .symbol import SymbolPoly, principal_part, ray_coefficients, sphere_directions
+from .symbol import (CHUNK_POINTS, SymbolPoly, principal_part, ray_coefficients,
+                     sphere_directions)
 from .spectral import sqrt_symbol
 
 KINDS = ("I1", "I2")
@@ -46,7 +47,8 @@ SATURATION_TOL = 0.05  # see check_bound
 
 class KernelConfigError(ValueError):
     """Bad quadrature configuration (eps list, kind, method); `field` names
-    the input at fault, when there is one: a QuadConfig field, or "t"."""
+    the input at fault, when there is one: a QuadConfig field, or "t", or
+    the tuple ("poly", "kind") when the symbol and the kernel kind conflict."""
 
     def __init__(self, message, field=None):
         super().__init__(message)
@@ -140,10 +142,10 @@ def _lattice_axis(p: SymbolPoly, cfg: QuadConfig):
 
 
 MAX_LATTICE_POINTS = 2**27
-# Each chunk of the lattice sums holds at most this many points (or one row,
-# if a row is larger), and each block of radial nodes this many nodes, since
-# both allocate several complex temporaries of their size.
-CHUNK_POINTS = 2**15
+# Each chunk of the lattice sums holds at most CHUNK_POINTS points (or one
+# row, if a row is larger), and each block of radial nodes CHUNK_POINTS
+# nodes, since both allocate several complex temporaries of their size.  The
+# budget is the one of the symbol's batch evaluation.
 
 
 def _folded_axes(p: SymbolPoly) -> tuple:
@@ -270,7 +272,8 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list):
         raise KernelConfigError("radial reduction requires a radial symbol", "method")
     if kind == "I2" and p.coeff((0,) * p.n) <= 0.0:
         raise KernelConfigError(
-            "radial I2 needs P(0) > 0: the P^{-1/2} weight is singular at the origin")
+            "radial I2 needs P(0) > 0: the P^{-1/2} weight is singular at the origin",
+            ("poly", "kind"))
     r_abs_x = float(np.linalg.norm(x))
     sqrt_p = _sqrt_p_on_ray(p)
     R = _ray_cutoff(sqrt_p, min(eps_list))  # the same on every ray of a radial P

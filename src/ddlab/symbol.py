@@ -154,20 +154,22 @@ class SymbolPoly:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, xi):
-        """Evaluate at one point (length-n) or a batch with shape (..., n)."""
+        """Evaluate at one point (length-n) or a batch with shape (..., n).
+
+        The points are walked in fixed blocks (see _blocks), and each power
+        x_i^a is a product of a - 1 multiplications rather than a call to
+        pow, so values can differ from pow's in the last bits.
+        """
         xi = np.asarray(xi, dtype=float)
         if xi.shape[-1] != self.n:
             raise SymbolError(f"point dimension {xi.shape[-1]} != symbol dimension {self.n}")
-        out = np.zeros(xi.shape[:-1], dtype=float)
-        for alpha, c in self.terms:
-            term = np.full(xi.shape[:-1], c, dtype=float)
-            for i, a in enumerate(alpha):
-                if a:
-                    term = term * xi[..., i] ** a
-            out += term
-        if out.shape == ():
-            return float(out)
-        return out
+        flat = xi.reshape(-1, self.n)
+        out = np.empty(flat.shape[0])
+        for rows, (vals,) in _blocks(flat, (self,)):
+            out[rows] = vals
+        if xi.ndim == 1:
+            return float(out[0])
+        return out.reshape(xi.shape[:-1])
 
     def evaluate_on_axes(self, axes):
         """Evaluate on the tensor lattice spanned by the 1-d arrays in axes.
@@ -204,6 +206,61 @@ def _coerce(value, n) -> SymbolPoly:
     if isinstance(value, (int, float)):
         return SymbolPoly.constant(n, value)
     raise SymbolError(f"cannot interpret {value!r} as a symbol")
+
+
+# ---------------------------------------------------------------------------
+# Batch evaluation in blocks
+# ---------------------------------------------------------------------------
+
+# A block of a batch evaluation holds CHUNK_POINTS // n points, so its
+# coordinate-major copy holds CHUNK_POINTS values and each other temporary
+# (a power, a term, a Hessian entry) CHUNK_POINTS // n.  The kernel lattice
+# chunks and radial node blocks share the budget.
+CHUNK_POINTS = 2**15
+
+
+def _blocks(points, polys):
+    """Walk points, shape (M, n), in blocks of CHUNK_POINTS // n rows.
+
+    Yields (rows, values): a slice of the rows and, for each polynomial of
+    polys, its values there.  Each block takes a coordinate-major copy of
+    its points and forms every power x_i^a that some term needs once, by
+    repeated multiplication; all terms of all polys share these powers.
+    """
+    need = {}  # coordinate -> exponents >= 1 some term uses
+    for q in polys:
+        for alpha, _ in q.terms:
+            for i, a in enumerate(alpha):
+                if a:
+                    need.setdefault(i, set()).add(a)
+    block = max(1, CHUNK_POINTS // points.shape[1])
+    for start in range(0, points.shape[0], block):
+        cols = np.ascontiguousarray(points[start:start + block].T)
+        powers = {}
+        for i, exps in need.items():
+            x = power = cols[i]
+            for a in range(1, max(exps) + 1):
+                if a > 1:
+                    power = power * x
+                if a in exps:
+                    powers[i, a] = power
+        yield (slice(start, start + cols.shape[1]),
+               [_terms_sum(q, powers, cols.shape[1]) for q in polys])
+
+
+def _terms_sum(p: SymbolPoly, powers, size) -> np.ndarray:
+    """sum_alpha c_alpha prod_i x_i^alpha_i over one block, from its powers."""
+    out = np.zeros(size)
+    for alpha, c in p.terms:
+        factors = [powers[i, a] for i, a in enumerate(alpha) if a]
+        if not factors:
+            out += c
+            continue
+        term = c * factors[0]
+        for f in factors[1:]:
+            term *= f
+        out += term
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -352,19 +409,54 @@ def hessian_polys(p: SymbolPoly) -> tuple:
                  for i in range(p.n))
 
 
-def _hessian_values(p: SymbolPoly, points) -> np.ndarray:
-    """Hess p at a batch of points, shape (M, n) -> (M, n, n)."""
-    hp = hessian_polys(p)
-    H = np.empty((points.shape[0], p.n, p.n), dtype=float)
-    for i in range(p.n):
-        for j in range(p.n):
-            H[:, i, j] = hp[i][j].evaluate(points)
-    return H
+def _upper_pairs(n) -> list:
+    """Index pairs (i, j), i <= j, of the distinct entries of a symmetric n x n matrix."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def _symmetric_det(n, a) -> np.ndarray:
+    """det of the symmetric matrices whose entries a[i, j] (i <= j) are arrays.
+
+    Closed forms for n <= 4: cofactors for n = 2, 3 and, for n = 4, the
+    Laplace expansion of rows (0, 1) against rows (2, 3) by complementary
+    2 x 2 minors.  n >= 5 assembles the matrices and calls np.linalg.det.
+    """
+    def e(i, j):
+        return a[min(i, j), max(i, j)]
+
+    if n == 1:
+        return e(0, 0)
+    if n == 2:
+        return e(0, 0) * e(1, 1) - e(0, 1) * e(0, 1)
+    if n == 3:
+        return (e(0, 0) * (e(1, 1) * e(2, 2) - e(1, 2) * e(1, 2))
+                - e(0, 1) * (e(0, 1) * e(2, 2) - e(1, 2) * e(0, 2))
+                + e(0, 2) * (e(0, 1) * e(1, 2) - e(1, 1) * e(0, 2)))
+    if n == 4:
+        def minor(r, s, j, k):
+            return e(r, j) * e(s, k) - e(r, k) * e(s, j)
+
+        return (minor(0, 1, 0, 1) * minor(2, 3, 2, 3) - minor(0, 1, 0, 2) * minor(2, 3, 1, 3)
+                + minor(0, 1, 0, 3) * minor(2, 3, 1, 2) + minor(0, 1, 1, 2) * minor(2, 3, 0, 3)
+                - minor(0, 1, 1, 3) * minor(2, 3, 0, 2) + minor(0, 1, 2, 3) * minor(2, 3, 0, 1))
+    H = np.empty(a[0, 0].shape + (n, n))
+    for (i, j), v in a.items():
+        H[..., i, j] = H[..., j, i] = v
+    return np.linalg.det(H)
 
 
 def hessian_det_values(p: SymbolPoly, points) -> np.ndarray:
-    """det Hess p at a batch of points, shape (M, n) -> (M,)."""
-    return np.linalg.det(_hessian_values(p, np.atleast_2d(np.asarray(points, dtype=float))))
+    """det Hess p at a batch of points, shape (M, n) -> (M,).
+
+    Evaluates the n(n+1)/2 distinct second derivatives block by block.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    hp = hessian_polys(p)
+    pairs = _upper_pairs(p.n)
+    out = np.empty(points.shape[0])
+    for rows, vals in _blocks(points, [hp[i][j] for i, j in pairs]):
+        out[rows] = _symmetric_det(p.n, dict(zip(pairs, vals)))
+    return out
 
 
 def sqrt_hessian_det_values(p: SymbolPoly, points) -> np.ndarray:
@@ -378,11 +470,18 @@ def sqrt_hessian_det_values(p: SymbolPoly, points) -> np.ndarray:
     if np.any(vals <= 0):
         bad = points[int(np.argmin(vals))]
         raise SymbolError(f"sqrt(P) derivatives need P > 0; P({tuple(bad)}) <= 0")
-    grads = np.stack([g.evaluate(points) for g in gradient_polys(p)], axis=-1)  # (M, n)
-    v = vals[:, None, None]
-    H = (2.0 * v * _hessian_values(p, points)
-         - grads[:, :, None] * grads[:, None, :]) / (4.0 * v**1.5)
-    return np.linalg.det(H)
+    n = p.n
+    hp = hessian_polys(p)
+    pairs = _upper_pairs(n)
+    out = np.empty(points.shape[0])
+    polys = list(gradient_polys(p)) + [hp[i][j] for i, j in pairs]
+    for rows, derivs in _blocks(points, polys):
+        v, grads = vals[rows], derivs[:n]
+        scale = 4.0 * v**1.5
+        out[rows] = _symmetric_det(n, {
+            (i, j): (2.0 * v * h - grads[i] * grads[j]) / scale
+            for (i, j), h in zip(pairs, derivs[n:])})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +577,19 @@ class HypothesisReport:
             raise SymbolError("a failing report must carry at least one witness")
 
 
+def _sphere_probe(p: SymbolPoly, seed, check) -> np.ndarray:
+    """The sphere directions of the hypothesis checks, after rejecting P = 0."""
+    if p.is_zero:
+        raise SymbolError(f"{check}: zero polynomial is not a valid symbol")
+    return sphere_directions(p.n, seed=seed)
+
+
+def check_hypotheses(p: SymbolPoly, seed=0) -> tuple:
+    """(check_H1(p, seed), check_H2(p, seed)), drawing the sphere probe once."""
+    dirs = _sphere_probe(p, seed, "check_H1")
+    return _check_H1(p, dirs), _check_H2(p, dirs)
+
+
 def check_H1(p: SymbolPoly, seed=0) -> HypothesisReport:
     """Structural check: even order >= 4, n >= 2, elliptic principal part, P > 0.
 
@@ -485,11 +597,10 @@ def check_H1(p: SymbolPoly, seed=0) -> HypothesisReport:
     ball including the origin.  seed drives the n > 3 sphere probe.
     Failures carry reproducible witnesses.
     """
-    if p.is_zero:
-        raise SymbolError("check_H1: zero polynomial is not a valid symbol")
-    if p.n < 1:
-        raise SymbolError("check_H1: dimension must be >= 1")
+    return _check_H1(p, _sphere_probe(p, seed, "check_H1"))
 
+
+def _check_H1(p: SymbolPoly, dirs) -> HypothesisReport:
     m = p.order
     witnesses = []
     flags = []
@@ -500,7 +611,6 @@ def check_H1(p: SymbolPoly, seed=0) -> HypothesisReport:
     if p.n < 2:
         witnesses.append(Witness("structure", None, float(p.n), f"dimension n={p.n} < 2"))
 
-    dirs = sphere_directions(p.n, seed=seed)
     pm = principal_part(p)
     pm_vals = np.atleast_1d(pm.evaluate(dirs))
     pm_max = float(np.max(np.abs(pm_vals)))
@@ -549,14 +659,15 @@ def check_H2(p: SymbolPoly, seed=0) -> HypothesisReport:
     w -> <z, w> P_m(w)^{-1/m} has non-degenerate spherical Hessians at its
     critical points; only the determinant form above is implemented here.
     """
-    if p.is_zero:
-        raise SymbolError("check_H2: zero polynomial is not a valid symbol")
+    return _check_H2(p, _sphere_probe(p, seed, "check_H2"))
+
+
+def _check_H2(p: SymbolPoly, dirs) -> HypothesisReport:
     m = p.order
     flags = []
     if m < 4:
         flags.append(f"m={m} < 4: outside the intended symbol class, checked anyway")
     pm = principal_part(p)
-    dirs = sphere_directions(p.n, seed=seed)
     dets = hessian_det_values(pm, dirs)
     abs_dets = np.abs(dets)
     dmin, dmax = float(np.min(abs_dets)), float(np.max(abs_dets))

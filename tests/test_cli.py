@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ddlab import cli
+from ddlab import cli, symbol
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -83,6 +83,8 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["kernel-scan"], "[kernel]\norder = -1\n", "kernel.order"),
     (["kernel-scan", "--poly", "1+|x|^4", "--n", "4"], None, "kernel.method"),
     (["kernel-scan", "--t-list", "0"], None, "kernel.t_list"),
+    (["kernel-scan", "--poly", "|x|^4", "--n", "4"], "[kernel]\nmethod = radial\nkind = I2\n",
+     "field symbol.poly, kernel.kind:"),
 ])
 def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
     if ini is not None:
@@ -211,6 +213,20 @@ def test_cli_import_does_not_load_scipy_special():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_check_symbol_draws_sphere_probe_once(tmp_path, monkeypatch):
+    calls = []
+    draw = symbol.sphere_directions
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(symbol, "sphere_directions", counted)
+    rc = run(["check-symbol", "--n", "4", "--seed", "2", "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_check_symbol_n4_loads_no_scipy(tmp_path):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -233,6 +235,87 @@ def test_hessian_det_homogeneity():
         scaled = sym.hessian_det_values(pm, R * dirs)
         # degree n(m-2) = 4
         assert np.max(np.abs(scaled - R**4 * base) / np.abs(scaled)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_hessian_det_matches_lapack(n):
+    # a random cubic has a Hessian that is a different random symmetric
+    # matrix at each point; the closed forms (n <= 4) and the LAPACK path
+    # (n >= 5) must agree with np.linalg.det of the same entries
+    rng = np.random.default_rng(100 + n)
+    terms = {tuple(int(a) for a in rng.multinomial(d, [1.0 / n] * n)):
+             float(rng.standard_normal()) for d in (2, 3) for _ in range(4 * n)}
+    p = SymbolPoly.from_terms(n, terms)
+    hp = sym.hessian_polys(p)
+    block = sym.CHUNK_POINTS // n
+    for count in (block + 1, 1):
+        pts = rng.uniform(-2, 2, size=(count, n))
+        H = np.array([[hp[i][j].evaluate(pts) for j in range(n)] for i in range(n)])
+        want = np.linalg.det(np.moveaxis(H, (0, 1), (1, 2)))
+        got = sym.hessian_det_values(p, pts)
+        assert got.shape == (count,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _exact_value(p, point):
+    total = Fraction(0)
+    for alpha, c in p.terms:
+        term = Fraction(c)
+        for x, a in zip(point, alpha):
+            term *= Fraction(x) ** a
+        total += term
+    return total
+
+
+def _assert_exact(p, pts, got):
+    # every power is a - 1 roundings, a term at most m + 1 and the sum one
+    # more per term, each of relative size 2^-53 of the absolute terms
+    pts = np.asarray(pts).reshape(-1, p.n)
+    got = np.asarray(got).reshape(-1)
+    bound = (p.order + 1 + len(p.terms)) * 2.0**-53
+    for x, v in zip(pts, got):
+        scale = sum(abs(c) * math.prod(abs(xi) ** a for xi, a in zip(x, alpha))
+                    for alpha, c in p.terms)
+        assert abs(Fraction(v) - _exact_value(p, x)) <= bound * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_evaluate_matches_exact_rational_arithmetic(n, monkeypatch):
+    # a small block budget puts several block boundaries inside the batch
+    monkeypatch.setattr(sym, "CHUNK_POINTS", 16 * n)
+    rng = np.random.default_rng(40 + n)
+    for _ in range(3):
+        terms = {tuple(int(a) for a in rng.multinomial(rng.integers(0, 9), [1.0 / n] * n)):
+                 float(rng.standard_normal()) for _ in range(6)}
+        p = SymbolPoly.from_terms(n, terms)
+        point = rng.uniform(-2, 2, size=n)
+        value = p.evaluate(point)
+        assert isinstance(value, float)
+        _assert_exact(p, point, value)
+        batch = rng.uniform(-2, 2, size=(3, 5, n))  # 15 points: not a whole block
+        assert p.evaluate(batch).shape == (3, 5)
+        _assert_exact(p, batch, p.evaluate(batch))
+        flat = rng.uniform(-2, 2, size=(3 * 16 + 5, n))
+        _assert_exact(p, flat, p.evaluate(flat))
+
+
+@pytest.mark.parametrize("check", [sym.check_H1, sym.check_H2])
+def test_hypothesis_check_memory_budget_n4(check):
+    p = beam(4)
+    check(p)
+    tracemalloc.start()
+    try:
+        check(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
+
+
+def test_check_hypotheses_matches_separate_checks():
+    for text, n in (("1 + |x|^4", 4), ("|x|^4 - x1^4", 4), ("x1^4 + x2^4", 2)):
+        p = sym.parse_symbol(text, n)
+        assert sym.check_hypotheses(p, 3) == (sym.check_H1(p, 3), sym.check_H2(p, 3))
 
 
 # ---------------------------------------------------------------------------
