@@ -42,6 +42,14 @@ RADIAL_MAX_PANELS = 2**18
 # harmonic x1^3 x2 - x1 x2^3).
 RADIAL_PROBES = 64
 RADIAL_PROBE_RTOL = 1e-10
+GAUSS_POINTS = 16  # Gauss-Legendre nodes per radial panel
+# The angular factor's Bessel function is evaluated by numpy alone in three
+# regimes of rho: the power series below BESSEL_SERIES_MAX, Miller's downward
+# recurrence below BESSEL_HANKEL_MIN and Hankel's expansion from there on.
+# Each series stops at its first term below BESSEL_TOL times its leading term.
+BESSEL_SERIES_MAX = 4.0
+BESSEL_HANKEL_MIN = 20.0
+BESSEL_TOL = np.finfo(float).eps / 4
 SATURATION_TOL = 0.05  # see check_bound
 
 
@@ -235,24 +243,181 @@ def is_radial(p: SymbolPoly) -> bool:
 
 def _angular_factor(n, rho):
     """Integral of exp(i rho <z, w>) over S^{n-1}: (2 pi)^{n/2} rho^{1-n/2} J_{n/2-1}(rho)."""
-    rho = np.asarray(rho, dtype=float)
-    limit = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)  # |S^{n-1}|
-    small = rho < 1e-8
-    if small.all():
-        return np.full(rho.shape, limit)
-    from scipy.special import j0, j1, jv  # imported on first use: scipy.special is slow to import
+    sphere = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)  # |S^{n-1}|, the value at rho = 0
+    return _normalised_bessel(n / 2.0 - 1.0, rho, sphere)
 
-    safe = np.where(small, 1.0, rho)
-    if n == 2:
-        vals = 2.0 * np.pi * j0(safe)
-    elif n == 3:  # DLMF 10.49.3
-        vals = 4.0 * np.pi * np.sin(safe) / safe
-    elif n == 4:
-        vals = 4.0 * np.pi**2 * j1(safe) / safe
+
+def _normalised_bessel(nu, rho, scale):
+    """scale Gamma(nu + 1) (2 / rho)^nu J_nu(rho), equal to scale at rho = 0.
+
+    nu is a multiple of 1/2 and at least -1/2.  rho >= 0 must ascend in
+    C order, as the radial nodes of a block do: each regime takes a
+    contiguous slice of it.
+    """
+    rho = np.asarray(rho, dtype=float)
+    flat = rho.ravel()
+    if np.any(flat[1:] < flat[:-1]):
+        raise ValueError("rho must be in ascending order")
+    out = np.empty_like(flat)
+    zero = np.searchsorted(flat, 0.0, side="right")
+    i, j = np.searchsorted(flat, (BESSEL_SERIES_MAX, BESSEL_HANKEL_MIN))
+    series, p, q, cos_phi, sin_phi = _bessel_coefficients(nu, scale)
+    out[:zero] = scale
+    if zero < i:
+        x = flat[zero:i]
+        _horner(series, x * x, out[zero:i])
+    if i < j:
+        _bessel_miller(nu, flat[i:j], out[i:j])
+        out[i:j] *= scale * math.gamma(nu + 1.0)
+    if j < flat.size:
+        x = flat[j:]
+        w = 1.0 / x
+        z = w * w
+        P = _horner(p, z, np.empty_like(z))
+        Q = _horner(q, z, np.empty_like(z))
+        Q *= w
+        sin_x, cos_x = _sin_cos(x)
+        # P cos(x - phi) - Q sin(x - phi) = (P cos phi + Q sin phi) cos x
+        #                                  + (P sin phi - Q cos phi) sin x
+        o = np.multiply(P, cos_phi, out=out[j:])
+        o += sin_phi * Q
+        o *= cos_x
+        P *= sin_phi
+        Q *= cos_phi
+        P -= Q
+        P *= sin_x
+        o += P
+        _times_power(o, w, nu + 0.5)
+    return out.reshape(rho.shape)
+
+
+@lru_cache(maxsize=None)
+def _bessel_coefficients(nu, scale):
+    """Coefficients, highest power first, of the series and Hankel regimes.
+
+    Series (DLMF 10.2.2): scale sum_k c_k (rho^2)^k with c_0 = 1 and
+    c_k = -c_{k-1} / (4 k (k + nu)).  Hankel (DLMF 10.17.3):
+    C rho^{-nu-1/2} [P cos(rho - phi) - Q sin(rho - phi)] with
+    phi = (nu/2 + 1/4) pi, P = sum_k (-1)^k a_{2k} rho^{-2k},
+    Q = rho^{-1} sum_k (-1)^k a_{2k+1} rho^{-2k}, a_0 = 1,
+    a_k = a_{k-1} (4 nu^2 - (2k - 1)^2) / (8 k) and
+    C = scale Gamma(nu + 1) 2^nu sqrt(2 / pi).  Each sum stops at the first
+    term below BESSEL_TOL at the regime's edge; for half-integer nu the
+    Hankel sums end on their own.
+    """
+    series = [scale]
+    while abs(series[-1]) * BESSEL_SERIES_MAX ** (2 * len(series) - 2) > BESSEL_TOL * scale:
+        k = len(series)
+        series.append(-series[-1] / (4.0 * k * (k + nu)))
+    a = [1.0]
+    while a[-1] != 0.0 and abs(a[-1]) * BESSEL_HANKEL_MIN ** (1 - len(a)) > BESSEL_TOL:
+        k = len(a)
+        a.append(a[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
+    c = scale * math.gamma(nu + 1.0) * 2.0 ** nu * math.sqrt(2.0 / math.pi)
+    p = [(-1) ** (k // 2) * c * a[k] for k in range(0, len(a), 2)]
+    q = [(-1) ** (k // 2) * c * a[k] for k in range(1, len(a), 2)]
+    phi = (nu / 2.0 + 0.25) * math.pi
+    return series[::-1], p[::-1], q[::-1], math.cos(phi), math.sin(phi)
+
+
+def _bessel_miller(nu, x, out):
+    """out = (2 / x)^nu J_nu(x) by Miller's downward recurrence, x sorted.
+
+    f_{mu-1} = (2 mu / x) f_mu - f_{mu+1} runs down from f_{N+1} = 0,
+    f_N = 1 (DLMF 10.6.1; 3.6(vi)), with N even and (x_max/2)^N / N!, a
+    bound on J_N, below BESSEL_TOL.  The values are proportional to J_mu;
+    for integer nu they are normalised by J_0 + 2 sum_k J_{2k} = 1
+    (DLMF 10.12.4), for half-integer nu by least squares against
+    J_{1/2} = sqrt(2/(pi x)) sin x and J_{-1/2} = sqrt(2/(pi x)) cos x, which
+    never vanish together.  The rounding of 2 / x evaluates J at an argument
+    off by up to 2^-53 x, under 2e-15 of the amplitude below
+    BESSEL_HANKEL_MIN; dividing by x at every step instead takes 1.3-1.9
+    times as long.
+    """
+    frac = nu - math.floor(nu)  # 0, or 1/2 for half-integer nu
+    top, bound = 0, 1.0
+    while bound > BESSEL_TOL or top < nu + 2:
+        top += 1
+        bound *= 0.5 * x[-1] / top
+    top += top % 2
+    inv = 2.0 / x
+    above, cur, nxt = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
+    total = None if frac else np.ones_like(x)  # sum of f_{2k}, k >= 1
+    for k in range(top, 0, -1):
+        np.multiply(cur, k + frac, out=nxt)
+        nxt *= inv
+        nxt -= above  # f_{k-1+frac}
+        above, cur, nxt = cur, nxt, above
+        if k - 1 + frac == nu:
+            out[...] = cur
+        if total is not None and k % 2 == 1 and k > 1:
+            total += cur
+    if frac:
+        minus = 0.5 * inv * cur - above  # f_{-1/2}; cur is f_{1/2}
+        if nu == -0.5:
+            out[...] = minus
+        norm, cos_x = _sin_cos(x)
+        norm *= cur
+        cos_x *= minus
+        norm += cos_x
+        norm *= np.sqrt(inv / math.pi)
+        cur *= cur
+        minus *= minus
+        cur += minus
+        norm /= cur
     else:
-        nu = n / 2.0 - 1.0
-        vals = (2.0 * np.pi) ** (n / 2.0) * safe ** (-nu) * jv(nu, safe)
-    return np.where(small, limit, vals)
+        total *= 2.0
+        total += cur  # f_0
+        norm = np.divide(1.0, total, out=total)
+    out *= norm
+    _times_power(out, inv, nu)
+
+
+def _horner(coeffs, u, out):
+    """out = sum_k coeffs[k] u^(K-k), highest power first; out must not alias u."""
+    out.fill(coeffs[0])
+    for c in coeffs[1:]:
+        out *= u
+        out += c
+    return out
+
+
+def _times_power(out, base, e):
+    """out *= base^e for e a multiple of 1/2, by sqrt and multiplications."""
+    whole = math.floor(e)
+    if e != whole:
+        out *= np.sqrt(base)
+    for _ in range(abs(whole)):
+        if whole > 0:
+            out *= base
+        else:
+            out /= base
+
+
+def _sin_cos(x):
+    """sin x and cos x from t = tan(x/2), within 2.3e-16 absolute.
+
+    In float64, np.tan costs a fraction of np.sin and np.cos together.
+    """
+    t = np.tan(0.5 * x)
+    t2 = t * t
+    d = np.add(t2, 1.0)
+    np.divide(1.0, d, out=d)
+    t *= 2.0
+    t *= d  # 2t / (1 + t^2)
+    np.subtract(1.0, t2, out=t2)
+    t2 *= d  # (1 - t^2) / (1 + t^2)
+    return t, t2
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre():
+    """The GAUSS_POINTS-point Gauss-Legendre rule on [-1, 1], nodes ascending."""
+    from numpy.polynomial.legendre import leggauss  # not loaded with numpy itself
+
+    nodes, weights = leggauss(GAUSS_POINTS)
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every sample
+    return nodes, weights
 
 
 def _damped_radial_values(p, kind, sign, t, x, eps_list):
@@ -280,9 +445,7 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list):
     total_phase = abs(t) * sqrt_p(R) + r_abs_x * R + 8.0
     panels = int(min(RADIAL_MAX_PANELS,
                      max(64, 2 ** math.ceil(math.log2(total_phase / math.pi + 1)))))
-    from scipy.special import roots_legendre  # imported on first use: slow to import
-
-    nodes, weights = roots_legendre(16)
+    nodes, weights = _gauss_legendre()
     block = CHUNK_POINTS // nodes.size  # panels per block
 
     def compose(m):

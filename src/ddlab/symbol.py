@@ -526,10 +526,23 @@ def sphere_directions(n, count=None, seed=0) -> np.ndarray:
     u = np.arange(1.0, count + 1)[:, None] * g ** -np.arange(1.0, d + 1)
     u += np.random.default_rng(seed).random(d)
     u -= np.floor(u)  # the fractional part, in place: faster than % 1.0
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))  # 1 - u lies in (0, 1]
-    angle = 2.0 * np.pi * u[:, 1::2]
-    u[:, 0::2] = radius * np.cos(angle)  # u now holds the Gaussians
-    u[:, 1::2] = radius * np.sin(angle)
+    # Box-Muller in place: one pair-sized buffer for the radius and one for
+    # the cosine, both freed before the norm allocates its temporaries
+    radius = np.negative(u[:, 0::2])
+    np.log1p(radius, out=radius)  # 1 - u lies in (0, 1]
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = u[:, 1::2]
+    angle *= 2.0 * np.pi
+    gauss = np.cos(angle)
+    gauss *= radius
+    np.sin(angle, out=angle)
+    angle *= radius
+    u[:, 0::2] = gauss  # u now holds the Gaussians
+    del radius, gauss
+    if d == n:
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        return u
     return u[:, :n] / np.linalg.norm(u[:, :n], axis=1, keepdims=True)
 
 

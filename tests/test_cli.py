@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -206,13 +207,26 @@ def test_report_json_schema(tmp_path):
 
 
 def test_cli_import_does_not_load_scipy_special():
-    # scipy.special is imported on first radial evaluation, not with the CLI
+    # the package imports no scipy module, with the CLI or later
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     code = "import sys, ddlab.cli; print('scipy.special' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_package_source_imports_no_scipy():
+    for path in sorted((SRC / "ddlab").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "scipy" for m in modules), \
+                f"{path.name}:{node.lineno} imports scipy"
 
 
 def test_check_symbol_draws_sphere_probe_once(tmp_path, monkeypatch):
@@ -227,6 +241,21 @@ def test_check_symbol_draws_sphere_probe_once(tmp_path, monkeypatch):
     rc = run(["check-symbol", "--n", "4", "--seed", "2", "--out", str(tmp_path / "o")])
     assert rc == 0
     assert len(calls) == 1
+
+
+def test_radial_kernel_scan_loads_no_scipy(tmp_path):
+    # the radial path (Bessel factor, Gauss-Legendre rule) is numpy alone
+    cfg = tmp_path / "radial.ini"
+    cfg.write_text("[kernel]\nmethod = radial\n")  # n = 2, I1 at |x| = 0 and 1
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from ddlab import cli; "
+            f"rc = cli.run(['kernel-scan', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'o')!r}]); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
 def test_check_symbol_n4_loads_no_scipy(tmp_path):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import jv
+from scipy.special import jv, roots_legendre, spherical_jn
 
 from ddlab import kernel as K
 from ddlab import symbol as sym
@@ -367,17 +367,21 @@ def test_radial_sample_records_panel_count():
     assert s.meta["panels"] == 2**16
 
 
-def test_radial_sample_does_not_import_scipy_stats():
+def test_radial_sample_loads_no_scipy():
+    # n = 2, I1 at |x| = 0.5 runs J_0 (rho up to 9: series and recurrence);
+    # n = 4, I2 at |x| = 3 runs J_1 in all three regimes (rho up to 54)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     code = ("import sys, numpy as np; from ddlab import kernel as K, symbol as sym; "
-            "p = sym.parse_symbol('1 + |x|^4', 4); "
             "cfg = K.QuadConfig(eps_list=(0.2, 0.1), order=1, method='radial'); "
-            "K.eval_kernel(p, 'I2', +1, 2.0, np.zeros(4), cfg); "
-            "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)")
+            "K.eval_kernel(sym.parse_symbol('1 + |x|^4', 2), 'I1', +1, 0.5, "
+            "np.array([0.5, 0.0]), cfg); "
+            "K.eval_kernel(sym.parse_symbol('1 + |x|^4', 4), 'I2', -1, 2.0, "
+            "np.array([3.0, 0.0, 0.0, 0.0]), cfg); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.split() == ["True", "False"]
+    assert out.stdout.strip() == "[]"
 
 
 def test_radial_closed_form_homogeneous():
@@ -393,19 +397,47 @@ def test_radial_closed_form_homogeneous():
             assert got == pytest.approx(exact, rel=1e-7)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_angular_factor_matches_generic_bessel(n):
     sphere = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     nu = n / 2.0 - 1.0
-    rho = np.concatenate([[1e-9], np.geomspace(1e-6, 1e3, 400)])
-    generic = (2.0 * np.pi) ** (n / 2.0) * rho ** (-nu) * jv(nu, rho)
+    # every regime up to rho = 1e4, and each regime limit with its neighbours one ulp away
+    edges = np.array([K.BESSEL_SERIES_MAX, K.BESSEL_HANKEL_MIN])
+    rho = np.sort(np.concatenate([[1e-9], np.geomspace(1e-6, 1e4, 500), edges,
+                                  np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]))
+    if n == 1:
+        bessel = np.sqrt(2.0 / (np.pi * rho)) * np.cos(rho)  # J_{-1/2}
+    elif n % 2:
+        # J_{l+1/2}(rho) = sqrt(2 rho / pi) j_l(rho); scipy's jv is off by up to
+        # 2.4e-14 of the amplitude at half-integer orders, 3.6e-13 of this
+        # envelope at n = 7
+        bessel = np.sqrt(2.0 * rho / np.pi) * spherical_jn(n // 2 - 1, rho)
+    else:
+        bessel = jv(nu, rho)
+    generic = (2.0 * np.pi) ** (n / 2.0) * rho ** (-nu) * bessel
     # |factor| <= |S^{n-1}| and decays like rho^{(1-n)/2}
     magnitude = sphere * np.minimum(1.0, rho ** ((1.0 - n) / 2.0))
     got = K._angular_factor(n, rho)
     assert np.max(np.abs(got - generic) / magnitude) <= 1e-13
+    with pytest.raises(ValueError):  # the regimes are slices of ascending rho
+        K._angular_factor(n, rho[::-1])
     zeros = K._angular_factor(n, np.zeros((3, 2)))
     assert zeros.shape == (3, 2)
     assert np.all(zeros == sphere)
+
+
+def test_gauss_legendre_rule():
+    nodes, weights = K._gauss_legendre()
+    assert nodes.size == weights.size == K.GAUSS_POINTS
+    # exact for polynomials of degree <= 2 GAUSS_POINTS - 1
+    for k in range(2 * K.GAUSS_POINTS):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.dot(weights, nodes ** k) - exact) <= 1e-15, k
+    ref_nodes, ref_weights = roots_legendre(K.GAUSS_POINTS)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 3e-15
+    assert np.max(np.abs(weights - ref_weights)) <= 3e-15
+    # ascending nodes keep each block of radial nodes sorted for _normalised_bessel
+    assert np.all(np.diff(nodes) > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -309,7 +309,7 @@ def test_hypothesis_check_memory_budget_n4(check):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
+    assert peak < 6 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
 
 
 def test_check_hypotheses_matches_separate_checks():
