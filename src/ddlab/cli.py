@@ -202,6 +202,7 @@ def cmd_kernel_scan(cfg, outdir):
         raise ConfigError("field kernel.sign must be +, +1, 1, - or -1, "
                           f"got {cfg['kernel']['sign']!r}")
     try:
+        kernel.mu_nu(p.order, p.n)  # the envelopes need order m > 2: fail before sampling
         qcfg = kernel.QuadConfig(
             eps_list=tuple(_floats(cfg, "kernel", "eps_list")),
             order=_int(cfg, "kernel", "order"),

@@ -20,9 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .symbol import (CHUNK_POINTS, SymbolPoly, principal_part, ray_coefficients,
-                     sphere_directions)
-from .spectral import sqrt_symbol
+from .symbol import CHUNK_POINTS, SymbolPoly, principal_part, ray_coefficients
+from .spectral import LatticePositivityError, sqrt_symbol
 
 KINDS = ("I1", "I2")
 
@@ -36,12 +35,9 @@ FLAG_REL = 0.25
 RADIAL_RTOL = 1e-9
 ROUNDING_FLOOR = 16
 RADIAL_MAX_PANELS = 2**18
-# is_radial compares P along e1 with P along sphere_directions(n, RADIAL_PROBES).
-# At n = 2 these are uniform angles, which can miss only angular harmonics of
-# an order that is a multiple of RADIAL_PROBES / 2 (8 angles miss the order-4
-# harmonic x1^3 x2 - x1 x2^3).
-RADIAL_PROBES = 64
-RADIAL_PROBE_RTOL = 1e-10
+# is_radial compares P's coefficients with those of c |xi|^d to this relative
+# tolerance: typed decimals do not multiply exactly (0.1 * 3 != 0.3).
+RADIAL_COEFF_RTOL = 1e-12
 GAUSS_POINTS = 16  # Gauss-Legendre nodes per radial panel
 # The angular factor's Bessel function is evaluated by numpy alone in three
 # regimes of rho: the power series below BESSEL_SERIES_MAX, Miller's downward
@@ -232,13 +228,16 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, cfg):
 
 @lru_cache(maxsize=256)
 def is_radial(p: SymbolPoly) -> bool:
-    """Numerically verify that P depends on |xi| only."""
-    rs = np.array([0.3, 0.9, 1.7, 2.6])
-    ref = p.evaluate(rs[:, None] * np.eye(p.n)[0][None, :])
-    dirs = sphere_directions(p.n, RADIAL_PROBES)
-    vals = p.evaluate((dirs[:, None, :] * rs[:, None]).reshape(-1, p.n))
-    return bool(np.allclose(vals.reshape(len(dirs), rs.size), ref,
-                            rtol=RADIAL_PROBE_RTOL, atol=1e-12))
+    """Whether P depends on |xi| only, read from its terms: every homogeneous
+    part of degree d is c |xi|^d, with d even and c its coefficient of xi_1^d,
+    each coefficient to RADIAL_COEFF_RTOL |c|."""
+    for d in {sum(a) for a, _ in p.terms}:
+        c = p.coeff((d,) + (0,) * (p.n - 1))
+        part = SymbolPoly.from_terms(p.n, {a: v for a, v in p.terms if sum(a) == d})
+        if d % 2 or any(abs(v) > RADIAL_COEFF_RTOL * abs(c)
+                        for _, v in (part - c * SymbolPoly.radial_power(p.n, d)).terms):
+            return False
+    return True
 
 
 def _angular_factor(n, rho):
@@ -323,54 +322,37 @@ def _bessel_coefficients(nu, scale):
 def _bessel_miller(nu, x, out):
     """out = (2 / x)^nu J_nu(x) by Miller's downward recurrence, x sorted.
 
-    f_{mu-1} = (2 mu / x) f_mu - f_{mu+1} runs down from f_{N+1} = 0,
-    f_N = 1 (DLMF 10.6.1; 3.6(vi)), with N even and (x_max/2)^N / N!, a
-    bound on J_N, below BESSEL_TOL.  The values are proportional to J_mu;
-    for integer nu they are normalised by J_0 + 2 sum_k J_{2k} = 1
-    (DLMF 10.12.4), for half-integer nu by least squares against
-    J_{1/2} = sqrt(2/(pi x)) sin x and J_{-1/2} = sqrt(2/(pi x)) cos x, which
-    never vanish together.  The rounding of 2 / x evaluates J at an argument
-    off by up to 2^-53 x, under 2e-15 of the amplitude below
-    BESSEL_HANKEL_MIN; dividing by x at every step instead takes 1.3-1.9
-    times as long.
+    f_{mu-1} = (2 mu / x) f_mu - f_{mu+1} runs down from f_{nu+N+1} = 0,
+    f_{nu+N} = 1 (DLMF 10.6.1; 3.6(vi)), with N even and (x_max/2)^N / N!
+    below BESSEL_TOL.  The values are proportional to J_mu, and Neumann's
+    expansion (x/2)^nu = sum_k c_k J_{nu+2k}, c_0 = Gamma(nu + 1),
+    c_k = (nu + 2k) Gamma(nu + k) / k! (DLMF 10.23.15), turns f_nu into
+    f_nu / sum_k c_k f_{nu+2k} = (2 / x)^nu J_nu.  The rounding of 2 / x
+    evaluates J at an argument off by up to 2^-53 x, under 2e-15 of the
+    amplitude below BESSEL_HANKEL_MIN; dividing by x at every step instead
+    takes 1.3-1.9 times as long.
     """
-    frac = nu - math.floor(nu)  # 0, or 1/2 for half-integer nu
     top, bound = 0, 1.0
-    while bound > BESSEL_TOL or top < nu + 2:
+    while bound > BESSEL_TOL:
         top += 1
         bound *= 0.5 * x[-1] / top
     top += top % 2
+    coeffs, g = [math.gamma(nu + 1.0)], math.gamma(nu + 1.0)  # g = Gamma(nu + k) / k!
+    for k in range(1, top // 2 + 1):
+        coeffs.append((nu + 2 * k) * g)
+        g *= (nu + k) / (k + 1)
     inv = 2.0 / x
     above, cur, nxt = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
-    total = None if frac else np.ones_like(x)  # sum of f_{2k}, k >= 1
+    total = np.full_like(x, coeffs[-1])
     for k in range(top, 0, -1):
-        np.multiply(cur, k + frac, out=nxt)
+        np.multiply(cur, nu + k, out=nxt)
         nxt *= inv
-        nxt -= above  # f_{k-1+frac}
+        nxt -= above  # f_{nu+k-1}
         above, cur, nxt = cur, nxt, above
-        if k - 1 + frac == nu:
-            out[...] = cur
-        if total is not None and k % 2 == 1 and k > 1:
-            total += cur
-    if frac:
-        minus = 0.5 * inv * cur - above  # f_{-1/2}; cur is f_{1/2}
-        if nu == -0.5:
-            out[...] = minus
-        norm, cos_x = _sin_cos(x)
-        norm *= cur
-        cos_x *= minus
-        norm += cos_x
-        norm *= np.sqrt(inv / math.pi)
-        cur *= cur
-        minus *= minus
-        cur += minus
-        norm /= cur
-    else:
-        total *= 2.0
-        total += cur  # f_0
-        norm = np.divide(1.0, total, out=total)
-    out *= norm
-    _times_power(out, inv, nu)
+        if k % 2 == 1:
+            np.multiply(cur, coeffs[k // 2], out=nxt)
+            total += nxt
+    np.divide(cur, total, out=out)
 
 
 def _horner(coeffs, u, out):
@@ -383,15 +365,12 @@ def _horner(coeffs, u, out):
 
 
 def _times_power(out, base, e):
-    """out *= base^e for e a multiple of 1/2, by sqrt and multiplications."""
+    """out *= base^e for e >= 0 a multiple of 1/2, by sqrt and multiplications."""
     whole = math.floor(e)
     if e != whole:
         out *= np.sqrt(base)
-    for _ in range(abs(whole)):
-        if whole > 0:
-            out *= base
-        else:
-            out /= base
+    for _ in range(whole):
+        out *= base
 
 
 def _sin_cos(x):
@@ -442,6 +421,7 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list):
     r_abs_x = float(np.linalg.norm(x))
     sqrt_p = _sqrt_p_on_ray(p)
     R = _ray_cutoff(sqrt_p, min(eps_list))  # the same on every ray of a radial P
+    ray = ray_coefficients(p, np.eye(p.n)[0])
     total_phase = abs(t) * sqrt_p(R) + r_abs_x * R + 8.0
     panels = int(min(RADIAL_MAX_PANELS,
                      max(64, 2 ** math.ceil(math.log2(total_phase / math.pi + 1)))))
@@ -458,13 +438,20 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list):
             mid = 0.5 * (e[:-1] + e[1:])
             half = 0.5 * (e[1:] - e[:-1])
             rr = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-            A = sqrt_p(rr)
+            A = np.polynomial.polynomial.polyval(rr, ray)
+            low = int(np.argmin(A))  # spectral.sqrt_symbol's rule, at the node r e1
+            if (A[low] <= 0.0) if kind == "I2" else (A[low] < 0.0):
+                point = (float(rr[low]),) + (0.0,) * (p.n - 1)
+                raise LatticePositivityError(point, float(A[low]))
+            np.sqrt(A, out=A)
             weight = (half[:, None] * weights[None, :]).ravel()
             weight *= rr ** (p.n - 1) * _angular_factor(p.n, r_abs_x * rr)
             if kind == "I2":
-                weight = np.where(A > 0, weight / np.where(A > 0, A, 1.0), 0.0)
-            osc = np.exp(1j * sign * t * A)
-            osc *= weight
+                weight /= A
+            sin_st, cos_st = _sin_cos(sign * t * A)
+            osc = np.empty(A.shape, dtype=complex)  # exp(i s t A) weight
+            np.multiply(cos_st, weight, out=osc.real)
+            np.multiply(sin_st, weight, out=osc.imag)
             abs_weight = np.abs(weight)
             for k, eps in enumerate(eps_list):
                 damp = np.exp(-eps * A)
@@ -601,11 +588,10 @@ def envelope_exponents(kind, m, n):
     Returns {"small": (...), "large": (...)} with exact Fractions.  The
     envelope is |t|^time_exp * (1 + |t|^arg_exp |x|)^{-spatial_power}.
     """
-    m = int(m)
-    n = int(n)
+    m, n = int(m), int(n)
+    mu, _ = mu_nu(m, n)
     m1 = Fraction(m, 2)
     if kind == "I2":
-        mu = Fraction(m * n - 4 * n + 2 * m, 2 * (m - 2))
         small = (-(n - m1) / m1, Fraction(-1) / m1, mu)
         large = (Fraction(-1, m), Fraction(-1), mu)
     elif kind == "I1":
@@ -618,7 +604,11 @@ def envelope_exponents(kind, m, n):
 
 
 def mu_nu(m, n):
-    """Spatial envelope power mu and the auxiliary time power nu = (n-m)/(m-2)."""
+    """Spatial envelope power mu and the auxiliary time power nu = (n-m)/(m-2).
+
+    Both need order m > 2, as every envelope does."""
+    if m <= 2:
+        raise KernelConfigError(f"kernel envelopes need order m > 2, got m = {m}", "poly")
     mu = Fraction(m * n - 4 * n + 2 * m, 2 * (m - 2))
     nu = Fraction(n - m, m - 2)
     return mu, nu
@@ -670,7 +660,7 @@ def saturation_drift(keys, ratios):
     return max(0.0, final / base - 1.0)
 
 
-def check_bound(samples, p: SymbolPoly, kind=None) -> KernelBoundReport:
+def check_bound(samples, p: SymbolPoly) -> KernelBoundReport:
     """Empirical envelope constants C_emp = max |I| / envelope per time regime.
 
     Samples are split at |t| = 1; each regime records C_emp and whether
@@ -684,10 +674,7 @@ def check_bound(samples, p: SymbolPoly, kind=None) -> KernelBoundReport:
     kinds = {s.kind for s in samples}
     if len(kinds) != 1:
         raise KernelConfigError("samples mix kernel kinds")
-    got = kinds.pop()
-    if kind is not None and kind != got:
-        raise KernelConfigError(f"samples are {got}, expected {kind}")
-    kind = got
+    kind = kinds.pop()
     m, n = p.order, p.n
     exps = envelope_exponents(kind, m, n)
     mu, nu = mu_nu(m, n)

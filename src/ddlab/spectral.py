@@ -135,17 +135,8 @@ def data_transforms(g: GridSpec, fields) -> list:
 
 
 def sine_multiplier(w: np.ndarray, t: float) -> np.ndarray:
-    """Q(t, xi) = sin(w t)/w with a series branch near w t = 0.
-
-    The series keeps the multiplier finite for probe symbols where w can
-    be arbitrarily small, even though checked symbols have w >= sqrt(min P) > 0.
-    """
-    wt = w * t
-    small = np.abs(wt) < 1e-4
-    safe = np.where(small, 1.0, w)
-    direct = np.sin(wt) / safe
-    series = t * (1.0 - wt**2 / 6.0 + wt**4 / 120.0)
-    return np.where(small, series, direct)
+    """Q(t, xi) = sin(w t)/w, for w > 0 as sqrt_symbol(strict=True) gives it."""
+    return np.sin(w * t) / w
 
 
 def propagate(u0, u1, t, p: SymbolPoly, g: GridSpec) -> WaveState:

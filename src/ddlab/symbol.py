@@ -107,9 +107,6 @@ class SymbolPoly:
                 return c
         return 0.0
 
-    def as_dict(self) -> dict:
-        return {a: c for a, c in self.terms}
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -417,32 +414,32 @@ def _upper_pairs(n) -> list:
 def _symmetric_det(n, a) -> np.ndarray:
     """det of the symmetric matrices whose entries a[i, j] (i <= j) are arrays.
 
-    Closed forms for n <= 4: cofactors for n = 2, 3 and, for n = 4, the
-    Laplace expansion of rows (0, 1) against rows (2, 3) by complementary
-    2 x 2 minors.  n >= 5 assembles the matrices and calls np.linalg.det.
+    n <= 4: Laplace expansion along each row from the bottom up, forming the
+    minor of the lowest rows once per set of columns (n 2^(n-1) products in
+    all).  n >= 5 assembles the matrices and calls np.linalg.det.
     """
     def e(i, j):
         return a[min(i, j), max(i, j)]
 
-    if n == 1:
-        return e(0, 0)
-    if n == 2:
-        return e(0, 0) * e(1, 1) - e(0, 1) * e(0, 1)
-    if n == 3:
-        return (e(0, 0) * (e(1, 1) * e(2, 2) - e(1, 2) * e(1, 2))
-                - e(0, 1) * (e(0, 1) * e(2, 2) - e(1, 2) * e(0, 2))
-                + e(0, 2) * (e(0, 1) * e(1, 2) - e(1, 1) * e(0, 2)))
-    if n == 4:
-        def minor(r, s, j, k):
-            return e(r, j) * e(s, k) - e(r, k) * e(s, j)
-
-        return (minor(0, 1, 0, 1) * minor(2, 3, 2, 3) - minor(0, 1, 0, 2) * minor(2, 3, 1, 3)
-                + minor(0, 1, 0, 3) * minor(2, 3, 1, 2) + minor(0, 1, 1, 2) * minor(2, 3, 0, 3)
-                - minor(0, 1, 1, 3) * minor(2, 3, 0, 2) + minor(0, 1, 2, 3) * minor(2, 3, 0, 1))
-    H = np.empty(a[0, 0].shape + (n, n))
-    for (i, j), v in a.items():
-        H[..., i, j] = H[..., j, i] = v
-    return np.linalg.det(H)
+    if n >= 5:
+        H = np.empty(a[0, 0].shape + (n, n))
+        for (i, j), v in a.items():
+            H[..., i, j] = H[..., j, i] = v
+        return np.linalg.det(H)
+    minors = {(j,): e(n - 1, j) for j in range(n)}
+    for row in range(n - 2, -1, -1):
+        lower = minors
+        minors = {}
+        for cols in itertools.combinations(range(n), n - row):
+            det = e(row, cols[0]) * lower[cols[1:]]
+            for k in range(1, len(cols)):
+                term = e(row, cols[k]) * lower[cols[:k] + cols[k + 1:]]
+                if k % 2:
+                    det -= term
+                else:
+                    det += term
+            minors[cols] = det
+    return minors[tuple(range(n))]
 
 
 def hessian_det_values(p: SymbolPoly, points) -> np.ndarray:

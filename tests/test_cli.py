@@ -86,6 +86,13 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["kernel-scan", "--t-list", "0"], None, "kernel.t_list"),
     (["kernel-scan", "--poly", "|x|^4", "--n", "4"], "[kernel]\nmethod = radial\nkind = I2\n",
      "field symbol.poly, kernel.kind:"),
+    (["kernel-scan", "--poly", "1+|x|^2"], None, "field symbol.poly:"),
+    (["all", "--poly", "1+|x|^2"], None, "field symbol.poly:"),
+    (["kernel-scan", "--poly", "3"], None, "field symbol.poly:"),
+    (["kernel-scan", "--poly", "1 - 3*|x|^2 + |x|^4"], "[kernel]\nmethod = radial\n",
+     "field symbol.poly:"),
+    (["kernel-scan", "--poly", "1 - 3*|x|^2 + |x|^4"], "[kernel]\nmethod = lattice\n",
+     "field symbol.poly:"),
 ])
 def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
     if ini is not None:

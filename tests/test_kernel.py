@@ -233,6 +233,11 @@ def test_is_radial(n):
     assert not K.is_radial(sym.parse_symbol(" + ".join(f"x{i}^4" for i in range(1, n + 1)), n))
     # r^4 sin(4 theta) / 4 in the (x1, x2) plane: zero on the axes and diagonals
     assert not K.is_radial(sym.parse_symbol("|x|^4 + x1^3*x2 - x1*x2^3", n))
+    # read from the terms: decimal coefficients that do not multiply exactly
+    # (3 * 0.1 != 0.3) are radial, a 1e-9 relative defect is not
+    decimal = "1 + 0.1*x1^6 + 0.3*x1^4*x2^2 + 0.3*x1^2*x2^4 + 0.1*x2^6"
+    assert K.is_radial(sym.parse_symbol(decimal, 2))
+    assert not K.is_radial(sym.parse_symbol("|x|^4 + 1e-9*x1^4", n))
 
 
 def test_lattice_matches_radial_oracle():
@@ -278,6 +283,20 @@ def test_radial_rejects_nonradial_and_singular():
     with pytest.raises(K.KernelConfigError):
         K.eval_damped(sym.SymbolPoly.radial_power(2, 4),
                       "I2", +1, 1.0, np.zeros(2), 0.1, cfg)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("kind", ["I1", "I2"])
+def test_radial_positivity_rule_matches_lattice(n, kind):
+    # P = 1 - 3 r^2 + r^4 < 0 on a shell: radial nodes raise where P is
+    # smallest, as the lattice does, and report that node as r e1
+    p = sym.parse_symbol("1 - 3*|x|^2 + |x|^4", n)
+    cfg = replace(FAST, method="radial")
+    with pytest.raises(LatticePositivityError) as err:
+        K.eval_kernel(p, kind, +1, 1.0, np.zeros(n), cfg)
+    r, *rest = err.value.point
+    assert all(type(v) is float for v in err.value.point) and rest == [0.0] * (n - 1)
+    assert 1.0 < r < 1.5 and err.value.value < 0.0
 
 
 CRITERION_EPS = K.QuadConfig(eps_list=(0.2, 0.1, 0.05, 0.025), order=3, method="radial")
@@ -369,7 +388,8 @@ def test_radial_sample_records_panel_count():
 
 def test_radial_sample_loads_no_scipy():
     # n = 2, I1 at |x| = 0.5 runs J_0 (rho up to 9: series and recurrence);
-    # n = 4, I2 at |x| = 3 runs J_1 in all three regimes (rho up to 54)
+    # n = 4, I2 at |x| = 3 runs J_1 in all three regimes (rho up to 54).
+    # Radiality is read from P's terms, so no sphere probe loads numpy.random.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     code = ("import sys, numpy as np; from ddlab import kernel as K, symbol as sym; "
@@ -378,10 +398,11 @@ def test_radial_sample_loads_no_scipy():
             "np.array([0.5, 0.0]), cfg); "
             "K.eval_kernel(sym.parse_symbol('1 + |x|^4', 4), 'I2', -1, 2.0, "
             "np.array([3.0, 0.0, 0.0, 0.0]), cfg); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "'numpy.random' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] False"
 
 
 def test_radial_closed_form_homogeneous():
@@ -500,6 +521,11 @@ def test_envelope_exponent_table():
         assert K.envelope_exponents("I1", 4, 6)[regime][2] == 0
     # I1 small-time time power is -n/(m/2)
     assert K.envelope_exponents("I1", 4, 2)["small"][0] == Fraction(-1)
+    # every envelope divides by m - 2
+    for m in (0, 2):
+        with pytest.raises(K.KernelConfigError) as err:
+            K.envelope_exponents("I1", m, 2)
+        assert err.value.field == "poly"
 
 
 def test_check_bound_reports_header_and_regimes():

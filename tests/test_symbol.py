@@ -255,6 +255,13 @@ def test_hessian_det_matches_lapack(n):
         got = sym.hessian_det_values(p, pts)
         assert got.shape == (count,)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        e = {(i, j): hp[i][j].evaluate(pts) for i in range(n) for j in range(i, n)}
+        if n == 2:
+            assert np.all(got == e[0, 0] * e[1, 1] - e[0, 1] * e[0, 1])
+        if n == 3:
+            assert np.all(got == e[0, 0] * (e[1, 1] * e[2, 2] - e[1, 2] * e[1, 2])
+                          - e[0, 1] * (e[0, 1] * e[2, 2] - e[1, 2] * e[0, 2])
+                          + e[0, 2] * (e[0, 1] * e[1, 2] - e[1, 1] * e[0, 2]))
 
 
 def _exact_value(p, point):
