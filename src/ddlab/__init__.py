@@ -2,8 +2,7 @@
 
 from .symbol import (
     SymbolPoly, HypothesisReport, RadialInverse, Witness,
-    check_H1, check_H2, check_hypotheses, derivative, principal_part, parse_symbol,
-    to_literal,
+    check_hypotheses, derivative, principal_part, parse_symbol, to_literal,
     hessian_growth_sqrt, surface_type, radial_inverse, radial_threshold,
     sigma_decay_fit, sphere_directions,
 )

@@ -265,10 +265,11 @@ class DecayReport:
 
 DEFAULT_WINDOWS = {"small": (0.01, 0.5), "large": (2.0, 50.0)}
 CLEARANCE_THRESHOLD = 1e-3  # box-contaminated below clearance 1 - CLEARANCE_THRESHOLD
+SLOPE_TOL = 0.1  # consistent when the fitted exponent is within this of the exact one
 
 
 def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
-                 t_grid=None, data=None, slope_tol=0.1) -> DecayReport:
+                 t_grid=None, data=None) -> DecayReport:
     """Measure the decay/growth of ||U(t)||_q or ||V(t)||_q over L^p data.
 
     The family maximum of the normalized output norms is fitted as a power
@@ -336,7 +337,7 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
         notes.append(f"box-contaminated: clearance {worst_clearance:.3e}")
         verdict = "inconclusive"
     elif fit is not None:
-        verdict = "consistent" if abs(fit.exponent - float(theo)) <= slope_tol \
+        verdict = "consistent" if abs(fit.exponent - float(theo)) <= SLOPE_TOL \
             else "contradicted"
     return DecayReport(
         query=qr, theoretical=theo, fit=fit, c_emp=c_emp,

@@ -111,25 +111,22 @@ class KernelSample:
 # Lattice truncation and evaluation
 # ---------------------------------------------------------------------------
 
-def _sqrt_p_on_ray(p: SymbolPoly, axis=0):
-    """r -> sqrt(max(P(r e_axis), 0)) for scalar or array r."""
-    c = ray_coefficients(p, np.eye(p.n)[axis])
-    return lambda r: np.sqrt(np.maximum(np.polynomial.polynomial.polyval(r, c), 0.0))
-
-
-def _ray_cutoff(sqrt_p, eps_min) -> float:
-    """Smallest R with exp(-eps_min sqrt_p(R)) <= TAIL_TOL along one ray."""
+def _ray_cutoff(ray, eps_min) -> float:
+    """Smallest R with exp(-eps_min sqrt(max(P(R w), 0))) <= TAIL_TOL along
+    the ray w whose polynomial P(r w) has the coefficients ray."""
     target = math.log(1.0 / TAIL_TOL) / eps_min  # need sqrt(P) >= target
+    def reached(r):
+        return np.sqrt(max(np.polynomial.polynomial.polyval(r, ray), 0.0)) >= target
     lo, hi = 0.0, 1.0
     for _ in range(200):
-        if sqrt_p(hi) >= target:
+        if reached(hi):
             break
         hi *= 2.0
     else:
         raise KernelConfigError("damping never reaches the tail tolerance")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if sqrt_p(mid) >= target:
+        if reached(mid):
             hi = mid
         else:
             lo = mid
@@ -138,7 +135,8 @@ def _ray_cutoff(sqrt_p, eps_min) -> float:
 
 def _lattice_axis(p: SymbolPoly, cfg: QuadConfig):
     # the damping at the smallest eps must reach TAIL_TOL along every axis
-    xi_max = max(_ray_cutoff(_sqrt_p_on_ray(p, i), min(cfg.eps_list)) for i in range(p.n))
+    xi_max = max(_ray_cutoff(ray_coefficients(p, e), min(cfg.eps_list))
+                 for e in np.eye(p.n))
     N = cfg.lattice_N
     h = 2.0 * xi_max / N
     axis = -xi_max + h * np.arange(N)
@@ -419,10 +417,11 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list):
             "radial I2 needs P(0) > 0: the P^{-1/2} weight is singular at the origin",
             ("poly", "kind"))
     r_abs_x = float(np.linalg.norm(x))
-    sqrt_p = _sqrt_p_on_ray(p)
-    R = _ray_cutoff(sqrt_p, min(eps_list))  # the same on every ray of a radial P
     ray = ray_coefficients(p, np.eye(p.n)[0])
-    total_phase = abs(t) * sqrt_p(R) + r_abs_x * R + 8.0
+    R = _ray_cutoff(ray, min(eps_list))  # the same on every ray of a radial P
+    # sqrt(P(R)) reaches the cutoff's target, so P(R) > 0
+    total_phase = (abs(t) * np.sqrt(np.polynomial.polynomial.polyval(R, ray))
+                   + r_abs_x * R + 8.0)
     panels = int(min(RADIAL_MAX_PANELS,
                      max(64, 2 ** math.ceil(math.log2(total_phase / math.pi + 1)))))
     nodes, weights = _gauss_legendre()

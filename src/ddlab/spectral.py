@@ -24,10 +24,10 @@ class GridError(ValueError):
 
 
 class LatticePositivityError(ValueError):
-    """P(xi) <= 0 at a lattice point where the multiplier needs P > 0."""
+    """P <= 0 (P < 0 where sqrt(P) alone is needed) at a lattice point or radial node."""
 
     def __init__(self, point, value):
-        super().__init__(f"P(xi) = {value!r} <= 0 at lattice point xi = {tuple(point)}")
+        super().__init__(f"P(xi) = {value!r} <= 0 at xi = {tuple(point)}")
         self.point = tuple(point)
         self.value = value
 

@@ -1,8 +1,8 @@
 """Sparse polynomial symbols P(xi) and the structural checks on them.
 
-A symbol enters the propagation / kernel pipeline only after passing
-check_H1 (positivity + ellipticity of the principal part) and check_H2
-(non-degenerate Hessian of the principal part).  The remaining operations
+check_hypotheses tests the paper's standing assumptions on a symbol: H1
+(positivity + ellipticity of the principal part) and H2 (non-degenerate
+Hessian of the principal part).  The remaining operations
 probe finer structure: growth of det Hess sqrt(P), the contact order of
 the graph of sqrt(P), and the large-s inverse of P along rays.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -176,20 +177,14 @@ class SymbolPoly:
         """
         if len(axes) != self.n:
             raise SymbolError("need one axis per dimension")
-        shaped = []
-        for i, ax in enumerate(axes):
-            ax = np.asarray(ax, dtype=float)
-            shape = [1] * self.n
-            shape[i] = ax.size
-            shaped.append(ax.reshape(shape))
-        out = np.zeros(tuple(ax.size for ax in map(np.asarray, axes)), dtype=float)
-        for alpha, c in self.terms:
-            term = c
-            for i, a in enumerate(alpha):
-                if a:
-                    term = term * shaped[i] ** a
-            out += term
-        return out
+        axes = [np.asarray(ax, dtype=float) for ax in axes]
+        shaped = [ax.reshape((1,) * i + (-1,) + (1,) * (self.n - i - 1))
+                  for i, ax in enumerate(axes)]
+        # pow on the 1-d axes, not _blocks' repeated products: the spectral
+        # artifacts are built from these lattice values
+        powers = {(i, a): shaped[i] ** a
+                  for alpha, _ in self.terms for i, a in enumerate(alpha) if a}
+        return _terms_sum(self, powers, tuple(ax.size for ax in axes))
 
     def __str__(self):
         return to_literal(self)
@@ -245,9 +240,10 @@ def _blocks(points, polys):
                [_terms_sum(q, powers, cols.shape[1]) for q in polys])
 
 
-def _terms_sum(p: SymbolPoly, powers, size) -> np.ndarray:
-    """sum_alpha c_alpha prod_i x_i^alpha_i over one block, from its powers."""
-    out = np.zeros(size)
+def _terms_sum(p: SymbolPoly, powers, shape) -> np.ndarray:
+    """sum_alpha c_alpha prod_i x_i^alpha_i, an array of the given shape, from
+    the powers x_i^a of the coordinates (arrays that broadcast to it)."""
+    out = np.zeros(shape)
     for alpha, c in p.terms:
         factors = [powers[i, a] for i, a in enumerate(alpha) if a]
         if not factors:
@@ -255,7 +251,7 @@ def _terms_sum(p: SymbolPoly, powers, size) -> np.ndarray:
             continue
         term = c * factors[0]
         for f in factors[1:]:
-            term *= f
+            term = term * f  # not *=: the factors may broadcast
         out += term
     return out
 
@@ -493,10 +489,10 @@ def sphere_directions(n, count=None, seed=0) -> np.ndarray:
     additive-recurrence (Kronecker) points k alpha + s mod 1, k = 1..count,
     in d = 2 ceil(n/2) dimensions, with alpha_i = g^-i (g > 1 the root of
     g^(d+1) = g + 1), mapped pair by pair to Gaussians by Box-Muller and
-    normalised, so they are uniform on S^{n-1}.  The shift
-    s = default_rng(seed).random(d) (a Cranley-Patterson rotation) lets the
-    seed select the set; n <= 3 does not depend on it.  The seed must be a
-    non-negative integer at every n.
+    normalised, so they are uniform on S^{n-1}.  The shift s, d draws of the
+    standard library's random.Random(seed) (a Cranley-Patterson rotation),
+    lets the seed select the set; n <= 3 does not depend on it.  The seed must
+    be a non-negative integer at every n.
     """
     if n < 1:
         raise SymbolError("dimension must be >= 1")
@@ -521,7 +517,8 @@ def sphere_directions(n, count=None, seed=0) -> np.ndarray:
     for _ in range(64):
         g = (1.0 + g) ** (1.0 / (d + 1))
     u = np.arange(1.0, count + 1)[:, None] * g ** -np.arange(1.0, d + 1)
-    u += np.random.default_rng(seed).random(d)
+    shift = random.Random(int(seed))
+    u += [shift.random() for _ in range(d)]
     u -= np.floor(u)  # the fractional part, in place: faster than % 1.0
     # Box-Muller in place: one pair-sized buffer for the radius and one for
     # the cosine, both freed before the norm allocates its temporaries
@@ -587,33 +584,26 @@ class HypothesisReport:
             raise SymbolError("a failing report must carry at least one witness")
 
 
-def _sphere_probe(p: SymbolPoly, seed, check) -> np.ndarray:
-    """The sphere directions of the hypothesis checks, after rejecting P = 0."""
-    if p.is_zero:
-        raise SymbolError(f"{check}: zero polynomial is not a valid symbol")
-    return sphere_directions(p.n, seed=seed)
-
-
 def check_hypotheses(p: SymbolPoly, seed=0) -> tuple:
-    """(check_H1(p, seed), check_H2(p, seed)), drawing the sphere probe once."""
-    dirs = _sphere_probe(p, seed, "check_H1")
-    return _check_H1(p, dirs), _check_H2(p, dirs)
+    """The reports (H1, H2) of the paper's hypotheses on p, on one sphere probe.
 
-
-def check_H1(p: SymbolPoly, seed=0) -> HypothesisReport:
-    """Structural check: even order >= 4, n >= 2, elliptic principal part, P > 0.
-
-    Ellipticity is probed on sphere directions; positivity on a compact
-    ball including the origin.  seed drives the n > 3 sphere probe.
-    Failures carry reproducible witnesses.
+    H1: even order m >= 4, n >= 2, P_m > 0 on the sphere (ellipticity) and
+    P > 0 on a compact ball including the origin.  H2: det Hess P_m, which is
+    homogeneous of degree n(m-2), has min |det| >= NONDEGENERACY_RTOL * max |det|
+    on the sphere, a verdict invariant under positive rescaling of p.  (An
+    equivalent form asks w -> <z, w> P_m(w)^{-1/m} for non-degenerate spherical
+    Hessians at its critical points; only the determinant form is implemented.)
+    seed drives the n > 3 probe; failures carry reproducible witnesses.
     """
-    return _check_H1(p, _sphere_probe(p, seed, "check_H1"))
+    if p.is_zero:
+        raise SymbolError("zero polynomial is not a valid symbol")
+    dirs = sphere_directions(p.n, seed=seed)
+    return _h1_report(p, dirs), _h2_report(p, dirs)
 
 
-def _check_H1(p: SymbolPoly, dirs) -> HypothesisReport:
+def _h1_report(p: SymbolPoly, dirs) -> HypothesisReport:
     m = p.order
     witnesses = []
-    flags = []
     if m % 2 != 0:
         witnesses.append(Witness("structure", None, float(m), f"order m={m} is odd"))
     if m < 4:
@@ -651,28 +641,11 @@ def _check_H1(p: SymbolPoly, dirs) -> HypothesisReport:
             f"min P_m on sphere = {float(np.min(pm_vals))!r}, min P on ball = {p_min!r}")
     return HypothesisReport(
         name="H1", passed=passed, witnesses=tuple(witnesses[:MAX_WITNESSES]),
-        sampled_min=float(np.min(pm_vals)), sampled_max=pm_max,
-        description=desc, flags=tuple(flags),
+        sampled_min=float(np.min(pm_vals)), sampled_max=pm_max, description=desc,
     )
 
 
-def check_H2(p: SymbolPoly, seed=0) -> HypothesisReport:
-    """Non-degeneracy of Hess P_m on the sphere.
-
-    det Hess P_m is homogeneous of degree n(m-2), so a dense sphere probe
-    determines the sign pattern everywhere away from 0.  Pass requires
-    min |det| >= NONDEGENERACY_RTOL * max |det| over the samples, which
-    makes the verdict invariant under positive rescaling of p.  seed drives
-    the n > 3 sphere probe.
-
-    An equivalent formulation checks, for each z on the sphere, that
-    w -> <z, w> P_m(w)^{-1/m} has non-degenerate spherical Hessians at its
-    critical points; only the determinant form above is implemented here.
-    """
-    return _check_H2(p, _sphere_probe(p, seed, "check_H2"))
-
-
-def _check_H2(p: SymbolPoly, dirs) -> HypothesisReport:
+def _h2_report(p: SymbolPoly, dirs) -> HypothesisReport:
     m = p.order
     flags = []
     if m < 4:

@@ -38,12 +38,11 @@ def test_criterion_01_hypothesis_checks():
     t0 = time.perf_counter()
     ok = True
     for n in (2, 3):
-        rep1 = sym.check_H1(beam(n))
-        rep2 = sym.check_H2(beam(n))
+        rep1, rep2 = sym.check_hypotheses(beam(n))
         ok = ok and rep1.passed and rep2.passed
-    min2 = sym.check_H2(beam(2)).sampled_min
+    min2 = sym.check_hypotheses(beam(2))[1].sampled_min
     ok = ok and abs(min2 - 48.0) <= 1e-9
-    bad = sym.check_H2(sym.parse_symbol("x1^4 + x2^4", 2))
+    bad = sym.check_hypotheses(sym.parse_symbol("x1^4 + x2^4", 2))[1]
     on_axis = (not bad.passed) and any(
         max(abs(w.point[0]), abs(w.point[1])) == pytest.approx(1.0, abs=1e-12)
         for w in bad.witnesses)

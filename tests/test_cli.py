@@ -225,7 +225,10 @@ def test_cli_import_does_not_load_scipy_special():
 
 def test_package_source_imports_no_scipy():
     for path in sorted((SRC / "ddlab").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        text = path.read_text()
+        # the numpy.random extension module costs ~6 MB RSS to load
+        assert "numpy.random" not in text and "np.random" not in text, path.name
+        for node in ast.walk(ast.parse(text, str(path))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -266,12 +269,13 @@ def test_radial_kernel_scan_loads_no_scipy(tmp_path):
 
 
 def test_check_symbol_n4_loads_no_scipy(tmp_path):
-    # the n > 3 sphere probe is built with numpy alone
+    # the n > 3 sphere probe is built with numpy and the standard library's random
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     code = ("import sys; from ddlab import cli; "
             f"rc = cli.run(['check-symbol', '--n', '4', '--out', {str(tmp_path)!r}]); "
-            "print(rc, 'scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
+            "print(rc, 'scipy.stats' in sys.modules, 'scipy.special' in sys.modules, "
+            "'numpy.random' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.splitlines()[-1].split() == ["0", "False", "False"]
+    assert out.stdout.splitlines()[-1].split() == ["0", "False", "False", "False"]

@@ -248,10 +248,10 @@ def test_verify_marks_box_contamination_inconclusive():
     assert any("box-contaminated" in n for n in rep.notes)
 
 
-def test_verify_contradicted_when_tolerance_is_absurd():
+def test_verify_contradicted_when_tolerance_is_absurd(monkeypatch):
+    monkeypatch.setattr(D, "SLOPE_TOL", 1e-6)
     qr = D.ExponentQuery("V", "small", 2, 2, 4, 2, route="multiplier")
-    rep = D.verify_lp_lq(beam(), qr, grid=sp.make_grid(2, 64, 12.0),
-                         slope_tol=1e-6)
+    rep = D.verify_lp_lq(beam(), qr, grid=sp.make_grid(2, 64, 12.0))
     assert rep.verdict == "contradicted"
 
 

@@ -106,13 +106,13 @@ def test_principal_part_homogeneity():
 
 def test_h1_beam_passes():
     for n in (2, 3):
-        rep = sym.check_H1(beam(n))
+        rep = sym.check_hypotheses(beam(n))[0]
         assert rep.passed
         assert rep.sampled_min == pytest.approx(1.0, abs=1e-12)
 
 
 def test_h1_homogeneous_fails_at_origin():
-    rep = sym.check_H1(SymbolPoly.radial_power(2, 4))
+    rep = sym.check_hypotheses(SymbolPoly.radial_power(2, 4))[0]
     assert not rep.passed
     w = [w for w in rep.witnesses if w.kind == "positivity"][0]
     assert np.linalg.norm(w.point) == 0.0
@@ -121,7 +121,7 @@ def test_h1_homogeneous_fails_at_origin():
 
 def test_h1_ellipticity_failure_witnessed_on_diagonal():
     p = sym.parse_symbol("1 + x1^4 - x2^4", 2)
-    rep = sym.check_H1(p)
+    rep = sym.check_hypotheses(p)[0]
     assert not rep.passed
     first = [w for w in rep.witnesses if w.kind == "ellipticity"][0]
     assert first.point == pytest.approx((1 / math.sqrt(2), 1 / math.sqrt(2)), abs=1e-12)
@@ -130,10 +130,10 @@ def test_h1_ellipticity_failure_witnessed_on_diagonal():
 
 def test_hypothesis_probe_set_descriptions():
     # the fixed probe set is what report.json prints for check-symbol
-    assert sym.check_H1(beam(2)).description.startswith(
+    assert sym.check_hypotheses(beam(2))[0].description.startswith(
         "4096 sphere directions; ball radius 4.0 with 17 radii x 256 directions;")
-    assert sym.check_H1(beam(3)).description.startswith("8192 sphere directions;")
-    assert sym.check_H2(beam(2)).description.endswith("relative floor = 1e-08")
+    assert sym.check_hypotheses(beam(3))[0].description.startswith("8192 sphere directions;")
+    assert sym.check_hypotheses(beam(2))[1].description.endswith("relative floor = 1e-08")
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +154,13 @@ def test_sphere_directions_unit_uniform_and_reproducible(n):
 
 
 def test_sphere_directions_seed_selects_set():
-    assert not np.allclose(sym.sphere_directions(4, 256, seed=0),
-                           sym.sphere_directions(4, 256, seed=1))
+    sets = [sym.sphere_directions(4, 256, seed=s) for s in (0, 1, 2**70)]
+    for a, b in itertools.combinations(sets, 2):
+        assert not np.allclose(a, b)
+    assert np.array_equal(sets[2], sym.sphere_directions(4, 256, seed=2**70))
+    for n in (2, 3):  # no shift at n <= 3
+        assert np.array_equal(sym.sphere_directions(n, 256, seed=0),
+                              sym.sphere_directions(n, 256, seed=3))
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -178,11 +183,11 @@ def test_sphere_directions_cover_axes_and_diagonals(n, max_angle):
 
 def test_h1_rejects_zero_polynomial():
     with pytest.raises(sym.SymbolError):
-        sym.check_H1(SymbolPoly.from_terms(2, {}))
+        sym.check_hypotheses(SymbolPoly.from_terms(2, {}))
 
 
 def test_h1_witnesses_reproduce_violation():
-    rep = sym.check_H1(sym.parse_symbol("1 + x1^4 - x2^4", 2))
+    rep = sym.check_hypotheses(sym.parse_symbol("1 + x1^4 - x2^4", 2))[0]
     for w in rep.witnesses:
         if w.kind == "ellipticity":
             pm = sym.principal_part(sym.parse_symbol("1 + x1^4 - x2^4", 2))
@@ -196,7 +201,7 @@ def test_h1_witnesses_reproduce_violation():
 def test_h2_beam_sphere_minimum_is_48():
     # independent oracle: det Hess (r^2)^2 = (4r^2+8x1^2)(4r^2+8x2^2) - 64x1^2x2^2
     # = 48 r^4, so the unit-sphere minimum is 48
-    rep = sym.check_H2(beam())
+    rep = sym.check_hypotheses(beam())[1]
     assert rep.passed
     assert rep.sampled_min == pytest.approx(48.0, abs=1e-9)
 
@@ -204,7 +209,7 @@ def test_h2_beam_sphere_minimum_is_48():
 def test_h2_quartic_axes_fail():
     p = sym.parse_symbol("x1^4 + x2^4", 2)
     # oracle: det Hess = 144 x1^2 x2^2, vanishing on the axes
-    rep = sym.check_H2(p)
+    rep = sym.check_hypotheses(p)[1]
     assert not rep.passed
     w = rep.witnesses[0]
     assert max(abs(w.point[0]), abs(w.point[1])) == pytest.approx(1.0, abs=1e-12)
@@ -213,7 +218,7 @@ def test_h2_quartic_axes_fail():
 
 def test_h2_second_order_smoke_case_flagged():
     p = sym.parse_symbol("|x|^2", 3)
-    rep = sym.check_H2(p)
+    rep = sym.check_hypotheses(p)[1]
     assert rep.passed
     assert rep.sampled_min == pytest.approx(2.0**3, rel=1e-12)
     assert any("m=2" in f for f in rep.flags)
@@ -222,9 +227,9 @@ def test_h2_second_order_smoke_case_flagged():
 def test_h2_verdict_invariant_under_positive_scaling():
     for text in ("1 + |x|^4", "x1^4 + x2^4"):
         p = sym.parse_symbol(text, 2)
-        base = sym.check_H2(p).passed
+        base = sym.check_hypotheses(p)[1].passed
         for c in (0.5, 3.0):
-            assert sym.check_H2(c * p).passed == base
+            assert sym.check_hypotheses(c * p)[1].passed == base
 
 
 def test_hessian_det_homogeneity():
@@ -275,8 +280,9 @@ def _exact_value(p, point):
 
 
 def _assert_exact(p, pts, got):
-    # every power is a - 1 roundings, a term at most m + 1 and the sum one
-    # more per term, each of relative size 2^-53 of the absolute terms
+    # every power is a - 1 roundings (pow's under one ulp counts as two, a >= 3),
+    # a term at most m + 1 and the sum one more per term, each of relative
+    # size 2^-53 of the absolute terms
     pts = np.asarray(pts).reshape(-1, p.n)
     got = np.asarray(got).reshape(-1)
     bound = (p.order + 1 + len(p.terms)) * 2.0**-53
@@ -304,25 +310,22 @@ def test_evaluate_matches_exact_rational_arithmetic(n, monkeypatch):
         _assert_exact(p, batch, p.evaluate(batch))
         flat = rng.uniform(-2, 2, size=(3 * 16 + 5, n))
         _assert_exact(p, flat, p.evaluate(flat))
+        axes = [flat[:i + 2, i] for i in range(n)]  # axes of unequal lengths
+        grid = p.evaluate_on_axes(axes)
+        assert grid.shape == tuple(range(2, n + 2))
+        _assert_exact(p, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1), grid)
 
 
-@pytest.mark.parametrize("check", [sym.check_H1, sym.check_H2])
-def test_hypothesis_check_memory_budget_n4(check):
+def test_hypothesis_check_memory_budget_n4():
     p = beam(4)
-    check(p)
+    sym.check_hypotheses(p)
     tracemalloc.start()
     try:
-        check(p)
+        sym.check_hypotheses(p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
-
-
-def test_check_hypotheses_matches_separate_checks():
-    for text, n in (("1 + |x|^4", 4), ("|x|^4 - x1^4", 4), ("x1^4 + x2^4", 2)):
-        p = sym.parse_symbol(text, n)
-        assert sym.check_hypotheses(p, 3) == (sym.check_H1(p, 3), sym.check_H2(p, 3))
 
 
 # ---------------------------------------------------------------------------
