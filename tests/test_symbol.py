@@ -316,12 +316,18 @@ def test_evaluate_matches_exact_rational_arithmetic(n, monkeypatch):
         _assert_exact(p, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1), grid)
 
 
-def test_hypothesis_check_memory_budget_n4():
+@pytest.mark.parametrize("check", [
+    lambda p: sym._h1_report(p, sym.sphere_directions(p.n)),
+    lambda p: sym._h2_report(p, sym.sphere_directions(p.n)),
+    sym.check_hypotheses,
+], ids=["check_H1", "check_H2", "check_hypotheses"])
+def test_hypothesis_check_memory_budget_n4(check):
+    # each report on its own probe, and both on one shared probe
     p = beam(4)
-    sym.check_hypotheses(p)
+    check(p)
     tracemalloc.start()
     try:
-        sym.check_hypotheses(p)
+        check(p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
