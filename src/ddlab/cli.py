@@ -70,10 +70,14 @@ def load_config(path=None) -> dict:
     return sections
 
 
-def _field(cfg, sec, key, convert, expected):
-    """cfg[sec][key] passed through convert; a ValueError names the field."""
+def _field(cfg, sec, key, convert, expected, valid=lambda value: True):
+    """cfg[sec][key] passed through convert; a ValueError, or a value that
+    valid rejects, names the field."""
     try:
-        return convert(cfg[sec][key])
+        value = convert(cfg[sec][key])
+        if not valid(value):
+            raise ValueError(value)
+        return value
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"field {sec}.{key} must be {expected}, "
                           f"got {cfg[sec][key]!r}") from exc
@@ -82,6 +86,10 @@ def _field(cfg, sec, key, convert, expected):
 _int = partial(_field, convert=int, expected="an integer")
 _float = partial(_field, convert=float, expected="a number")
 _fraction = partial(_field, convert=Fraction, expected="a rational number")
+_positive = partial(_field, convert=float, expected="a positive finite number",
+                    valid=lambda value: 0 < value < math.inf)
+_count = partial(_field, convert=int, expected="a positive integer",
+                 valid=lambda value: value > 0)
 
 
 def _floats(cfg, sec, key):
@@ -91,11 +99,11 @@ def _floats(cfg, sec, key):
 
 
 def _grid(cfg, sec, n):
-    N, L = _int(cfg, sec, "N"), _float(cfg, sec, "L")
+    N, L = _int(cfg, sec, "N"), _positive(cfg, sec, "L")
     try:
         return spectral.make_grid(n, N, L)
     except spectral.GridError as exc:
-        raise ConfigError(f"field {sec}.{'N' if L > 0 else 'L'}: {exc}") from exc
+        raise ConfigError(f"field {sec}.N: {exc}") from exc
 
 
 def _choice(cfg, sec, key, allowed):
@@ -118,7 +126,7 @@ def _write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 def _parse_symbol(cfg):
-    n = _int(cfg, "symbol", "n")
+    n = _count(cfg, "symbol", "n")
     try:
         p = symbol.parse_symbol(cfg["symbol"]["poly"], n)
     except symbol.SymbolError as exc:
@@ -164,12 +172,12 @@ def cmd_check_symbol(cfg, outdir):
 def cmd_solve(cfg, outdir):
     p = _parse_symbol(cfg)
     g = _grid(cfg, "grid", p.n)
-    width = _float(cfg, "solve", "width")
+    width = _positive(cfg, "solve", "width")
     xs = g.x_grids()
     u0 = np.exp(-sum(x**2 for x in xs) / (2.0 * width**2)).astype(complex)
     u1 = np.zeros(g.shape, dtype=complex)
     q_text = cfg["solve"]["q"]
-    q = _float(cfg, "solve", "q")
+    q = _field(cfg, "solve", "q", float, "a number >= 1 or inf", lambda value: value >= 1)
     rows = []
     e0 = None
     drift = 0.0
@@ -211,16 +219,17 @@ def cmd_kernel_scan(cfg, outdir):
         )
         kind = _choice(cfg, "kernel", "kind", kernel.KINDS)
         samples = []
-        e1 = np.eye(p.n)[0]
         for t in _floats(cfg, "kernel", "t_list"):
             tcfg = kernel.scaled_config(qcfg, t)
             for r in _floats(cfg, "kernel", "x_list"):
-                samples.append(kernel.eval_kernel(p, kind, sign, t, r * e1, tcfg))
+                x = [r] + [0.0 * r] * (p.n - 1)  # r e1, in floats: no numpy warning at r = inf
+                samples.append(kernel.eval_kernel(p, kind, sign, t, x, tcfg))
     except kernel.KernelConfigError as exc:
         if exc.field is None:
             raise
         names = (exc.field,) if isinstance(exc.field, str) else exc.field
-        keys = {"lattice_N": "kernel.N", "t": "kernel.t_list", "poly": "symbol.poly"}
+        keys = {"lattice_N": "kernel.N", "t": "kernel.t_list", "x": "kernel.x_list",
+                "poly": "symbol.poly"}
         fields = ", ".join(keys.get(name, f"kernel.{name}") for name in names)
         raise ConfigError(f"field {fields}: {exc}") from exc
     kernel.samples_to_csv(outdir / "samples.csv", samples)
@@ -250,7 +259,7 @@ def cmd_decay_verify(cfg, outdir):
         raise ConfigError(f"field decay.{'q' if 1 <= lp <= 2 else 'p'}: {exc}") from exc
     g = _grid(cfg, "decay", p.n)
     lo, hi = decay.DEFAULT_WINDOWS[qr.regime]
-    t_grid = np.geomspace(lo, hi, _int(cfg, "decay", "t_count"))
+    t_grid = np.geomspace(lo, hi, _count(cfg, "decay", "t_count"))
     try:
         report = decay.verify_lp_lq(p, qr, grid=g, t_grid=t_grid)
     except regions.RegionError as exc:

@@ -38,7 +38,7 @@ def lq_norm(f, q, g: GridSpec) -> float:
     if q == math.inf or q == "inf":
         return float(np.max(np.abs(f)))
     q = float(q)
-    if q < 1:
+    if not q >= 1:
         raise NormError(f"L^q norms need q >= 1, got {q}")
     return float((np.sum(np.abs(f) ** q) * g.cell_volume) ** (1.0 / q))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -51,8 +51,8 @@ SATURATION_TOL = 0.05  # see check_bound
 
 class KernelConfigError(ValueError):
     """Bad quadrature configuration (eps list, kind, method); `field` names
-    the input at fault, when there is one: a QuadConfig field, or "t", or
-    the tuple ("poly", "kind") when the symbol and the kernel kind conflict."""
+    the input at fault, when there is one: a QuadConfig field, "t" or "x",
+    or the tuple ("poly", "kind") when the symbol and the kernel kind conflict."""
 
     def __init__(self, message, field=None):
         super().__init__(message)
@@ -73,12 +73,12 @@ class QuadConfig:
     order: int = 3
     lattice_N: int = 512
     method: str = "lattice"  # "lattice" or "radial"
-    use_oracle: bool = False  # cross-check lattice values against the radial oracle
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_list)
-        if not eps or any(e <= 0 for e in eps):
-            raise KernelConfigError("eps_list must contain positive values", "eps_list")
+        if not eps or not all(0 < e < math.inf for e in eps):
+            raise KernelConfigError("eps_list must contain positive finite values",
+                                    "eps_list")
         if any(a <= b for a, b in zip(eps, eps[1:])):
             raise KernelConfigError("eps_list must be strictly decreasing", "eps_list")
         object.__setattr__(self, "eps_list", eps)
@@ -144,15 +144,8 @@ def _lattice_axis(p: SymbolPoly, cfg: QuadConfig):
 
 
 MAX_LATTICE_POINTS = 2**27
-# Each chunk of the lattice sums holds at most CHUNK_POINTS points (or one
-# row, if a row is larger), and each block of radial nodes CHUNK_POINTS
-# nodes, since both allocate several complex temporaries of their size.  The
-# budget is the one of the symbol's batch evaluation.
-
-
-def _folded_axes(p: SymbolPoly) -> tuple:
-    """Axes i on which P is even: every term has an even exponent in xi_i."""
-    return tuple(i for i in range(p.n) if all(a[i] % 2 == 0 for a, _ in p.terms))
+# Each block of _damped_sums holds CHUNK_POINTS nodes (a lattice chunk at least
+# one row), the budget of the symbol's batch evaluation.
 
 
 def _lattice_sums(p, kind, sign, t, x, eps_list, cfg):
@@ -165,7 +158,7 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, cfg):
     Any other axis keeps its N nodes with weights exp(i x_i xi).  The coarse
     sublattice is the even original indices k on every axis; k and N - k
     have the same parity.  A fully even symbol thus takes (N/2 + 1)^n values
-    of sqrt(P) and exp(i s t sqrt(P)) instead of N^n.
+    of sqrt(P) instead of N^n, reduced by _damped_sums one chunk at a time.
 
     Returns (fine_values, coarse_values, work): complex arrays over eps_list
     and {"points": lattice points evaluated, "folded_axes": tuple of axes}.
@@ -181,43 +174,37 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, cfg):
             f"{MAX_LATTICE_POINTS}", "lattice_N")
     axis, h = _lattice_axis(p, cfg)
     N = cfg.lattice_N
-    folded = _folded_axes(p)
+    # P is even in xi_i when every term has an even exponent in xi_i
+    folded = tuple(i for i in range(n) if all(a[i] % 2 == 0 for a, _ in p.terms))
     nodes, weights, coarse_masks = [], [], []
     for i in range(n):
-        idx = np.arange(N)  # original lattice indices of this axis's nodes
+        idx = np.r_[0, N // 2:N] if i in folded else np.arange(N)  # indices on the full axis
+        sin_x, cos_x = _sin_cos(x[i] * axis[idx])
+        w = cos_x + 1j * sin_x  # exp(i x_i xi)
         if i in folded:
-            idx = np.concatenate(([0], idx[N // 2:]))
-            w = 2.0 * np.cos(x[i] * axis[idx]) + 0j
-            w[0] = np.exp(1j * x[i] * axis[0])
+            w[1:] = 2.0 * cos_x[1:]
             w[1] = 1.0
-        else:
-            w = np.exp(1j * x[i] * axis)
         nodes.append(axis[idx])
         weights.append(w)
         coarse_masks.append(idx % 2 == 0)
-    rest_weight = np.ones(())  # outer product of the weights of axes 1..n-1
-    for w in weights[1:]:
-        rest_weight = np.multiply.outer(rest_weight, w)
-    eps_arr = np.asarray(eps_list, dtype=float)
-    fine = np.zeros(len(eps_list), dtype=complex)
-    coarse = np.zeros(len(eps_list), dtype=complex)
-
-    chunk = max(1, CHUNK_POINTS // rest_weight.size)
-    for start in range(0, nodes[0].size, chunk):
-        rows = slice(start, start + chunk)
-        A = sqrt_symbol(p, [nodes[0][rows]] + nodes[1:], strict=(kind == "I2"))
-        base = np.exp(1j * sign * t * A)
-        base *= np.multiply.outer(weights[0][rows], rest_weight)
-        if kind == "I2":
-            base /= A
-        sub = np.ix_(coarse_masks[0][rows], *coarse_masks[1:])
-        for k, eps in enumerate(eps_arr):
-            damped = np.exp(-eps * A) * base
-            fine[k] += damped.sum()
-            coarse[k] += damped[sub].sum()
-    fine *= h**n
-    coarse *= (2.0 * h) ** n
-    return fine, coarse, {"points": math.prod(v.size for v in nodes), "folded_axes": folded}
+    # outer product of the weights of axes 1..n-1
+    rest_weight = reduce(np.multiply.outer, weights[1:], np.ones(()))
+    fine, coarse = np.zeros((2, len(eps_list)), dtype=complex)
+    def blocks():
+        chunk = max(1, CHUNK_POINTS // rest_weight.size)
+        for start in range(0, nodes[0].size, chunk):
+            rows = slice(start, start + chunk)
+            A = sqrt_symbol(p, [nodes[0][rows]] + nodes[1:], strict=(kind == "I2"))
+            weight = np.multiply.outer(weights[0][rows], rest_weight)
+            if kind == "I2":
+                weight /= A
+            sub = np.ix_(coarse_masks[0][rows], *coarse_masks[1:])
+            # the fine block last: its temporaries are held while the next chunk is made
+            yield A[sub].ravel(), weight[sub].ravel(), coarse, None
+            yield A.ravel(), weight.ravel(), fine, None
+    _damped_sums(blocks(), sign, t, eps_list)
+    return (fine * h**n, coarse * (2.0 * h) ** n,
+            {"points": math.prod(v.size for v in nodes), "folded_axes": folded})
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +374,33 @@ def _sin_cos(x):
     return t, t2
 
 
+def _damped_sums(blocks, sign, t, eps_list):
+    """Add sum exp((i s t - eps) A) weight over each block, at every eps.
+
+    blocks yields (A, weight, sums, masses): sqrt(P) and the real or complex
+    weight (with I2's 1/A) on a block of nodes, 1-d, and the arrays over
+    eps_list that receive the sums and the damped masses sum exp(-eps A)
+    |weight| (or None).  A block's temporaries live until the next block is
+    made, so the heap is not trimmed between blocks.
+    """
+    for A, weight, sums, masses in blocks:
+        sin_st, cos_st = _sin_cos(sign * t * A)
+        osc = np.empty(A.shape, dtype=complex)  # exp(i s t A) weight
+        if np.iscomplexobj(weight):
+            osc.real, osc.imag = cos_st, sin_st
+            osc *= weight
+        else:
+            np.multiply(cos_st, weight, out=osc.real)
+            np.multiply(sin_st, weight, out=osc.imag)
+        abs_weight = None if masses is None else np.abs(weight)
+        for k, eps in enumerate(eps_list):
+            damp = np.exp(-eps * A)
+            # einsum, not np.dot: an unpinned multithreaded BLAS dot is slower at these sizes
+            sums[k] += np.einsum("i,i->", damp, osc)
+            if masses is not None:
+                masses[k] += np.einsum("i,i->", damp, abs_weight)
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre():
     """The GAUSS_POINTS-point Gauss-Legendre rule on [-1, 1], nodes ascending."""
@@ -402,13 +416,11 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list):
 
     Returns (values, panels), panels being the final composite panel count.
     One Gauss-Legendre node set serves the whole list: the cutoff R comes
-    from the smallest eps, the panel budget starts from the total phase so
-    oscillations at large t stay resolved, and each refinement evaluates
-    sqrt(P), the eps-independent weight and exp(i s t sqrt(P)) once before
-    reducing each eps with its real damping factor.  The panels are walked
-    in blocks of CHUNK_POINTS nodes, so memory does not grow with t or |x|.
-    Composite panels are doubled until every value is stable to RADIAL_RTOL
-    or to its rounding floor.
+    from the smallest eps and the panel budget starts from the total phase,
+    so oscillations at large t stay resolved.  _damped_sums reduces the
+    panels in blocks of CHUNK_POINTS nodes, so memory does not grow with t
+    or |x|.  Composite panels are doubled until every value is stable to
+    RADIAL_RTOL or to its rounding floor.
     """
     if not is_radial(p):
         raise KernelConfigError("radial reduction requires a radial symbol", "method")
@@ -430,33 +442,25 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list):
     def compose(m):
         """Values on m panels and the damped masses sum |weight| exp(-eps sqrt(P))."""
         edges = np.linspace(0.0, R, m + 1)
-        vals = np.zeros(len(eps_list), dtype=complex)
-        mass = np.zeros(len(eps_list))
-        for start in range(0, m, block):
-            e = edges[start:start + block + 1]
-            mid = 0.5 * (e[:-1] + e[1:])
-            half = 0.5 * (e[1:] - e[:-1])
-            rr = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-            A = np.polynomial.polynomial.polyval(rr, ray)
-            low = int(np.argmin(A))  # spectral.sqrt_symbol's rule, at the node r e1
-            if (A[low] <= 0.0) if kind == "I2" else (A[low] < 0.0):
-                point = (float(rr[low]),) + (0.0,) * (p.n - 1)
-                raise LatticePositivityError(point, float(A[low]))
-            np.sqrt(A, out=A)
-            weight = (half[:, None] * weights[None, :]).ravel()
-            weight *= rr ** (p.n - 1) * _angular_factor(p.n, r_abs_x * rr)
-            if kind == "I2":
-                weight /= A
-            sin_st, cos_st = _sin_cos(sign * t * A)
-            osc = np.empty(A.shape, dtype=complex)  # exp(i s t A) weight
-            np.multiply(cos_st, weight, out=osc.real)
-            np.multiply(sin_st, weight, out=osc.imag)
-            abs_weight = np.abs(weight)
-            for k, eps in enumerate(eps_list):
-                damp = np.exp(-eps * A)
-                # einsum, not np.dot: an unpinned multithreaded BLAS dot is slower at these sizes
-                vals[k] += np.einsum("i,i->", damp, osc)
-                mass[k] += np.einsum("i,i->", damp, abs_weight)
+        vals, mass = np.zeros(len(eps_list), dtype=complex), np.zeros(len(eps_list))
+        def blocks():
+            for start in range(0, m, block):
+                e = edges[start:start + block + 1]
+                mid = 0.5 * (e[:-1] + e[1:])
+                half = 0.5 * (e[1:] - e[:-1])
+                rr = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+                A = np.polynomial.polynomial.polyval(rr, ray)
+                low = int(np.argmin(A))  # spectral.sqrt_symbol's rule, at the node r e1
+                if (A[low] <= 0.0) if kind == "I2" else (A[low] < 0.0):
+                    point = (float(rr[low]),) + (0.0,) * (p.n - 1)
+                    raise LatticePositivityError(point, float(A[low]))
+                np.sqrt(A, out=A)
+                weight = (half[:, None] * weights[None, :]).ravel()
+                weight *= rr ** (p.n - 1) * _angular_factor(p.n, r_abs_x * rr)
+                if kind == "I2":
+                    weight /= A
+                yield A, weight, vals, mass
+        _damped_sums(blocks(), sign, t, eps_list)
         return vals, mass
 
     prev, _ = compose(panels)
@@ -521,15 +525,20 @@ def scaled_config(cfg: QuadConfig, t) -> QuadConfig:
     return replace(cfg, eps_list=tuple(e * factor for e in cfg.eps_list))
 
 
-def _checked_point(p: SymbolPoly, kind, sign, x) -> np.ndarray:
-    """Validate kind and sign of a query; return x as a float array of length p.n."""
+def _checked_point(p: SymbolPoly, kind, sign, t, x) -> np.ndarray:
+    """Validate kind, sign and a finite (t, x) of a query; return x as a
+    float array of length p.n."""
     if kind not in KINDS:
         raise KernelConfigError(f"kind must be one of {KINDS}")
     if sign not in (+1, -1):
         raise KernelConfigError("sign must be +1 or -1")
+    if not math.isfinite(t):
+        raise KernelConfigError(f"t must be finite, got {t!r}", "t")
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n,):
         raise KernelConfigError(f"x must have length {p.n}")
+    if not np.all(np.isfinite(x)):
+        raise KernelConfigError(f"x must be finite, got {tuple(x.tolist())}", "x")
     return x
 
 
@@ -537,12 +546,11 @@ def eval_damped(p, kind, sign, t, x, eps, cfg: QuadConfig | None = None) -> comp
     """Single fixed-eps evaluation (no extrapolation).  t = 0 is allowed here;
     the x = 0, t = 0 probe is the plain damped transform of the weight."""
     cfg = cfg or QuadConfig()
-    x = _checked_point(p, kind, sign, x)
+    x = _checked_point(p, kind, sign, t, x)
     if cfg.method == "radial":
         return complex(_damped_radial_values(p, kind, sign, t, x, [eps])[0][0])
     sub_cfg = replace(cfg, eps_list=(float(eps),))
-    fine, _, _ = _lattice_sums(p, kind, sign, t, x, [float(eps)], sub_cfg)
-    return complex(fine[0])
+    return complex(_lattice_sums(p, kind, sign, t, x, sub_cfg.eps_list, sub_cfg)[0][0])
 
 
 def eval_kernel(p, kind, sign, t, x, cfg: QuadConfig | None = None) -> KernelSample:
@@ -553,7 +561,7 @@ def eval_kernel(p, kind, sign, t, x, cfg: QuadConfig | None = None) -> KernelSam
     configured cap are flagged, never silently dropped.
     """
     cfg = cfg or QuadConfig()
-    x = _checked_point(p, kind, sign, x)
+    x = _checked_point(p, kind, sign, t, x)
     if t == 0:
         raise KernelConfigError("kernel values are defined for t != 0", "t")
     if cfg.method == "radial":
@@ -568,9 +576,6 @@ def eval_kernel(p, kind, sign, t, x, cfg: QuadConfig | None = None) -> KernelSam
         err = abs(fine[-1] - extrap) + abs(extrap - extrap_coarse)
         meta = {"method": "lattice", "eps_list": cfg.eps_list, "N": cfg.lattice_N,
                 **work, "stability": float(stability)}
-        if cfg.use_oracle and is_radial(p):
-            oracle = complex(_damped_radial_values(p, kind, sign, t, x, cfg.eps_list[-1:])[0][0])
-            meta["oracle_delta"] = abs(complex(fine[-1]) - oracle)
     flagged = err > FLAG_ABS + FLAG_REL * abs(extrap)
     return KernelSample(kind=kind, sign=sign, t=float(t), x=tuple(float(v) for v in x),
                         value=complex(extrap), err=float(err), flagged=bool(flagged),

@@ -7,6 +7,7 @@ the cost of reaching any t is a fixed number of transforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,8 +84,8 @@ def make_grid(n, N, L) -> GridSpec:
         raise GridError(f"dimension must be >= 1, got {n}")
     if N < 2 or (N & (N - 1)) != 0:
         raise GridError(f"N must be a power of two >= 2, got {N}")
-    if not L > 0:
-        raise GridError(f"box half-length must be positive, got {L}")
+    if not 0 < L < math.inf:
+        raise GridError(f"box half-length must be positive and finite, got {L}")
     if N**n > MAX_GRID_POINTS:
         raise GridError(f"N^n = {N**n} exceeds the memory cap of {MAX_GRID_POINTS} points")
     return GridSpec(n=n, N=N, L=float(L))

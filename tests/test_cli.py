@@ -93,6 +93,16 @@ def test_m_expect_mismatch_exits_2(tmp_path):
      "field symbol.poly:"),
     (["kernel-scan", "--poly", "1 - 3*|x|^2 + |x|^4"], "[kernel]\nmethod = lattice\n",
      "field symbol.poly:"),
+    (["kernel-scan", "--t-list", "nan"], None, "field kernel.t_list:"),
+    (["kernel-scan", "--t-list", "inf"], None, "field kernel.t_list:"),
+    (["kernel-scan", "--x-list", "inf"], None, "field kernel.x_list:"),
+    (["kernel-scan", "--eps-list", "0.2,nan"], None, "field kernel.eps_list:"),
+    (["decay-verify"], "[decay]\nt_count = 0\n", "field decay.t_count"),
+    (["decay-verify"], "[decay]\nt_count = -3\n", "field decay.t_count"),
+    (["solve"], "[solve]\nq = nan\n", "field solve.q"),
+    (["solve"], "[solve]\nwidth = 0\n", "field solve.width"),
+    (["solve", "--grid-L", "inf"], None, "field grid.L"),
+    (["check-symbol", "--n", "0"], None, "field symbol.n"),
 ])
 def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
     if ini is not None:

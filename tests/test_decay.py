@@ -46,6 +46,8 @@ def test_lq_norm_rejects_small_q():
     g = sp.make_grid(2, 16, 4.0)
     with pytest.raises(D.NormError):
         D.lq_norm(np.ones(g.shape), 0.5, g)
+    with pytest.raises(D.NormError):
+        D.lq_norm(np.ones(g.shape), math.nan, g)
 
 
 def test_lq_norm_homogeneous():

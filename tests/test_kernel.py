@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import jv, roots_legendre, spherical_jn
 
 from ddlab import kernel as K
@@ -41,6 +43,8 @@ def test_eps_list_must_decrease():
     ({"lattice_N": 63}, "lattice_N"),
     ({"lattice_N": -4}, "lattice_N"),
     ({"order": -1}, "order"),
+    ({"eps_list": (0.2, math.nan)}, "eps_list"),
+    ({"eps_list": (math.inf, 0.1)}, "eps_list"),
 ])
 def test_lattice_size_and_order_validated(kwargs, field):
     with pytest.raises(K.KernelConfigError) as err:
@@ -78,6 +82,22 @@ def test_x_of_wrong_length_rejected(method, length):
         K.eval_kernel(beam(), "I1", +1, 1.0, np.ones(length), cfg)
     with pytest.raises(K.KernelConfigError, match="x must have length 2"):
         K.eval_damped(beam(), "I1", +1, 1.0, np.ones(length), 0.2, cfg)
+
+
+@pytest.mark.parametrize("method", ["lattice", "radial"])
+@pytest.mark.parametrize("t, x, field", [
+    (math.nan, (0.0, 0.0), "t"),
+    (math.inf, (0.0, 0.0), "t"),
+    (1.0, (math.inf, 0.0), "x"),
+    (1.0, (0.0, math.nan), "x"),
+])
+def test_non_finite_query_rejected(method, t, x, field):
+    cfg = replace(FAST, method=method)
+    for evaluate in (lambda: K.eval_kernel(beam(), "I1", +1, t, x, cfg),
+                     lambda: K.eval_damped(beam(), "I1", +1, t, x, 0.2, cfg)):
+        with pytest.raises(K.KernelConfigError, match="must be finite") as err:
+            evaluate()
+        assert err.value.field == field
 
 
 def test_lattice_positivity_strict_only_for_I2():
@@ -259,6 +279,112 @@ def test_lattice_matches_radial_oracle_3d():
         lat = K.eval_damped(p, "I1", +1, t, x, 0.2, cfg)
         rad = K.eval_damped(p, "I1", +1, t, x, 0.2, replace(cfg, method="radial"))
         assert abs(lat - rad) <= 1e-8 * abs(rad)
+
+
+# ---------------------------------------------------------------------------
+# fixed-eps values against closed forms for P = (1 + xi^T A xi)^2
+# ---------------------------------------------------------------------------
+
+ORACLE_EPS = 0.1
+ORACLE_X = (0.7, -1.3, 0.4, 0.2, -0.5, 0.9)
+ANISO = ((1.0, 0.3), (0.3, 0.8))
+
+
+def _eye(n):
+    return tuple(map(tuple, np.eye(n)))
+
+
+def _squared_quadratic(A):
+    """P = (1 + xi^T A xi)^2, so that sqrt(P) = 1 + xi^T A xi."""
+    n = len(A)
+    terms = {(0,) * n: 1.0}
+    for i in range(n):
+        for j in range(n):
+            alpha = tuple(int(k == i) + int(k == j) for k in range(n))
+            terms[alpha] = terms.get(alpha, 0.0) + A[i][j]
+    q = sym.SymbolPoly.from_terms(n, terms)
+    return q * q
+
+
+def _gaussian_i1(w, A, x):
+    """int exp(i <x, xi> + w (1 + xi^T A xi)) dxi for Re w < 0:
+    e^w pi^{n/2} (-w)^{-n/2} (det A)^{-1/2} exp(x^T A^{-1} x / (4 w))."""
+    A = np.asarray(A)
+    return (cmath.exp(w) * math.pi ** (len(A) / 2) * (-w) ** (-len(A) / 2)
+            / math.sqrt(np.linalg.det(A)) * cmath.exp(x @ np.linalg.solve(A, x) / (4 * w)))
+
+
+def _closed_form(kind, sign, t, x, A):
+    """I1 at z = i s t - eps, and I2 = int_{-inf}^0 I1(z + u) du, since
+    exp(z a) / a = int_{-inf}^0 exp((z + u) a) du for a = sqrt(P) >= 1."""
+    z = 1j * sign * t - ORACLE_EPS
+    if kind == "I1":
+        return _gaussian_i1(z, A, x)
+    re, im = (sum(quad(lambda u: part(_gaussian_i1(z + u, A, x)), lo, hi,
+                       epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                  for lo, hi in ((-np.inf, -1.0), (-1.0, 0.0)))
+              for part in (lambda v: v.real, lambda v: v.imag))
+    return complex(re, im)
+
+
+def _oracle_cases(method, groups):
+    """(A, N, kind, sign, t, x) for every kind, sign and x in {0, off-axis}."""
+    cases = []
+    for name, A, N, ts, kinds in groups:
+        n = len(A)
+        for kind in kinds:
+            for sign in (+1, -1):
+                for t in ts:
+                    for where in ("origin", "off-axis"):
+                        x = (0.0,) * n if where == "origin" else ORACLE_X[:n]
+                        cases.append(pytest.param(
+                            A, N, kind, sign, t, x, id=f"{method}-{name}-{kind}{sign:+d}-t{t}-{where}"))
+    return cases
+
+
+def _aniso_truncation(param):
+    # the lattice is cut where the damping reaches TAIL_TOL along each axis;
+    # for this A part of the box edge is only damped to ~3.6e-13, and at
+    # t = 0.1, x = (0.7, -1.3) that tail is 1.1e-12 / 1.6e-12 of |I1| = 0.233
+    # (cut at eps = 0.08 instead: 5.9e-16)
+    A, N, kind, sign, t, x = param.values
+    if A == ANISO and kind == "I1" and t == 0.1 and any(x):
+        return pytest.param(*param.values, id=param.id, marks=pytest.mark.xfail(
+            strict=True, reason="axis-only lattice cut for a sheared quadratic form"))
+    return param
+
+
+@pytest.mark.parametrize("A, N, kind, sign, t, x", [_aniso_truncation(c) for c in _oracle_cases(
+    "lattice", [("n2-folded", _eye(2), 512, (0.1, 1.0), K.KINDS),
+                ("n2-unfolded", ANISO, 512, (0.1, 1.0), K.KINDS),
+                # at t = 1, N = 128 is under-resolved (2.3e-5); N = 256 gives 6e-15
+                ("n3", _eye(3), 128, (0.1, 0.5), ("I1",)),
+                # the P^{-1/2} weight has poles at |xi|^2 = -1, which hold the
+                # N = 128 trapezoid rule to ~5e-10
+                ("n3", _eye(3), 256, (0.1, 0.5), ("I2",))])])
+def test_lattice_matches_closed_form(A, N, kind, sign, t, x):
+    cfg = K.QuadConfig(eps_list=(ORACLE_EPS,), order=0, lattice_N=N)
+    x = np.array(x)
+    exact = _closed_form(kind, sign, t, x, A)
+    got = K.eval_damped(_squared_quadratic(A), kind, sign, t, x, ORACLE_EPS, cfg)
+    assert abs(got - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("A, N, kind, sign, t, x", _oracle_cases(
+    "radial", [(f"n{n}", _eye(n), None, (0.1, 1.0, 20.0), K.KINDS)
+               for n in (2, 3, 4)]) + [
+    # R is where the damping reaches TAIL_TOL; at n = 6 the r^5 Jacobian leaves a
+    # tail of 8e-10 (2.3e-7 of |I1| = 3.5e-3); cut at eps = 0.08 instead: 2.1e-9
+    pytest.param(_eye(6), None, "I1", sign, 20.0, (0.0,) * 6,
+                 id=f"radial-n6-I1{sign:+d}-t20.0-origin",
+                 marks=pytest.mark.xfail(strict=True, reason="cutoff ignores the r^(n-1) weight"))
+    for sign in (+1, -1)])
+def test_radial_matches_closed_form(A, N, kind, sign, t, x):
+    cfg = K.QuadConfig(eps_list=(ORACLE_EPS,), order=0, method="radial")
+    x = np.array(x)
+    exact = _closed_form(kind, sign, t, x, A)
+    got = K.eval_damped(_squared_quadratic(A), kind, sign, t, x, ORACLE_EPS, cfg)
+    assert abs(got - exact) <= 1e-9 * abs(exact)
 
 
 def test_extrapolation_robust_across_eps_lists():
@@ -483,12 +609,14 @@ def test_eval_kernel_error_estimate_invariant():
     assert not s.flagged
 
 
-def test_oracle_toggle_records_cross_check():
-    cfg = K.QuadConfig(eps_list=(0.2, 0.1), order=1, lattice_N=512,
-                       use_oracle=True)
-    s = K.eval_kernel(beam(), "I1", +1, 0.5, np.array([0.5, 0.0]), cfg)
-    assert "oracle_delta" in s.meta
-    assert s.meta["oracle_delta"] < 1e-8
+def test_finest_eps_lattice_matches_radial():
+    # the lattice sum at the finest eps of an eval_kernel config against the
+    # radial reduction at that eps
+    cfg = K.QuadConfig(eps_list=(0.2, 0.1), order=1, lattice_N=512)
+    x = np.array([0.5, 0.0])
+    fine, _, _ = K._lattice_sums(beam(), "I1", +1, 0.5, x, cfg.eps_list, cfg)
+    radial = K.eval_damped(beam(), "I1", +1, 0.5, x, cfg.eps_list[-1], replace(cfg, method="radial"))
+    assert abs(fine[-1] - radial) < 1e-8
 
 
 def test_scaled_config_shrinks_damping_below_unit_time():

@@ -44,6 +44,9 @@ def test_grid_validation():
         sp.make_grid(2, 100, 1.0)  # not a power of two
     with pytest.raises(sp.GridError):
         sp.make_grid(2, 64, -1.0)
+    for L in (math.inf, math.nan):
+        with pytest.raises(sp.GridError, match="positive and finite"):
+            sp.make_grid(2, 64, L)
 
 
 def test_frequency_lattice_symmetric_up_to_nyquist():
