@@ -95,7 +95,7 @@ _count = partial(_field, convert=int, expected="a positive integer",
 def _floats(cfg, sec, key):
     def parse(text):
         return [float(v) for v in text.split(",") if v.strip()]
-    return _field(cfg, sec, key, parse, "a comma-separated float list")
+    return _field(cfg, sec, key, parse, "a non-empty comma-separated float list", bool)
 
 
 def _grid(cfg, sec, n):
@@ -294,7 +294,7 @@ def cmd_regions(cfg, outdir):
         else:
             built = [regions.build_region(kind, m, n, a=a)]
     except regions.RegionError as exc:
-        raise ConfigError(f"field regions.kind: {exc}") from exc
+        raise ConfigError(f"field regions.{exc.field or 'kind'}: {exc}") from exc
     payload = [regions.region_to_dict(r) for r in built]
     _write_json(outdir / "regions.json", payload if len(payload) > 1 else payload[0])
     with open(outdir / "regions.svg", "w", encoding="ascii") as fh:

@@ -20,7 +20,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .symbol import CHUNK_POINTS, SymbolPoly, principal_part, ray_coefficients
+from .symbol import (CHUNK_POINTS, RadialInverseError, SymbolPoly, principal_part,
+                     ray_coefficients, ray_level)
 from .spectral import LatticePositivityError, sqrt_symbol
 
 KINDS = ("I1", "I2")
@@ -51,8 +52,9 @@ SATURATION_TOL = 0.05  # see check_bound
 
 class KernelConfigError(ValueError):
     """Bad quadrature configuration (eps list, kind, method); `field` names
-    the input at fault, when there is one: a QuadConfig field, "t" or "x",
-    or the tuple ("poly", "kind") when the symbol and the kernel kind conflict."""
+    the input at fault, when there is one: a QuadConfig field, "t", "x" or
+    "poly", or the tuple ("poly", "kind") when the symbol and the kernel kind
+    conflict."""
 
     def __init__(self, message, field=None):
         super().__init__(message)
@@ -115,22 +117,10 @@ def _ray_cutoff(ray, eps_min) -> float:
     """Smallest R with exp(-eps_min sqrt(max(P(R w), 0))) <= TAIL_TOL along
     the ray w whose polynomial P(r w) has the coefficients ray."""
     target = math.log(1.0 / TAIL_TOL) / eps_min  # need sqrt(P) >= target
-    def reached(r):
-        return np.sqrt(max(np.polynomial.polynomial.polyval(r, ray), 0.0)) >= target
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if reached(hi):
-            break
-        hi *= 2.0
-    else:
-        raise KernelConfigError("damping never reaches the tail tolerance")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if reached(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    try:
+        return ray_level(ray, lambda v: np.sqrt(max(v, 0.0)) >= target)
+    except RadialInverseError as exc:
+        raise KernelConfigError("damping never reaches the tail tolerance", "poly") from exc
 
 
 def _lattice_axis(p: SymbolPoly, cfg: QuadConfig):

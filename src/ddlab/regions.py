@@ -14,7 +14,12 @@ from functools import cached_property, lru_cache
 
 
 class RegionError(ValueError):
-    """Invalid region parameters or inadmissible index point."""
+    """Invalid region parameters or inadmissible index point; `field` names the
+    build_region parameter at fault ("m", "n" or "a"), when there is one."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 def _fr(value) -> Fraction:
@@ -113,6 +118,15 @@ class IndexRegion:
                 IndexPoint(1 - inv_q_B, Fraction(0)): f"(lorentz-L^({q_conj},1), L^inf)"}
 
 
+def _order_and_dimension(m, n):
+    m, n = int(m), int(n)
+    if m < 4 or m % 2 != 0:
+        raise RegionError(f"order m must be even and >= 4, got {m}", "m")
+    if n < 2:
+        raise RegionError(f"dimension n must be >= 2, got {n}", "n")
+    return m, n
+
+
 def mu_q(a, m, n):
     """Exact pair (mu_a, q_a) with mu_a = (mn - 4n + 2a)/(2(m-2)), q_a = n/mu_a.
 
@@ -120,14 +134,10 @@ def mu_q(a, m, n):
     mu_a means the region is undefined.
     """
     a = _fr(a)
-    m, n = int(m), int(n)
-    if m < 4 or m % 2 != 0:
-        raise RegionError(f"order m must be even and >= 4, got {m}")
-    if n < 2:
-        raise RegionError(f"dimension n must be >= 2, got {n}")
+    m, n = _order_and_dimension(m, n)
     mu = Fraction(m * n - 4 * n, 2 * (m - 2)) + Fraction(2, 2 * (m - 2)) * a
     if mu < 0:
-        raise RegionError(f"mu_a = {mu} < 0: index region undefined for a = {a}")
+        raise RegionError(f"mu_a = {mu} < 0: index region undefined for a = {a}", "a")
     q = None if mu == 0 else Fraction(n) / mu
     return mu, q
 
@@ -162,7 +172,7 @@ def build_region(kind, m, n, a=None) -> IndexRegion:
     frozen values, so repeated calls share one region and its cached
     half-plane table.
     """
-    m, n = int(m), int(n)
+    m, n = _order_and_dimension(m, n)
     notes = []
     if kind == "delta_m":
         kind, a = "delta_a", Fraction(m)
@@ -171,7 +181,7 @@ def build_region(kind, m, n, a=None) -> IndexRegion:
 
     if kind == "delta_a":
         if a is None:
-            raise RegionError("delta_a needs the parameter a")
+            raise RegionError("delta_a needs the parameter a", "a")
         a = _fr(a)
         A, B, C, D, mu, q = _quadrangle_points(a, m, n)
         degenerate = B == C or D == C or B == D

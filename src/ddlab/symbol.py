@@ -26,7 +26,7 @@ class SymbolError(ValueError):
 
 
 class RadialInverseError(RuntimeError):
-    """Newton/bisection failure or precondition violation in radial_inverse."""
+    """A ray level that is never reached, or a radial_inverse precondition failing."""
 
     def __init__(self, message, s=None, omega=None):
         super().__init__(message)
@@ -796,10 +796,29 @@ def ray_coefficients(p: SymbolPoly, omega) -> np.ndarray:
     return c
 
 
+def ray_level(c, reached) -> float:
+    """Smallest r >= 0, to rounding, from which reached(P(r w)) holds, for the
+    ray coefficients c of P(r w): doubling from r = 1, then 60 bisections."""
+    def at(r):
+        return reached(np.polynomial.polynomial.polyval(r, c))
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        if at(hi):
+            break
+        hi *= 2.0
+    else:
+        raise RadialInverseError("the ray never reaches the level")
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if at(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 # radial_threshold probes THRESHOLD_DIR_COUNT sphere directions by default.
 THRESHOLD_DIR_COUNT = 64
-NEWTON_TOL = 1e-12  # radial_inverse accepts |P(rho w) - s| <= NEWTON_TOL (1 + s)
-NEWTON_MAX_ITER = 60
 
 
 def radial_threshold(p: SymbolPoly, directions=None) -> float:
@@ -815,21 +834,13 @@ def radial_threshold(p: SymbolPoly, directions=None) -> float:
     if directions is None:
         directions = sphere_directions(p.n, THRESHOLD_DIR_COUNT)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    poly = np.polynomial.polynomial
     worst = 0.0
     for w in directions:
         c = ray_coefficients(p, w)
-        dc = np.polynomial.polynomial.polyder(c)
-        crit = [0.0]
-        nz = np.nonzero(dc)[0]
-        if nz.size:
-            dc_trim = dc[: nz[-1] + 1]
-            if dc_trim.size > 1:
-                roots = np.polynomial.polynomial.polyroots(dc_trim)
-                for r in roots:
-                    if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real)) and r.real > 0:
-                        crit.append(float(r.real))
-        vals = [float(np.polynomial.polynomial.polyval(r, c)) for r in crit]
-        worst = max(worst, max(vals))
+        crit = [0.0] + [float(r.real) for r in poly.polyroots(poly.polyder(c))
+                        if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real)) and r.real > 0]
+        worst = max(worst, max(float(poly.polyval(r, c)) for r in crit))
     return 2.0 * worst
 
 
@@ -850,12 +861,9 @@ class RadialInverse:
 
 
 def radial_inverse(p: SymbolPoly, omega, s_grid) -> RadialInverse:
-    """Solve P(rho w) = s for each s in s_grid by Newton iteration.
-
-    The initial guess is the homogeneous prediction s^{1/m} P_m(w)^{-1/m};
-    iterates leaving the bracket [rho0/4, 4 rho0] fall back to bisection.
-    Every s must lie above the computed threshold.
-    """
+    """Solve P(rho w) = s for each s in s_grid: rho = ray_level(c, v >= s), to
+    rounding.  Every s must be at least the computed threshold, where the
+    root is unique, and above P(0), so that the root is positive."""
     omega = np.asarray(omega, dtype=float)
     omega = omega / np.linalg.norm(omega)
     s_grid = np.asarray(s_grid, dtype=float)
@@ -867,53 +875,17 @@ def radial_inverse(p: SymbolPoly, omega, s_grid) -> RadialInverse:
                                  omega=tuple(omega))
     probe = np.vstack([sphere_directions(p.n, THRESHOLD_DIR_COUNT), omega[None, :]])
     threshold = radial_threshold(p, probe)
-    if np.min(s_grid) < threshold:
-        raise RadialInverseError(
-            f"s = {float(np.min(s_grid))!r} below computed threshold a = {threshold!r}",
-            s=float(np.min(s_grid)), omega=tuple(omega))
+    s_min = float(np.min(s_grid))
+    if s_min < threshold or s_min <= c[0]:
+        raise RadialInverseError(f"s = {s_min!r} below computed threshold a = "
+                                 f"{threshold!r} or not above P(0) = {float(c[0])!r}",
+                                 s=s_min, omega=tuple(omega))
 
-    dc = np.polynomial.polynomial.polyder(c)
     polyval = np.polynomial.polynomial.polyval
     rhos, sigmas, residuals = [], [], []
     for s in s_grid:
-        rho0 = (s / pm_w) ** (1.0 / m)
-        lo, hi = rho0 / 4.0, 4.0 * rho0
-        rho = rho0
-        ok = False
-        for _ in range(NEWTON_MAX_ITER):
-            f = polyval(rho, c) - s
-            if abs(f) <= NEWTON_TOL * (1.0 + s):
-                ok = True
-                break
-            df = polyval(rho, dc)
-            step = f / df if df != 0 else None
-            if step is None or not (lo <= rho - step <= hi):
-                flo = polyval(lo, c) - s
-                fhi = polyval(hi, c) - s
-                if flo > 0 or fhi < 0:
-                    raise RadialInverseError(
-                        "bisection bracket does not contain the root",
-                        s=float(s), omega=tuple(omega))
-                mid = 0.5 * (lo + hi)
-                if (polyval(mid, c) - s) < 0:
-                    lo = mid
-                else:
-                    hi = mid
-                rho = 0.5 * (lo + hi)
-            else:
-                rho = rho - step
-        if not ok:
-            f = polyval(rho, c) - s
-            if abs(f) <= NEWTON_TOL * (1.0 + s):
-                ok = True
-        if not ok:
-            raise RadialInverseError(
-                f"no convergence after {NEWTON_MAX_ITER} iterations",
-                s=float(s), omega=tuple(omega))
-        if rho <= 0:
-            raise RadialInverseError("converged to a non-positive radius",
-                                     s=float(s), omega=tuple(omega))
-        rhos.append(float(rho))
+        rho = ray_level(c, lambda v: v >= s)
+        rhos.append(rho)
         sigmas.append(float(rho - s ** (1.0 / m) * pm_w ** (-1.0 / m)))
         residuals.append(float(abs(polyval(rho, c) - s) / (1.0 + s)))
     return RadialInverse(

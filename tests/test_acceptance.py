@@ -111,8 +111,9 @@ def test_criterion_04_radial_decomposition():
     # algebraic function of s, so sigma has a Puiseux expansion in s^{-1/m}
     # and decays like s^{-1-1/m} (-5/4 here), strictly inside the envelope.
     envelope_ok = fit.exponent <= -1.0
-    # Closed-form oracle along e1: 1 + rho^2 + rho^4 = s.  Newton's stopping
-    # rule bounds the error in sigma at about 2.5e-12 at s = 1e4.
+    # Closed-form oracle along e1: 1 + rho^2 + rho^4 = s.  rho is the ray
+    # level of P, bisected to rounding, so sigma is off by rounding only
+    # (1.8e-15 measured).
     s, _, sigma = inv.as_arrays()
     sigma_cf = np.sqrt((np.sqrt(4.0 * s - 3.0) - 1.0) / 2.0) - s ** 0.25
     sigma_err = float(np.max(np.abs(sigma - sigma_cf)))

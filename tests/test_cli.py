@@ -103,6 +103,16 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["solve"], "[solve]\nwidth = 0\n", "field solve.width"),
     (["solve", "--grid-L", "inf"], None, "field grid.L"),
     (["check-symbol", "--n", "0"], None, "field symbol.n"),
+    (["kernel-scan", "--poly", "1 + x1^4", "--n", "2"], None, "field symbol.poly:"),
+    (["regions", "--m", "5"], None, "field regions.m:"),
+    (["regions", "--kind", "AEF", "--m", "5"], None, "field regions.m:"),
+    (["regions", "--n", "1"], None, "field regions.n:"),
+    (["regions", "--kind", "delta_a", "--a", "-20"], None, "field regions.a:"),
+    (["regions"], "[regions]\nkind = delta_a\n", "field regions.a:"),
+    (["regions", "--kind", "AEF", "--n", "3"], None, "field regions.kind:"),
+    (["kernel-scan"], "[kernel]\nt_list =\n", "field kernel.t_list"),
+    (["kernel-scan"], "[kernel]\nx_list = ,\n", "field kernel.x_list"),
+    (["solve"], "[solve]\nt_list =\n", "field solve.t_list"),
 ])
 def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
     if ini is not None:

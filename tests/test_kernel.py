@@ -370,11 +370,22 @@ def test_lattice_matches_closed_form(A, N, kind, sign, t, x):
     assert abs(got - exact) <= 1e-12 * abs(exact)
 
 
-@pytest.mark.parametrize("A, N, kind, sign, t, x", _oracle_cases(
+def _radial_truncation(param):
+    # R is where the damping reaches TAIL_TOL; at n = 5 the r^4 Jacobian leaves
+    # I1 at t = 20, x = 0 off by 4.3e-9 of |I1| (every other n = 5 case is
+    # within 4.8e-11)
+    A, N, kind, sign, t, x = param.values
+    if len(A) == 5 and kind == "I1" and t == 20.0 and not any(x):
+        return pytest.param(*param.values, id=param.id, marks=pytest.mark.xfail(
+            strict=True, reason="cutoff ignores the r^(n-1) weight"))
+    return param
+
+
+@pytest.mark.parametrize("A, N, kind, sign, t, x", [_radial_truncation(c) for c in _oracle_cases(
     "radial", [(f"n{n}", _eye(n), None, (0.1, 1.0, 20.0), K.KINDS)
-               for n in (2, 3, 4)]) + [
-    # R is where the damping reaches TAIL_TOL; at n = 6 the r^5 Jacobian leaves a
-    # tail of 8e-10 (2.3e-7 of |I1| = 3.5e-3); cut at eps = 0.08 instead: 2.1e-9
+               for n in (2, 3, 4, 5)])] + [
+    # at n = 6 the r^5 Jacobian leaves a tail of 8e-10 (2.3e-7 of |I1| = 3.5e-3);
+    # cut at eps = 0.08 instead: 2.1e-9
     pytest.param(_eye(6), None, "I1", sign, 20.0, (0.0,) * 6,
                  id=f"radial-n6-I1{sign:+d}-t20.0-origin",
                  marks=pytest.mark.xfail(strict=True, reason="cutoff ignores the r^(n-1) weight"))

@@ -449,6 +449,32 @@ def test_radial_inverse_below_threshold_rejected():
         sym.radial_inverse(p, [1.0, 0.0], [0.5, 10.0])
 
 
+def test_radial_inverse_exact_to_rounding():
+    # P(rho e1) = 1 + rho^2 + rho^4 = s on criterion 04's grid:
+    # rho = sqrt((sqrt(4s-3)-1)/2), and the ray level is that root to rounding
+    p = sym.parse_symbol("1 + |x|^4 + x1^2", 2)
+    s = np.geomspace(1e2, 1e4, 33)
+    rho = np.asarray(sym.radial_inverse(p, [1.0, 0.0], s).rho)
+    rho_cf = np.sqrt((np.sqrt(4.0 * s - 3.0) - 1.0) / 2.0)
+    assert np.max(np.abs(rho - rho_cf) / rho_cf) <= 1e-15
+
+
+def test_radial_inverse_rejects_level_without_positive_root():
+    # on |x|^4 the threshold is 0 and s = 0 is reached at rho = 0
+    p = SymbolPoly.radial_power(2, 4)
+    with pytest.raises(sym.RadialInverseError):
+        sym.radial_inverse(p, [1.0, 0.0], [0.0, 1.0])
+
+
+def test_ray_level_never_reached_raises():
+    # P(r e2) = 1 for 1 + x1^4: the ray stays at 1, so the level 2 is never reached
+    c = sym.ray_coefficients(sym.parse_symbol("1 + x1^4", 2), [0.0, 1.0])
+    with pytest.raises(sym.RadialInverseError):
+        sym.ray_level(c, lambda v: v >= 2.0)
+    with pytest.raises(sym.RadialInverseError):
+        sym.radial_inverse(beam(), [1.0, 0.0], [10.0, math.inf])
+
+
 def test_sigma_decay_diagnostic_matches_closed_form():
     # oracle (closed form): P(rho e1) = 1 + rho^2 + rho^4 gives
     # rho = sqrt((sqrt(4s-3)-1)/2); the same finite-difference fit of
