@@ -266,8 +266,9 @@ def cmd_decay_verify(cfg, outdir):
         # the route's region cannot be built for (m, n), or (1/p, 1/q) lies outside it
         try:
             decay.admissible_region(qr)
-        except regions.RegionError:
-            raise ConfigError(f"field decay.route: {exc}") from exc
+        except regions.RegionError as bad:
+            field = {"m": "symbol.poly", "n": "symbol.n"}.get(bad.field, "decay.route")
+            raise ConfigError(f"field {field}: {exc}") from exc
         raise ConfigError(f"fields decay.p, decay.q, decay.route: {exc}") from exc
     _write_json(outdir / "decay_report.json", report.to_dict())
     spectral.write_norm_series(outdir / "norms.csv", report.norm_rows)

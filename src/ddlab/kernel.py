@@ -40,6 +40,12 @@ RADIAL_MAX_PANELS = 2**18
 # tolerance: typed decimals do not multiply exactly (0.1 * 3 != 0.3).
 RADIAL_COEFF_RTOL = 1e-12
 GAUSS_POINTS = 16  # Gauss-Legendre nodes per radial panel
+# The first radial composition has one panel per PANEL_PHASE of total phase.
+# One GAUSS_POINTS panel integrates e^{i phi} over a 4 pi span to ~1e-15.
+# The phase grows about quadratically in r, so the outermost uniform panel
+# spans ~2x the average; the doubled level that is returned then spans at
+# most 4 pi everywhere.
+PANEL_PHASE = 4.0 * math.pi
 # The angular factor's Bessel function is evaluated by numpy alone in three
 # regimes of rho: the power series below BESSEL_SERIES_MAX, Miller's downward
 # recurrence below BESSEL_HANKEL_MIN and Hankel's expansion from there on.
@@ -406,8 +412,9 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list):
 
     Returns (values, panels), panels being the final composite panel count.
     One Gauss-Legendre node set serves the whole list: the cutoff R comes
-    from the smallest eps and the panel budget starts from the total phase,
-    so oscillations at large t stay resolved.  _damped_sums reduces the
+    from the smallest eps and the first composition has one panel per
+    PANEL_PHASE of total phase (at least 64, a power of two), so
+    oscillations at large t stay resolved.  _damped_sums reduces the
     panels in blocks of CHUNK_POINTS nodes, so memory does not grow with t
     or |x|.  Composite panels are doubled until every value is stable to
     RADIAL_RTOL or to its rounding floor.
@@ -425,7 +432,7 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list):
     total_phase = (abs(t) * np.sqrt(np.polynomial.polynomial.polyval(R, ray))
                    + r_abs_x * R + 8.0)
     panels = int(min(RADIAL_MAX_PANELS,
-                     max(64, 2 ** math.ceil(math.log2(total_phase / math.pi + 1)))))
+                     max(64, 2 ** math.ceil(math.log2(total_phase / PANEL_PHASE + 1)))))
     nodes, weights = _gauss_legendre()
     block = CHUNK_POINTS // nodes.size  # panels per block
 

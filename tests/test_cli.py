@@ -113,6 +113,8 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["kernel-scan"], "[kernel]\nt_list =\n", "field kernel.t_list"),
     (["kernel-scan"], "[kernel]\nx_list = ,\n", "field kernel.x_list"),
     (["solve"], "[solve]\nt_list =\n", "field solve.t_list"),
+    (["decay-verify", "--poly", "1+|x|^2"], None, "field symbol.poly:"),
+    (["decay-verify", "--n", "1"], None, "field symbol.n:"),
 ])
 def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
     if ini is not None:
