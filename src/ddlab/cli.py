@@ -13,8 +13,9 @@ import configparser
 import json
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -92,26 +93,23 @@ _count = partial(_field, convert=int, expected="a positive integer",
                  valid=lambda value: value > 0)
 
 
-def _floats(cfg, sec, key):
-    def parse(text):
-        return [float(v) for v in text.split(",") if v.strip()]
-    return _field(cfg, sec, key, parse, "a non-empty comma-separated float list", bool)
+def _float_list(text):
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
+_floats = partial(_field, convert=_float_list,
+                  expected="a non-empty comma-separated float list", valid=bool)
+_finite_floats = partial(_field, convert=_float_list,
+                         expected="a non-empty comma-separated list of finite numbers",
+                         valid=lambda values: values and all(map(math.isfinite, values)))
 
 
 def _grid(cfg, sec, n):
-    N, L = _int(cfg, sec, "N"), _positive(cfg, sec, "L")
-    try:
-        return spectral.make_grid(n, N, L)
-    except spectral.GridError as exc:
-        raise ConfigError(f"field {sec}.N: {exc}") from exc
+    return spectral.make_grid(n, _int(cfg, sec, "N"), _positive(cfg, sec, "L"))
 
 
 def _choice(cfg, sec, key, allowed):
-    value = cfg[sec][key]
-    if value not in allowed:
-        raise ConfigError(f"field {sec}.{key} must be {' or '.join(allowed)}, "
-                          f"got {value!r}")
-    return value
+    return _field(cfg, sec, key, str, " or ".join(allowed), lambda value: value in allowed)
 
 
 def _write_json(path, obj):
@@ -126,11 +124,7 @@ def _write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 def _parse_symbol(cfg):
-    n = _count(cfg, "symbol", "n")
-    try:
-        p = symbol.parse_symbol(cfg["symbol"]["poly"], n)
-    except symbol.SymbolError as exc:
-        raise ConfigError(f"field symbol.poly: {exc}") from exc
+    p = symbol.parse_symbol(cfg["symbol"]["poly"], _count(cfg, "symbol", "n"))
     expect = cfg["symbol"]["m_expect"]
     if expect.strip():
         if p.order != _int(cfg, "symbol", "m_expect"):
@@ -141,9 +135,8 @@ def _parse_symbol(cfg):
 
 def cmd_check_symbol(cfg, outdir):
     p = _parse_symbol(cfg)
-    seed = _int(cfg, "run", "seed")
-    if seed < 0:  # sphere_directions rejects a negative seed at every n
-        raise ConfigError(f"field run.seed must be a non-negative integer, got {seed}")
+    # sphere_directions rejects a negative seed at every n
+    seed = _field(cfg, "run", "seed", int, "a non-negative integer", lambda value: value >= 0)
     h1, h2 = symbol.check_hypotheses(p, seed)
     checks = [{
         "name": "H1",
@@ -182,7 +175,7 @@ def cmd_solve(cfg, outdir):
     e0 = None
     drift = 0.0
     clear = 1.0
-    for t in _floats(cfg, "solve", "t_list"):
+    for t in _finite_floats(cfg, "solve", "t_list"):
         state = spectral.propagate(u0, u1, t, p, g)
         e = spectral.energy(state, p, g)
         e0 = e if e0 is None else e0
@@ -205,33 +198,23 @@ def cmd_solve(cfg, outdir):
 
 def cmd_kernel_scan(cfg, outdir):
     p = _parse_symbol(cfg)
-    sign = {"+": +1, "+1": +1, "1": +1, "-": -1, "-1": -1}.get(cfg["kernel"]["sign"].strip())
-    if sign is None:
-        raise ConfigError("field kernel.sign must be +, +1, 1, - or -1, "
-                          f"got {cfg['kernel']['sign']!r}")
-    try:
-        kernel.mu_nu(p.order, p.n)  # the envelopes need order m > 2: fail before sampling
-        qcfg = kernel.QuadConfig(
-            eps_list=tuple(_floats(cfg, "kernel", "eps_list")),
-            order=_int(cfg, "kernel", "order"),
-            lattice_N=_int(cfg, "kernel", "N"),
-            method=_choice(cfg, "kernel", "method", ("lattice", "radial")),
-        )
-        kind = _choice(cfg, "kernel", "kind", kernel.KINDS)
-        samples = []
-        for t in _floats(cfg, "kernel", "t_list"):
-            tcfg = kernel.scaled_config(qcfg, t)
-            for r in _floats(cfg, "kernel", "x_list"):
-                x = [r] + [0.0 * r] * (p.n - 1)  # r e1, in floats: no numpy warning at r = inf
-                samples.append(kernel.eval_kernel(p, kind, sign, t, x, tcfg))
-    except kernel.KernelConfigError as exc:
-        if exc.field is None:
-            raise
-        names = (exc.field,) if isinstance(exc.field, str) else exc.field
-        keys = {"lattice_N": "kernel.N", "t": "kernel.t_list", "x": "kernel.x_list",
-                "poly": "symbol.poly"}
-        fields = ", ".join(keys.get(name, f"kernel.{name}") for name in names)
-        raise ConfigError(f"field {fields}: {exc}") from exc
+    signs = {"+": +1, "+1": +1, "1": +1, "-": -1, "-1": -1}
+    sign = _field(cfg, "kernel", "sign", lambda text: signs.get(text.strip()),
+                  "+, +1, 1, - or -1", lambda value: value is not None)
+    kernel.mu_nu(p.order, p.n)  # the envelopes need order m > 2: fail before sampling
+    qcfg = kernel.QuadConfig(
+        eps_list=tuple(_floats(cfg, "kernel", "eps_list")),
+        order=_int(cfg, "kernel", "order"),
+        lattice_N=_int(cfg, "kernel", "N"),
+        method=_choice(cfg, "kernel", "method", ("lattice", "radial")),
+    )
+    kind = _choice(cfg, "kernel", "kind", kernel.KINDS)
+    samples = []
+    for t in _floats(cfg, "kernel", "t_list"):
+        tcfg = kernel.scaled_config(qcfg, t)
+        for r in _floats(cfg, "kernel", "x_list"):
+            x = [r] + [0.0 * r] * (p.n - 1)  # r e1, in floats: no numpy warning at r = inf
+            samples.append(kernel.eval_kernel(p, kind, sign, t, x, tcfg))
     kernel.samples_to_csv(outdir / "samples.csv", samples)
     report = kernel.check_bound(samples, p)
     _write_json(outdir / "kernel_bounds.json", kernel.bound_report_dict(report))
@@ -253,23 +236,11 @@ def cmd_decay_verify(cfg, outdir):
     route = _choice(cfg, "decay", "route", ("convolution", "multiplier"))
     lp = _fraction(cfg, "decay", "p")
     lq = math.inf if cfg["decay"]["q"].strip() == "inf" else _fraction(cfg, "decay", "q")
-    try:
-        qr = decay.ExponentQuery(part, regime, lp, lq, p.order, p.n, route)
-    except regions.RegionError as exc:
-        raise ConfigError(f"field decay.{'q' if 1 <= lp <= 2 else 'p'}: {exc}") from exc
+    qr = decay.ExponentQuery(part, regime, lp, lq, p.order, p.n, route)
     g = _grid(cfg, "decay", p.n)
     lo, hi = decay.DEFAULT_WINDOWS[qr.regime]
     t_grid = np.geomspace(lo, hi, _count(cfg, "decay", "t_count"))
-    try:
-        report = decay.verify_lp_lq(p, qr, grid=g, t_grid=t_grid)
-    except regions.RegionError as exc:
-        # the route's region cannot be built for (m, n), or (1/p, 1/q) lies outside it
-        try:
-            decay.admissible_region(qr)
-        except regions.RegionError as bad:
-            field = {"m": "symbol.poly", "n": "symbol.n"}.get(bad.field, "decay.route")
-            raise ConfigError(f"field {field}: {exc}") from exc
-        raise ConfigError(f"fields decay.p, decay.q, decay.route: {exc}") from exc
+    report = decay.verify_lp_lq(p, qr, grid=g, t_grid=t_grid)
     _write_json(outdir / "decay_report.json", report.to_dict())
     spectral.write_norm_series(outdir / "norms.csv", report.norm_rows)
     checks = [{
@@ -287,15 +258,12 @@ def cmd_regions(cfg, outdir):
     kind = cfg["regions"]["kind"]
     a_text = cfg["regions"]["a"].strip()
     a = _fraction(cfg, "regions", "a") if a_text else None
-    try:
-        if kind == "all":
-            built = [regions.build_region("delta_m", m, n),
-                     regions.build_region("AEF", m, n),
-                     regions.build_region("hexagon", m, n)]
-        else:
-            built = [regions.build_region(kind, m, n, a=a)]
-    except regions.RegionError as exc:
-        raise ConfigError(f"field regions.{exc.field or 'kind'}: {exc}") from exc
+    if kind == "all":
+        built = [regions.build_region("delta_m", m, n),
+                 regions.build_region("AEF", m, n),
+                 regions.build_region("hexagon", m, n)]
+    else:
+        built = [regions.build_region(kind, m, n, a=a)]
     payload = [regions.region_to_dict(r) for r in built]
     _write_json(outdir / "regions.json", payload if len(payload) > 1 else payload[0])
     with open(outdir / "regions.svg", "w", encoding="ascii") as fh:
@@ -310,81 +278,111 @@ def cmd_regions(cfg, outdir):
 
 def cmd_all(cfg, outdir):
     checks, artifacts = [], {}
-    for fn in (cmd_check_symbol, cmd_solve, cmd_kernel_scan, cmd_decay_verify,
-               cmd_regions):
-        c, a = fn(cfg, outdir)
+    for name in ("check-symbol", "solve", "kernel-scan", "decay-verify", "regions"):
+        c, a = _run_pipeline(name, cfg, outdir)
         checks.extend(c)
         artifacts.update(a)
     return checks, artifacts
 
 
+# ---------------------------------------------------------------------------
+# Subcommand table.  A subcommand takes the flags of the config sections its
+# pipeline reads, each setting the config key(s) listed with it; `fields` maps
+# the `field` a library error blames to the config key(s) at fault.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Subcommand:
+    pipeline: object  # (cfg, outdir) -> (checks, artifacts)
+    flags: dict  # flag -> config keys it sets
+    fields: dict  # library error field -> config key(s) named in the message
+
+
+SYMBOL_FLAGS = {"--poly": ("symbol.poly",), "--n": ("symbol.n",),
+                "--m-expect": ("symbol.m_expect",)}
+SYMBOL_FIELDS = {"poly": "symbol.poly"}
+GRID_FLAGS = {"--grid-N": ("grid.N",), "--grid-L": ("grid.L",)}
+
 COMMANDS = {
-    "check-symbol": cmd_check_symbol,
-    "solve": cmd_solve,
-    "kernel-scan": cmd_kernel_scan,
-    "decay-verify": cmd_decay_verify,
-    "regions": cmd_regions,
-    "all": cmd_all,
+    "check-symbol": Subcommand(
+        cmd_check_symbol,
+        flags={**SYMBOL_FLAGS, "--seed": ("run.seed",)},
+        fields=SYMBOL_FIELDS),
+    "solve": Subcommand(
+        cmd_solve,
+        flags={**SYMBOL_FLAGS, **GRID_FLAGS, "--t-list": ("solve.t_list",)},
+        fields={**SYMBOL_FIELDS, "N": "grid.N"}),
+    "kernel-scan": Subcommand(
+        cmd_kernel_scan,
+        flags={**SYMBOL_FLAGS, "--kind": ("kernel.kind",), "--t-list": ("kernel.t_list",),
+               "--x-list": ("kernel.x_list",), "--eps-list": ("kernel.eps_list",)},
+        fields={**SYMBOL_FIELDS, "kind": "kernel.kind", "t": "kernel.t_list",
+                "x": "kernel.x_list", "eps_list": "kernel.eps_list",
+                "order": "kernel.order", "lattice_N": "kernel.N",
+                "method": "kernel.method"}),
+    "decay-verify": Subcommand(
+        cmd_decay_verify,
+        flags={**SYMBOL_FLAGS, "--part": ("decay.part",), "--regime": ("decay.regime",),
+               "--p": ("decay.p",), "--q": ("decay.q",), "--route": ("decay.route",)},
+        # the route picks the region kind; a RegionError without a field is an
+        # index point outside the route's region
+        fields={**SYMBOL_FIELDS, "m": "symbol.poly", "n": "symbol.n", "N": "decay.N",
+                "p": "decay.p", "q": "decay.q", "kind": "decay.route",
+                None: "decay.p, decay.q, decay.route"}),
+    "regions": Subcommand(
+        cmd_regions,
+        flags={"--kind": ("regions.kind",), "--m": ("regions.m",), "--n": ("regions.n",),
+               "--a": ("regions.a",)},
+        fields={"kind": "regions.kind", "m": "regions.m", "n": "regions.n",
+                "a": "regions.a"}),
+    "all": Subcommand(
+        cmd_all,
+        flags={**SYMBOL_FLAGS, **GRID_FLAGS, "--n": ("symbol.n", "regions.n"),
+               "--seed": ("run.seed",), "--t-list": ("solve.t_list",),
+               "--eps-list": ("kernel.eps_list",)},
+        fields={}),  # each pipeline of the loop names its own fields
 }
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="INI config file")
-    common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--seed", default=None)
-    common.add_argument("--poly", default=None, help="symbol literal")
-    common.add_argument("--n", default=None, help="space dimension")
-    common.add_argument("--m-expect", dest="m_expect", default=None)
-    common.add_argument("--grid-N", dest="grid_N", default=None)
-    common.add_argument("--grid-L", dest="grid_L", default=None)
-    common.add_argument("--t-list", dest="t_list", default=None)
-    common.add_argument("--eps-list", dest="eps_list", default=None)
+# the field blamed by each library error class that carries none
+_CLASS_FIELDS = {symbol.SymbolError: "poly", spectral.LatticePositivityError: "poly",
+                 spectral.GridError: "N"}
 
+
+def _run_pipeline(name, cfg, outdir):
+    """Run COMMANDS[name]'s pipeline; a library error leaves it as a
+    ConfigError naming the config key(s) its field maps to."""
+    command = COMMANDS[name]
+    try:
+        return command.pipeline(cfg, outdir)
+    except (*_CLASS_FIELDS, kernel.KernelConfigError, regions.RegionError) as exc:
+        field = _CLASS_FIELDS[type(exc)] if type(exc) in _CLASS_FIELDS else exc.field
+        names = field if isinstance(field, tuple) else (field,)
+        keys = ", ".join(command.fields[f] for f in names if f in command.fields)
+        raise ConfigError(f"field {keys}: {exc}" if keys else str(exc)) from exc
+
+
+@cache  # built once per process: add_argument costs ~25 us a flag
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddlab",
         description="verification lab for wave-type equations u_tt + P(D)u = 0")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("check-symbol", parents=[common])
-    sub.add_parser("solve", parents=[common])
-    ker = sub.add_parser("kernel-scan", parents=[common])
-    ker.add_argument("--kind", default=None)
-    ker.add_argument("--x-list", dest="x_list", default=None)
-    dec = sub.add_parser("decay-verify", parents=[common])
-    dec.add_argument("--part", default=None)
-    dec.add_argument("--regime", default=None)
-    dec.add_argument("--p", default=None)
-    dec.add_argument("--q", default=None)
-    dec.add_argument("--route", default=None)
-    reg = sub.add_parser("regions", parents=[common])
-    reg.add_argument("--kind", default=None)
-    reg.add_argument("--m", default=None)
-    reg.add_argument("--a", default=None)
-    sub.add_parser("all", parents=[common])
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, allow_abbrev=False)  # --m is not --m-expect
+        cmd.add_argument("--config", default=None, help="INI config file")
+        cmd.add_argument("--out", default="out", help="output directory")
+        for flag, keys in command.flags.items():
+            cmd.add_argument(flag, help="sets " + ", ".join(keys))
     return parser
 
 
 def _apply_flags(cfg, args):
-    scan = args.command == "kernel-scan"
-    targets = {
-        "poly": [("symbol", "poly")],
-        "m_expect": [("symbol", "m_expect")],
-        "grid_N": [("grid", "N")],
-        "grid_L": [("grid", "L")],
-        "seed": [("run", "seed")],
-        "n": [("symbol", "n"), ("regions", "n")],
-        "t_list": [("kernel" if scan else "solve", "t_list")],
-        "eps_list": [("kernel", "eps_list")],
-        "kind": [("kernel" if scan else "regions", "kind")],
-        "x_list": [("kernel", "x_list")],
-        "m": [("regions", "m")],
-        "a": [("regions", "a")],
-        **{attr: [("decay", attr)] for attr in ("part", "regime", "p", "q", "route")},
-    }
-    for attr, fields in targets.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            for sec, key in fields:
-                cfg[sec][key] = str(val)
+    for flag, keys in COMMANDS[args.command].flags.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            for key in keys:
+                sec, name = key.split(".")
+                cfg[sec][name] = value
 
 
 def run(argv) -> int:
@@ -399,12 +397,8 @@ def run(argv) -> int:
         _apply_flags(cfg, args)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        checks, artifacts = COMMANDS[args.command](cfg, outdir)
-    except spectral.LatticePositivityError as exc:
-        print(f"config error: field symbol.poly: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, symbol.SymbolError, regions.RegionError, decay.NormError,
-            kernel.KernelConfigError, spectral.GridError) as exc:
+        checks, artifacts = _run_pipeline(args.command, cfg, outdir)
+    except (ConfigError, decay.NormError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

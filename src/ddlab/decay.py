@@ -64,13 +64,13 @@ def weak_lq_norm(f, q, g: GridSpec) -> float:
 # Exponent queries
 # ---------------------------------------------------------------------------
 
-def _inv(value) -> Fraction:
+def _inv(value, field) -> Fraction:
     """1/value as an exact fraction; value may be Fraction, int, str, or inf."""
     if value in (math.inf, "inf", None):
         return Fraction(0)
     f = Fraction(value)
     if f <= 0:
-        raise RegionError(f"Lebesgue exponents must be positive, got {value!r}")
+        raise RegionError(f"Lebesgue exponents must be positive, got {value!r}", field)
     return 1 / f
 
 
@@ -102,17 +102,18 @@ class ExponentQuery:
         ip, iq = self.inv_p, self.inv_q
         if not (Fraction(1, 2) <= ip <= 1 and 0 <= iq <= Fraction(1, 2)):
             raise RegionError(
-                f"(1/p, 1/q) = ({ip}, {iq}) outside 1 <= p <= 2 <= q <= inf")
+                f"(1/p, 1/q) = ({ip}, {iq}) outside 1 <= p <= 2 <= q <= inf",
+                "q" if Fraction(1, 2) <= ip <= 1 else "p")
 
     # cached in the instance dict: the dataclass __eq__ and __hash__ see
     # only the fields, so cached values never change equality
     @cached_property
     def inv_p(self) -> Fraction:
-        return _inv(self.p)
+        return _inv(self.p, "p")
 
     @cached_property
     def inv_q(self) -> Fraction:
-        return _inv(self.q)
+        return _inv(self.q, "q")
 
     @cached_property
     def point(self) -> IndexPoint:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .symbol import (CHUNK_POINTS, RadialInverseError, SymbolPoly, principal_part,
                      ray_coefficients, ray_level)
-from .spectral import LatticePositivityError, sqrt_symbol
+from .spectral import checked_sqrt, sqrt_symbol
 
 KINDS = ("I1", "I2")
 
@@ -446,12 +446,9 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list):
                 mid = 0.5 * (e[:-1] + e[1:])
                 half = 0.5 * (e[1:] - e[:-1])
                 rr = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-                A = np.polynomial.polynomial.polyval(rr, ray)
-                low = int(np.argmin(A))  # spectral.sqrt_symbol's rule, at the node r e1
-                if (A[low] <= 0.0) if kind == "I2" else (A[low] < 0.0):
-                    point = (float(rr[low]),) + (0.0,) * (p.n - 1)
-                    raise LatticePositivityError(point, float(A[low]))
-                np.sqrt(A, out=A)
+                A = checked_sqrt(np.polynomial.polynomial.polyval(rr, ray),
+                                 lambda idx: (float(rr[idx[0]]),) + (0.0,) * (p.n - 1),
+                                 strict=(kind == "I2"))
                 weight = (half[:, None] * weights[None, :]).ravel()
                 weight *= rr ** (p.n - 1) * _angular_factor(p.n, r_abs_x * rr)
                 if kind == "I2":

@@ -15,7 +15,8 @@ from functools import cached_property, lru_cache
 
 class RegionError(ValueError):
     """Invalid region parameters or inadmissible index point; `field` names the
-    build_region parameter at fault ("m", "n" or "a"), when there is one."""
+    input at fault, when there is one: a build_region parameter ("m", "n",
+    "a" or "kind") or an ExponentQuery exponent ("p" or "q")."""
 
     def __init__(self, message, field=None):
         super().__init__(message)
@@ -188,14 +189,14 @@ def build_region(kind, m, n, a=None) -> IndexRegion:
         if q is None:
             notes.append("q_a is infinite (mu_a = 0): B and D collapse onto C")
         if a == m and n < m:
-            raise RegionError(f"delta_m requires n >= m, got n={n} < m={m}")
+            raise RegionError(f"delta_m requires n >= m, got n={n} < m={m}", "kind")
         return IndexRegion(kind="delta_a", m=m, n=n, a=a,
                            vertices=(A, B, C, D), labels=("A", "B", "C", "D"),
                            degenerate=degenerate, notes=tuple(notes))
 
     if kind == "AEF":
         if n < m:
-            raise RegionError(f"AEF requires n >= m, got n={n} < m={m}")
+            raise RegionError(f"AEF requires n >= m, got n={n} < m={m}", "kind")
         E, F = _ef_points(m, n)
         A = IndexPoint(_HALF, _HALF)
         degenerate = F.inv_q == 0
@@ -207,7 +208,7 @@ def build_region(kind, m, n, a=None) -> IndexRegion:
 
     if kind == "hexagon":
         if n < m:
-            raise RegionError(f"hexagon requires n >= m, got n={n} < m={m}")
+            raise RegionError(f"hexagon requires n >= m, got n={n} < m={m}", "kind")
         A, B, C, D, mu, q = _quadrangle_points(Fraction(m), m, n)
         E, F = _ef_points(m, n)
         verts = (A, E, B, C, D, F)
@@ -218,7 +219,7 @@ def build_region(kind, m, n, a=None) -> IndexRegion:
 
     if kind == "pentagon":
         if m <= n:
-            raise RegionError(f"pentagon is the n < m variant, got m={m} <= n={n}")
+            raise RegionError(f"pentagon is the n < m variant, got m={m} <= n={n}", "kind")
         if m >= 2 * n:
             verts = (IndexPoint(_HALF, _HALF), IndexPoint(1, _HALF),
                      IndexPoint(1, Fraction(0)), IndexPoint(_HALF, Fraction(0)))
@@ -237,7 +238,7 @@ def build_region(kind, m, n, a=None) -> IndexRegion:
                            labels=("P1", "P2", "P3", "P4", "P5"),
                            degenerate=len(set(verts)) != 5, notes=tuple(notes))
 
-    raise RegionError(f"unknown region kind {kind!r}")
+    raise RegionError(f"unknown region kind {kind!r}", "kind")
 
 
 # ---------------------------------------------------------------------------

@@ -106,19 +106,24 @@ class WaveState:
             raise GridError("state fields contain non-finite entries")
 
 
-def sqrt_symbol(p: SymbolPoly, axes, strict=True) -> np.ndarray:
-    """sqrt(P) on the tensor lattice spanned by the 1-d arrays in axes.
+def checked_sqrt(P: np.ndarray, point, strict=True) -> np.ndarray:
+    """sqrt(P) of an array of symbol values, taken in place.
 
     strict=True needs P > 0, as the propagator and the P^{-1/2} weight of I2
     do; strict=False needs only P >= 0.  A violation raises
-    LatticePositivityError at the lattice point where P is smallest.
+    LatticePositivityError at point(idx), idx the index of the smallest value.
     """
-    P = p.evaluate_on_axes(axes)
     pmin = float(np.min(P))
     if (pmin <= 0.0) if strict else (pmin < 0.0):
         idx = np.unravel_index(int(np.argmin(P)), P.shape)
-        raise LatticePositivityError([float(ax[i]) for ax, i in zip(axes, idx)], pmin)
-    return np.sqrt(P)
+        raise LatticePositivityError(point(idx), pmin)
+    return np.sqrt(P, out=P)
+
+
+def sqrt_symbol(p: SymbolPoly, axes, strict=True) -> np.ndarray:
+    """sqrt(P) on the tensor lattice spanned by the 1-d arrays in axes."""
+    return checked_sqrt(p.evaluate_on_axes(axes),
+                        lambda idx: [float(ax[i]) for ax, i in zip(axes, idx)], strict)
 
 
 def data_transforms(g: GridSpec, fields) -> list:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -115,6 +116,15 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["solve"], "[solve]\nt_list =\n", "field solve.t_list"),
     (["decay-verify", "--poly", "1+|x|^2"], None, "field symbol.poly:"),
     (["decay-verify", "--n", "1"], None, "field symbol.n:"),
+    (["decay-verify", "--route", "convolution", "--regime", "large",
+      "--p", "1", "--q", "2"], None, "field decay.route:"),
+    (["decay-verify", "--n", "3", "--p", "1", "--q", "inf"], "[decay]\nN = 16\n",
+     "field decay.p, decay.q, decay.route:"),
+    (["regions", "--kind", "square"], None, "field regions.kind:"),
+    (["solve", "--t-list", "inf"], None, "field solve.t_list"),
+    (["solve", "--t-list", "0.5,nan"], None, "field solve.t_list"),
+    (["check-symbol", "--poly", "0"], None, "field symbol.poly:"),
+    (["check-symbol", "--poly", "x1-x1"], None, "field symbol.poly:"),
 ])
 def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
     if ini is not None:
@@ -124,6 +134,69 @@ def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field
     assert run(args + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
+
+
+FLAG_CASES = [(name, flag) for name, command in cli.COMMANDS.items()
+              for flag in command.flags]
+
+
+@pytest.mark.parametrize("name, flag", FLAG_CASES)
+def test_flag_sets_the_keys_its_table_names(tmp_path, monkeypatch, name, flag):
+    # the pipeline is stubbed: this checks the flag -> config step alone
+    monkeypatch.setitem(cli.COMMANDS, name, dataclasses.replace(
+        cli.COMMANDS[name], pipeline=lambda cfg, outdir: ([], {})))
+    out = tmp_path / "o"
+    assert run([name, flag, "marker", "--out", str(out)]) == 0
+    config = json.loads((out / "report.json").read_text())["config"]
+    expected = cli.load_config()
+    for key in cli.COMMANDS[name].flags[flag]:
+        sec, field = key.split(".")
+        expected[sec][field] = "marker"
+    assert config == expected  # the named keys, and no other
+    if (name, flag) == ("all", "--n"):
+        assert config["symbol"]["n"] == config["regions"]["n"] == "marker"
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_pipeline_reads_every_key_its_flags_set(tmp_path, monkeypatch, name):
+    reads = set()
+    load = cli.load_config
+
+    class Section(dict):
+        def __init__(self, sec, keys):
+            super().__init__(keys)
+            self.sec = sec
+
+        def __getitem__(self, key):
+            reads.add(f"{self.sec}.{key}")
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(cli, "load_config", lambda path=None: {
+        sec: Section(sec, keys) for sec, keys in load(path).items()})
+    assert run([name, "--out", str(tmp_path / "o")]) == 0
+    set_keys = {key for keys in cli.COMMANDS[name].flags.values() for key in keys}
+    assert set_keys <= reads
+
+
+@pytest.mark.parametrize("args", [
+    ["check-symbol", "--grid-N", "32"], ["check-symbol", "--grid-L", "10"],
+    ["check-symbol", "--t-list", "1"], ["check-symbol", "--eps-list", "0.2,0.1"],
+    ["solve", "--seed", "1"], ["solve", "--eps-list", "0.1"],
+    ["kernel-scan", "--seed", "1"], ["kernel-scan", "--grid-N", "32"],
+    ["kernel-scan", "--grid-L", "20"],
+    ["decay-verify", "--seed", "1"], ["decay-verify", "--grid-N", "128"],
+    ["decay-verify", "--grid-L", "20"], ["decay-verify", "--t-list", "1,2"],
+    ["decay-verify", "--eps-list", "0.1"],
+    ["regions", "--seed", "1"], ["regions", "--poly", "1+|x|^4"],
+    ["regions", "--m-expect", "4"], ["regions", "--grid-N", "32"],
+    ["regions", "--grid-L", "10"], ["regions", "--t-list", "1"],
+    ["regions", "--eps-list", "0.1"],
+    ["check-symbol", "--m", "6"],  # regions' flag, not an abbreviated --m-expect
+])
+def test_flag_of_an_unread_section_exits_2(tmp_path, capsys, args):
+    assert run(args + ["--out", str(tmp_path / "o")]) == 2
+    assert f"unrecognized arguments: {args[1]}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_nonpositive_lattice_symbol_exits_2(tmp_path, capsys):
