@@ -80,12 +80,11 @@ def _field(cfg, sec, key, convert, expected, valid=lambda value: True):
             raise ValueError(value)
         return value
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"field {sec}.{key} must be {expected}, "
+        raise ConfigError(f"field {sec}.{key}: must be {expected}, "
                           f"got {cfg[sec][key]!r}") from exc
 
 
 _int = partial(_field, convert=int, expected="an integer")
-_float = partial(_field, convert=float, expected="a number")
 _fraction = partial(_field, convert=Fraction, expected="a rational number")
 _positive = partial(_field, convert=float, expected="a positive finite number",
                     valid=lambda value: 0 < value < math.inf)
@@ -97,8 +96,6 @@ def _float_list(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-_floats = partial(_field, convert=_float_list,
-                  expected="a non-empty comma-separated float list", valid=bool)
 _finite_floats = partial(_field, convert=_float_list,
                          expected="a non-empty comma-separated list of finite numbers",
                          valid=lambda values: values and all(map(math.isfinite, values)))
@@ -203,17 +200,17 @@ def cmd_kernel_scan(cfg, outdir):
                   "+, +1, 1, - or -1", lambda value: value is not None)
     kernel.mu_nu(p.order, p.n)  # the envelopes need order m > 2: fail before sampling
     qcfg = kernel.QuadConfig(
-        eps_list=tuple(_floats(cfg, "kernel", "eps_list")),
+        eps_list=tuple(_finite_floats(cfg, "kernel", "eps_list")),
         order=_int(cfg, "kernel", "order"),
         lattice_N=_int(cfg, "kernel", "N"),
         method=_choice(cfg, "kernel", "method", ("lattice", "radial")),
     )
     kind = _choice(cfg, "kernel", "kind", kernel.KINDS)
     samples = []
-    for t in _floats(cfg, "kernel", "t_list"):
+    for t in _finite_floats(cfg, "kernel", "t_list"):
         tcfg = kernel.scaled_config(qcfg, t)
-        for r in _floats(cfg, "kernel", "x_list"):
-            x = [r] + [0.0 * r] * (p.n - 1)  # r e1, in floats: no numpy warning at r = inf
+        for r in _finite_floats(cfg, "kernel", "x_list"):
+            x = [r] + [0.0] * (p.n - 1)  # r e1
             samples.append(kernel.eval_kernel(p, kind, sign, t, x, tcfg))
     kernel.samples_to_csv(outdir / "samples.csv", samples)
     report = kernel.check_bound(samples, p)
@@ -256,14 +253,9 @@ def cmd_regions(cfg, outdir):
     m = _int(cfg, "regions", "m")
     n = _int(cfg, "regions", "n")
     kind = cfg["regions"]["kind"]
-    a_text = cfg["regions"]["a"].strip()
-    a = _fraction(cfg, "regions", "a") if a_text else None
-    if kind == "all":
-        built = [regions.build_region("delta_m", m, n),
-                 regions.build_region("AEF", m, n),
-                 regions.build_region("hexagon", m, n)]
-    else:
-        built = [regions.build_region(kind, m, n, a=a)]
+    a = _fraction(cfg, "regions", "a") if cfg["regions"]["a"].strip() else None
+    kinds = ("delta_m", "AEF", "hexagon") if kind == "all" else (kind,)
+    built = [regions.build_region(k, m, n, a=a) for k in kinds]
     payload = [regions.region_to_dict(r) for r in built]
     _write_json(outdir / "regions.json", payload if len(payload) > 1 else payload[0])
     with open(outdir / "regions.svg", "w", encoding="ascii") as fh:

@@ -203,18 +203,14 @@ def gaussian_family(g: GridSpec):
 def _data_norm(f, qr: ExponentQuery, cls: Classification, g: GridSpec):
     """Input norm for normalization; Lorentz-(q',1) inputs use the strong
     L^{q'} norm as a proxy and say so."""
-    if cls.norm_tag.startswith("(lorentz-"):
-        return lq_norm(f, float(Fraction(qr.p)), g), "proxy-strong"
-    if qr.inv_p == 0:
-        return lq_norm(f, math.inf, g), "strong"
-    return lq_norm(f, float(1 / qr.inv_p), g), "strong"
+    return lq_norm(f, float(1 / qr.inv_p), g), "proxy-strong" if cls.lorentz_data else "strong"
 
 
 def _output_norm(f, qr: ExponentQuery, cls: Classification, g: GridSpec):
     if qr.inv_q == 0:
         return lq_norm(f, math.inf, g), "strong"
     q = float(1 / qr.inv_q)
-    if "weak-L" in cls.norm_tag and cls.norm_tag.startswith(("(L^1,", "(L^p,")):
+    if cls.weak_output:
         return weak_lq_norm(f, q, g), "weak"
     return lq_norm(f, q, g), "strong"
 

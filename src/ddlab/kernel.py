@@ -67,14 +67,26 @@ class KernelConfigError(ValueError):
         self.field = field
 
 
+def _eps_tuple(eps_list) -> tuple:
+    """eps_list as a tuple of floats, checked positive, finite and strictly
+    decreasing."""
+    eps = tuple(float(e) for e in eps_list)
+    if not eps or not all(0 < e < math.inf for e in eps):
+        raise KernelConfigError("eps_list must contain positive finite values", "eps_list")
+    if any(a <= b for a, b in zip(eps, eps[1:])):
+        raise KernelConfigError("eps_list must be strictly decreasing", "eps_list")
+    return eps
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     """Damping / extrapolation / lattice parameters for kernel evaluation.
 
     eps_list must be strictly decreasing and positive; lattice truncation
     is chosen so the damping at the smallest eps reaches TAIL_TOL along
-    every axis.  lattice_N must be even, so that the lattice can be folded
-    onto its mirror halves (see _lattice_sums).
+    every axis.  The extrapolation of the given order goes through order + 1
+    of its values, so order < len(eps_list).  lattice_N must be even, so
+    that the lattice can be folded onto its mirror halves (see _lattice_sums).
     """
 
     eps_list: tuple = (0.2, 0.1, 0.05, 0.025)
@@ -83,16 +95,12 @@ class QuadConfig:
     method: str = "lattice"  # "lattice" or "radial"
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.eps_list)
-        if not eps or not all(0 < e < math.inf for e in eps):
-            raise KernelConfigError("eps_list must contain positive finite values",
-                                    "eps_list")
-        if any(a <= b for a, b in zip(eps, eps[1:])):
-            raise KernelConfigError("eps_list must be strictly decreasing", "eps_list")
+        eps = _eps_tuple(self.eps_list)
         object.__setattr__(self, "eps_list", eps)
-        if not (isinstance(self.order, int) and self.order >= 0):
+        if not (isinstance(self.order, int) and 0 <= self.order < len(eps)):
             raise KernelConfigError(
-                f"order must be a non-negative integer, got {self.order!r}", "order")
+                f"order must be an integer from 0 to len(eps_list) - 1 = {len(eps) - 1}, "
+                f"got {self.order!r}", "order")
         N = self.lattice_N
         if not (isinstance(N, int) and N > 0 and N % 2 == 0):
             raise KernelConfigError(
@@ -129,11 +137,10 @@ def _ray_cutoff(ray, eps_min) -> float:
         raise KernelConfigError("damping never reaches the tail tolerance", "poly") from exc
 
 
-def _lattice_axis(p: SymbolPoly, cfg: QuadConfig):
+def _lattice_axis(p: SymbolPoly, eps_list, N):
     # the damping at the smallest eps must reach TAIL_TOL along every axis
-    xi_max = max(_ray_cutoff(ray_coefficients(p, e), min(cfg.eps_list))
+    xi_max = max(_ray_cutoff(ray_coefficients(p, e), min(eps_list))
                  for e in np.eye(p.n))
-    N = cfg.lattice_N
     h = 2.0 * xi_max / N
     axis = -xi_max + h * np.arange(N)
     return axis, h
@@ -144,7 +151,7 @@ MAX_LATTICE_POINTS = 2**27
 # one row), the budget of the symbol's batch evaluation.
 
 
-def _lattice_sums(p, kind, sign, t, x, eps_list, cfg):
+def _lattice_sums(p, kind, sign, t, x, eps_list, N):
     """Trapezoid sums at every eps, on the full lattice and on the
     every-other-point sublattice (for the refinement delta).
 
@@ -164,12 +171,10 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, cfg):
         raise KernelConfigError(
             f"full-lattice evaluation is desk-scale only for n <= 3 (got n={n}); "
             "use method='radial' for radial symbols in higher dimension", "method")
-    if cfg.lattice_N**n > MAX_LATTICE_POINTS:
+    if N**n > MAX_LATTICE_POINTS:
         raise KernelConfigError(
-            f"lattice has {cfg.lattice_N**n} points, over the cap of "
-            f"{MAX_LATTICE_POINTS}", "lattice_N")
-    axis, h = _lattice_axis(p, cfg)
-    N = cfg.lattice_N
+            f"lattice has {N**n} points, over the cap of {MAX_LATTICE_POINTS}", "lattice_N")
+    axis, h = _lattice_axis(p, eps_list, N)
     # P is even in xi_i when every term has an even exponent in xi_i
     folded = tuple(i for i in range(n) if all(a[i] % 2 == 0 for a, _ in p.terms))
     nodes, weights, coarse_masks = [], [], []
@@ -475,15 +480,15 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list):
 # ---------------------------------------------------------------------------
 
 def extrapolate_to_zero(eps_list, values, order):
-    """Polynomial extrapolation to eps = 0 through the finest order+1 points.
+    """Polynomial extrapolation to eps = 0 through the finest order+1 points
+    (order < len(eps_list), as QuadConfig checks).
 
     Returns (extrapolated, stability) where stability is the change from
     dropping one extrapolation order.
     """
     eps = np.asarray(eps_list, dtype=float)
     vals = np.asarray(values, dtype=complex)
-    k = min(order, len(eps) - 1)
-    use_e, use_v = eps[-(k + 1):], vals[-(k + 1):]
+    use_e, use_v = eps[-(order + 1):], vals[-(order + 1):]
 
     def lagrange_at_zero(es, vs):
         total = 0.0 + 0.0j
@@ -496,7 +501,7 @@ def extrapolate_to_zero(eps_list, values, order):
         return total
 
     extrap = lagrange_at_zero(use_e, use_v)
-    if k >= 1:
+    if order >= 1:
         lower = lagrange_at_zero(use_e[1:], use_v[1:])
         stability = abs(extrap - lower)
     else:
@@ -541,10 +546,10 @@ def eval_damped(p, kind, sign, t, x, eps, cfg: QuadConfig | None = None) -> comp
     the x = 0, t = 0 probe is the plain damped transform of the weight."""
     cfg = cfg or QuadConfig()
     x = _checked_point(p, kind, sign, t, x)
+    eps_list = _eps_tuple((eps,))
     if cfg.method == "radial":
-        return complex(_damped_radial_values(p, kind, sign, t, x, [eps])[0][0])
-    sub_cfg = replace(cfg, eps_list=(float(eps),))
-    return complex(_lattice_sums(p, kind, sign, t, x, sub_cfg.eps_list, sub_cfg)[0][0])
+        return complex(_damped_radial_values(p, kind, sign, t, x, eps_list)[0][0])
+    return complex(_lattice_sums(p, kind, sign, t, x, eps_list, cfg.lattice_N)[0][0])
 
 
 def eval_kernel(p, kind, sign, t, x, cfg: QuadConfig | None = None) -> KernelSample:
@@ -564,7 +569,7 @@ def eval_kernel(p, kind, sign, t, x, cfg: QuadConfig | None = None) -> KernelSam
         err = abs(vals[-1] - extrap) + stability
         meta = {"method": "radial", "eps_list": cfg.eps_list, "panels": panels}
     else:
-        fine, coarse, work = _lattice_sums(p, kind, sign, t, x, cfg.eps_list, cfg)
+        fine, coarse, work = _lattice_sums(p, kind, sign, t, x, cfg.eps_list, cfg.lattice_N)
         extrap, stability = extrapolate_to_zero(cfg.eps_list, fine, cfg.order)
         extrap_coarse, _ = extrapolate_to_zero(cfg.eps_list, coarse, cfg.order)
         err = abs(fine[-1] - extrap) + abs(extrap - extrap_coarse)

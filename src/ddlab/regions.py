@@ -105,18 +105,16 @@ class IndexRegion:
         return tuple(rows)
 
     @cached_property
-    def endpoint_tags(self) -> dict:
-        """Norm tags at B = (1, 1/q_a) and D = (1/q_a', 0) of the quadrangle
-        and the hexagon, keyed by point; empty for the other kinds."""
+    def endpoints(self) -> tuple | None:
+        """(B, D) = ((1, 1/q_a), (1/q_a', 0)) of the quadrangle and the
+        hexagon, where the norm pair weakens; None for the other kinds and
+        for q_a = 1 or infinity."""
         if self.kind not in ("delta_a", "hexagon"):  # build_region sets a for both
-            return {}
+            return None
         _, q = mu_q(self.a, self.m, self.n)
         if q is None or q == 1:
-            return {}
-        inv_q_B = 1 / q
-        q_conj = q / (q - 1)
-        return {IndexPoint(Fraction(1), inv_q_B): f"(L^1, weak-L^{q})",
-                IndexPoint(1 - inv_q_B, Fraction(0)): f"(lorentz-L^({q_conj},1), L^inf)"}
+            return None
+        return IndexPoint(Fraction(1), 1 / q), IndexPoint(1 - 1 / q, Fraction(0))
 
 
 def _order_and_dimension(m, n):
@@ -171,9 +169,11 @@ def build_region(kind, m, n, a=None) -> IndexRegion:
     "pentagon" (the n < m < 2n variant; m >= 2n yields the full half
     square).  Degenerate collapses are flagged, not hidden.  Regions are
     frozen values, so repeated calls share one region and its cached
-    half-plane table.
+    half-plane table.  Only "delta_a" takes the parameter a.
     """
     m, n = _order_and_dimension(m, n)
+    if a is not None and kind != "delta_a":
+        raise RegionError(f"only delta_a takes the parameter a, not {kind!r}", "a")
     notes = []
     if kind == "delta_m":
         kind, a = "delta_a", Fraction(m)
@@ -305,26 +305,29 @@ def locate(region: IndexRegion, pt: IndexPoint) -> str:
 
 @dataclass(frozen=True)
 class Classification:
+    """Where a point lies, and which (input, output) norm pair applies there:
+    the strong (L^p, L^q) unless a flag weakens one side."""
+
     location: str  # interior / boundary / outside
-    norm_tag: str  # which (input, output) norm pair applies at this point
+    weak_output: bool = False  # output in weak-L^q
+    lorentz_data: bool = False  # input in the Lorentz space L^(p, 1)
 
 
 def classify(region: IndexRegion, pt: IndexPoint) -> Classification:
-    """Locate pt in the region and name the norm pair that applies there.
+    """Locate pt in the region and flag the norms that weaken there.
 
     At B = (1, 1/q_a) the output norm weakens to weak-L^{q_a}; at
     D = (1/q_a', 0) the input weakens to the Lorentz (q_a', 1) space;
     on the AEF edge with 1/q = 1/p - m/(2n) the output is weak-L^q.
-    Everywhere else the strong pair applies.
     """
     loc = locate(region, pt)
-    tag = region.endpoint_tags.get(pt, "(L^p, L^q)")
     if region.kind == "AEF":
-        m_over_2n = Fraction(region.m, 2 * region.n)
-        if pt.inv_q == pt.inv_p - m_over_2n and loc != "outside":
-            q = None if pt.inv_q == 0 else Fraction(1) / pt.inv_q
-            tag = f"(L^p, weak-L^{q if q is not None else 'inf'})"
-    return Classification(location=loc, norm_tag=tag)
+        edge = pt.inv_q == pt.inv_p - Fraction(region.m, 2 * region.n)
+        return Classification(loc, weak_output=edge and loc != "outside")
+    if region.endpoints is None:
+        return Classification(loc)
+    B, D = region.endpoints
+    return Classification(loc, weak_output=pt == B, lorentz_data=pt == D)
 
 
 def contains_bruteforce(region: IndexRegion, pt: IndexPoint) -> bool:

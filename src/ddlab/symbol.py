@@ -257,8 +257,10 @@ def _terms_sum(p: SymbolPoly, powers, shape) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Literal format:  sum of terms "c * x1^a1 * ... * xn^an", with the
-# shorthand |x|^k (k even).  The canonical printer always writes explicit
+# Literal format:  a sum of terms, each with any number of leading signs and
+# a product of factors (numbers, xi^e, |x|^k with k even) joined by '*' or
+# written side by side.  An operator must be followed by a factor, and '*'
+# sits between two factors.  The canonical printer always writes explicit
 # coefficients and '*' separators, so parse(to_literal(p), p.n) == p.
 # ---------------------------------------------------------------------------
 
@@ -268,71 +270,46 @@ _TOKEN = re.compile(r"""
       | (?P<var>x(?P<vi>\d+)(?:\^(?P<ve>\d+))?)
       | (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
       | (?P<op>[+\-*])
+      | (?P<bad>\S)
     )""", re.VERBOSE)
 
 
 def parse_symbol(text, n) -> SymbolPoly:
     """Parse the textual symbol format into a SymbolPoly of dimension n."""
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise SymbolError(f"cannot tokenize symbol literal near {text[pos:]!r}")
-        tokens.append(m)
-        pos = m.end()
-
     result = SymbolPoly.from_terms(n, {})
-    term_factors = []
-    term_sign = 1.0
-    saw_factor = False
-    flushed_any = False
-
-    def flush():
-        nonlocal term_factors, saw_factor, flushed_any
-        if not saw_factor:
-            raise SymbolError("empty term in symbol literal")
-        term = SymbolPoly.constant(n, term_sign)
-        for f in term_factors:
-            term = term * f
-        term_factors = []
-        saw_factor = False
-        flushed_any = True
-        return term
-
-    for tok in tokens:
-        if tok.lastgroup is None:
+    term = None  # product of the current term's factors so far, sign included
+    sign = 1.0
+    due = True  # the literal so far ends in an operator, or is empty
+    for tok in _TOKEN.finditer(text):
+        kind = tok.lastgroup
+        if kind == "bad":
+            raise SymbolError(f"cannot tokenize symbol literal near {text[tok.start(kind):]!r}")
+        if kind == "op":
+            op = tok.group(kind)
+            if due and (op == "*" or term is not None):  # a sign opens a term, '*' never
+                raise SymbolError(f"misplaced '{op}' in symbol literal {text!r}: "
+                                  "'*' must sit between two factors")
+            if op != "*":
+                if term is not None:
+                    result, term, sign = result + term, None, 1.0
+                sign *= 1.0 if op == "+" else -1.0
+            due = True
             continue
-        if tok.group("op"):
-            op = tok.group("op")
-            if op == "*":
-                continue
-            if saw_factor:
-                result = result + flush()
-                term_sign = 1.0 if op == "+" else -1.0
-            else:
-                term_sign *= 1.0 if op == "+" else -1.0
-            continue
-        if tok.group("num"):
-            term_factors.append(SymbolPoly.constant(n, float(tok.group("num"))))
-        elif tok.group("norm"):
-            k = int(tok.group("nk"))
-            term_factors.append(SymbolPoly.radial_power(n, k))
-        elif tok.group("var"):
+        if kind == "num":
+            factor = SymbolPoly.constant(n, float(tok.group(kind)))
+        elif kind == "norm":
+            factor = SymbolPoly.radial_power(n, int(tok.group("nk")))
+        else:
             i = int(tok.group("vi"))
             if not 1 <= i <= n:
                 raise SymbolError(f"variable x{i} out of range for dimension {n}")
             e = int(tok.group("ve") or 1)
-            alpha = tuple(e if j == i - 1 else 0 for j in range(n))
-            term_factors.append(SymbolPoly.monomial(n, alpha))
-        saw_factor = True
-    if saw_factor:
-        result = result + flush()
-    if not flushed_any:
-        raise SymbolError("symbol literal contains no terms")
-    return result
+            factor = SymbolPoly.monomial(n, tuple(e if j == i - 1 else 0 for j in range(n)))
+        term = (SymbolPoly.constant(n, sign) if term is None else term) * factor
+        due = False
+    if due:
+        raise SymbolError(f"symbol literal {text!r} is empty or ends in an operator")
+    return result + term
 
 
 def to_literal(p: SymbolPoly) -> str:

@@ -125,6 +125,11 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["solve", "--t-list", "0.5,nan"], None, "field solve.t_list"),
     (["check-symbol", "--poly", "0"], None, "field symbol.poly:"),
     (["check-symbol", "--poly", "x1-x1"], None, "field symbol.poly:"),
+    (["regions", "--a", "2"], None, "field regions.a:"),
+    (["regions", "--kind", "AEF", "--a", "2"], None, "field regions.a:"),
+    (["kernel-scan"], "[kernel]\norder = 3\n", "field kernel.order:"),
+    (["check-symbol", "--poly", "1 + |x|^4 -"], None, "field symbol.poly:"),
+    (["check-symbol", "--poly", "x1^4 * -x2^4"], None, "field symbol.poly:"),
 ])
 def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
     if ini is not None:
@@ -134,6 +139,8 @@ def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field
     assert run(args + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
+    # no nan the input did not give (kernel-scan's x = inf once printed 0 * inf)
+    assert "nan" not in err or "nan" in " ".join(args) + (ini or "")
 
 
 FLAG_CASES = [(name, flag) for name, command in cli.COMMANDS.items()

@@ -220,6 +220,7 @@ def test_output_norm_weakens_at_lorentz_endpoint():
     g = sp.make_grid(2, 32, 4.0)
     rng = np.random.default_rng(1)
     f = rng.standard_normal(g.shape)
+    assert cls.weak_output
     val, kind = D._output_norm(f, qr, cls, g)
     assert kind == "weak"
     assert val == pytest.approx(D.weak_lq_norm(f, 3, g))
@@ -234,6 +235,7 @@ def test_data_norm_proxy_at_dual_endpoint():
     cls = R.classify(reg, qr.point)
     g = sp.make_grid(2, 32, 4.0)
     f = np.ones(g.shape)
+    assert cls.lorentz_data
     val, kind = D._data_norm(f, qr, cls, g)
     assert kind == "proxy-strong"
     assert val == pytest.approx(D.lq_norm(f, 1.5, g))

@@ -45,6 +45,7 @@ def test_eps_list_must_decrease():
     ({"order": -1}, "order"),
     ({"eps_list": (0.2, math.nan)}, "eps_list"),
     ({"eps_list": (math.inf, 0.1)}, "eps_list"),
+    ({"eps_list": (0.4, 0.2, 0.1), "order": 7}, "order"),  # extrapolates through 8 values
 ])
 def test_lattice_size_and_order_validated(kwargs, field):
     with pytest.raises(K.KernelConfigError) as err:
@@ -126,10 +127,9 @@ def test_lattice_sample_memory_budget_n3():
 # folded lattice sums against a direct full-lattice sum
 # ---------------------------------------------------------------------------
 
-def _full_lattice_sums(p, kind, sign, t, x, eps_list, cfg):
+def _full_lattice_sums(p, kind, sign, t, x, eps_list, axis, h):
     """Fine and coarse trapezoid sums over all N^n lattice points, coarse
     being every other point on every axis."""
-    axis, h = K._lattice_axis(p, cfg)
     xi = np.stack(np.meshgrid(*([axis] * p.n), indexing="ij"), axis=-1)
     A = np.sqrt(p.evaluate(xi))
     base = np.exp(1j * (sign * t * A + xi @ x))
@@ -162,12 +162,14 @@ def test_lattice_sums_match_full_lattice(monkeypatch, text, n, folded, kind, sig
     x = np.zeros(n) if x == "origin" else np.array([0.7, -1.3, 0.4][:n])
     # the lattice is cut for eps >= 0.1; at eps = 0.02 its edge rows, among
     # them the unmirrored -xi_max, still carry weight
+    axis, h = K._lattice_axis(p, cfg.eps_list, cfg.lattice_N)
+    monkeypatch.setattr(K, "_lattice_axis", lambda *args: (axis, h))
     eps_list = cfg.eps_list + (0.02,)
-    ref_fine, ref_coarse = _full_lattice_sums(p, kind, sign, 0.8, x, eps_list, cfg)
+    ref_fine, ref_coarse = _full_lattice_sums(p, kind, sign, 0.8, x, eps_list, axis, h)
     # the default chunking, and chunks of an odd number of rows
     for chunk_points in (K.CHUNK_POINTS, 999):
         monkeypatch.setattr(K, "CHUNK_POINTS", chunk_points)
-        fine, coarse, work = K._lattice_sums(p, kind, sign, 0.8, x, eps_list, cfg)
+        fine, coarse, work = K._lattice_sums(p, kind, sign, 0.8, x, eps_list, cfg.lattice_N)
         assert work["folded_axes"] == folded
         np.testing.assert_array_less(np.abs(fine - ref_fine), 1e-12 * np.abs(ref_fine))
         np.testing.assert_array_less(np.abs(coarse - ref_coarse), 1e-12 * np.abs(ref_coarse))
@@ -179,7 +181,7 @@ def test_lattice_sample_records_work():
     assert even.meta["points"] == 257**2
     assert even.meta["folded_axes"] == (0, 1)
     fine, _, _ = K._lattice_sums(beam(), "I1", +1, 0.5, np.array([0.5, 0.0]),
-                                 cfg.eps_list, cfg)
+                                 cfg.eps_list, cfg.lattice_N)
     _, stability = K.extrapolate_to_zero(cfg.eps_list, fine, cfg.order)
     assert even.meta["stability"] == stability > 0.0
     odd = K.eval_kernel(sym.parse_symbol("2 + |x|^4 + x1*x2", 2), "I1", +1, 0.5,
@@ -631,7 +633,7 @@ def test_finest_eps_lattice_matches_radial():
     # radial reduction at that eps
     cfg = K.QuadConfig(eps_list=(0.2, 0.1), order=1, lattice_N=512)
     x = np.array([0.5, 0.0])
-    fine, _, _ = K._lattice_sums(beam(), "I1", +1, 0.5, x, cfg.eps_list, cfg)
+    fine, _, _ = K._lattice_sums(beam(), "I1", +1, 0.5, x, cfg.eps_list, cfg.lattice_N)
     radial = K.eval_damped(beam(), "I1", +1, 0.5, x, cfg.eps_list[-1], replace(cfg, method="radial"))
     assert abs(fine[-1] - radial) < 1e-8
 

@@ -100,15 +100,24 @@ def test_ef_on_smoothing_line():
 def test_classification_endpoints():
     reg = R.build_region("delta_m", 4, 6)
     B = R.IndexPoint(F(1), F(1, 3))
-    cls = R.classify(reg, B)
-    assert cls.location == "boundary"
-    assert cls.norm_tag == "(L^1, weak-L^3)"
+    assert R.classify(reg, B) == R.Classification("boundary", weak_output=True)
     A = R.classify(reg, R.IndexPoint(F(1, 2), F(1, 2)))
-    assert A.location == "boundary" and A.norm_tag == "(L^p, L^q)"
+    assert A == R.Classification("boundary")
     out = R.classify(reg, R.IndexPoint(F(1, 2), F(3, 4)))
     assert out.location == "outside"
     Dv = R.classify(reg, R.IndexPoint(F(2, 3), F(0)))
-    assert Dv.norm_tag.startswith("(lorentz-L^(3/2,1)")
+    assert Dv.lorentz_data and not Dv.weak_output
+    aef = R.build_region("AEF", 4, 6)  # the edge EF: 1/q = 1/p - m/(2n)
+    assert R.classify(aef, R.IndexPoint(F(2, 3), F(1, 3))) == R.Classification(
+        "boundary", weak_output=True)
+    assert R.classify(aef, aef.vertices[0]) == R.Classification("boundary")
+
+
+@pytest.mark.parametrize("kind", ["delta_m", "delta_0", "AEF", "hexagon", "pentagon"])
+def test_only_delta_a_takes_a(kind):
+    with pytest.raises(R.RegionError) as err:
+        R.build_region(kind, 4, 6, a=F(2))
+    assert err.value.field == "a"
 
 
 def test_interior_point():
@@ -218,20 +227,17 @@ def test_build_region_cache_shares_values_not_errors():
         R.build_region("delta_a", 4, 6, a=4.0)
 
 
-@pytest.mark.parametrize("kind, a, B, D, tag_B, tag_D", [
-    ("delta_m", None, (F(1), F(1, 3)), (F(2, 3), F(0)),
-     "(L^1, weak-L^3)", "(lorentz-L^(3/2,1), L^inf)"),
-    ("delta_a", F(1, 3), (F(1), F(1, 36)), (F(35, 36), F(0)),
-     "(L^1, weak-L^36)", "(lorentz-L^(36/35,1), L^inf)"),
-    ("hexagon", None, (F(1), F(1, 3)), (F(2, 3), F(0)),
-     "(L^1, weak-L^3)", "(lorentz-L^(3/2,1), L^inf)"),
+@pytest.mark.parametrize("kind, a, B, D", [
+    ("delta_m", None, (F(1), F(1, 3)), (F(2, 3), F(0))),
+    ("delta_a", F(1, 3), (F(1), F(1, 36)), (F(35, 36), F(0))),
+    ("hexagon", None, (F(1), F(1, 3)), (F(2, 3), F(0))),
 ], ids=["delta_m", "delta_a-1/3", "hexagon"])
-def test_classify_endpoint_tags(kind, a, B, D, tag_B, tag_D):
+def test_classify_endpoint_tags(kind, a, B, D):
     reg = R.build_region(kind, 4, 6, a=a)
-    for _ in range(2):  # the second pass reads the cached tag map
-        assert R.classify(reg, R.IndexPoint(*B)) == R.Classification("boundary", tag_B)
-        assert R.classify(reg, R.IndexPoint(*D)) == R.Classification("boundary", tag_D)
-        assert R.classify(reg, reg.vertices[0]).norm_tag == "(L^p, L^q)"
+    for _ in range(2):  # the second pass reads the cached (B, D) pair
+        assert R.classify(reg, R.IndexPoint(*B)) == R.Classification("boundary", weak_output=True)
+        assert R.classify(reg, R.IndexPoint(*D)) == R.Classification("boundary", lorentz_data=True)
+        assert R.classify(reg, reg.vertices[0]) == R.Classification("boundary")
 
 
 def test_json_export_rational_strings():

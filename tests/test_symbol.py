@@ -514,6 +514,21 @@ def test_literal_rejects_garbage():
     for empty in ("", "   ", "*", "+"):
         with pytest.raises(sym.SymbolError):
             sym.parse_symbol(empty, 2)
+    # an operator must be followed by a factor, and '*' must sit between two factors
+    for text in ("1 + |x|^4 -", "1 + |x|^4 *", "* 1 + |x|^4", "1 + |x|^4 * * x1^2",
+                 "x1^4 * -x2^4", "1 + |x|^4 - 2 * -x1^2"):
+        with pytest.raises(sym.SymbolError, match="operator|between two factors"):
+            sym.parse_symbol(text, 2)
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("2|x|^2", {(2, 0): 2.0, (0, 2): 2.0}),
+    ("- - x1^4", {(4, 0): 1.0}),
+    ("2.5e-1*x1 + 1E2", {(1, 0): 0.25, (0, 0): 100.0}),
+    ("0", {}),
+])
+def test_literal_forms_still_parse(text, terms):
+    assert sym.parse_symbol(text, 2) == sym.SymbolPoly.from_terms(2, terms)
 
 
 def test_literal_scientific_notation_and_zero():
