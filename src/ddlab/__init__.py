@@ -1,15 +1,14 @@
 """ddlab: desk-scale verification lab for wave-type equations u_tt + P(D)u = 0."""
 
 from .symbol import (
-    SymbolPoly, HypothesisReport, RadialInverse, Witness,
+    SymbolPoly, HypothesisReport, Witness,
     check_hypotheses, derivative, principal_part, parse_symbol, to_literal,
-    hessian_growth_sqrt, surface_type, radial_inverse, radial_threshold,
-    sigma_decay_fit, sphere_directions,
+    sphere_directions,
 )
 from .spectral import GridSpec, WaveState, make_grid, propagate, energy
 from .kernel import (
     QuadConfig, KernelSample, KernelBoundReport, eval_kernel, eval_damped,
-    check_bound, scaling_check,
+    check_bound,
 )
 from .decay import (
     ExponentQuery, DecayFit, lq_norm, weak_lq_norm, theoretical_exponent,

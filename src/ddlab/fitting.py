@@ -1,4 +1,4 @@
-"""Log-log power-law fitting shared by the symbol diagnostics and the decay harness."""
+"""Log-log power-law fitting for the decay harness."""
 
 from __future__ import annotations
 

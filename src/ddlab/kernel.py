@@ -20,8 +20,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .symbol import (CHUNK_POINTS, RadialInverseError, SymbolPoly, principal_part,
-                     ray_coefficients, ray_level)
+from .symbol import CHUNK_POINTS, RadialInverseError, SymbolPoly, ray_coefficients, ray_level
 from .spectral import checked_sqrt, sqrt_symbol
 
 KINDS = ("I1", "I2")
@@ -78,6 +77,15 @@ def _eps_tuple(eps_list) -> tuple:
     return eps
 
 
+def _check_order(order, count):
+    """Raise unless 0 <= order < count: an extrapolation of the given order
+    goes through order + 1 of the count damped values."""
+    if not (isinstance(order, int) and 0 <= order < count):
+        raise KernelConfigError(
+            f"order must be an integer from 0 to len(eps_list) - 1 = {count - 1}, "
+            f"got {order!r}", "order")
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     """Damping / extrapolation / lattice parameters for kernel evaluation.
@@ -97,10 +105,7 @@ class QuadConfig:
     def __post_init__(self):
         eps = _eps_tuple(self.eps_list)
         object.__setattr__(self, "eps_list", eps)
-        if not (isinstance(self.order, int) and 0 <= self.order < len(eps)):
-            raise KernelConfigError(
-                f"order must be an integer from 0 to len(eps_list) - 1 = {len(eps) - 1}, "
-                f"got {self.order!r}", "order")
+        _check_order(self.order, len(eps))
         N = self.lattice_N
         if not (isinstance(N, int) and N > 0 and N % 2 == 0):
             raise KernelConfigError(
@@ -480,12 +485,13 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list):
 # ---------------------------------------------------------------------------
 
 def extrapolate_to_zero(eps_list, values, order):
-    """Polynomial extrapolation to eps = 0 through the finest order+1 points
-    (order < len(eps_list), as QuadConfig checks).
+    """Polynomial extrapolation to eps = 0 through the finest order+1 points;
+    an order outside 0..len(eps_list) - 1 raises KernelConfigError.
 
     Returns (extrapolated, stability) where stability is the change from
     dropping one extrapolation order.
     """
+    _check_order(order, len(eps_list))
     eps = np.asarray(eps_list, dtype=float)
     vals = np.asarray(values, dtype=complex)
     use_e, use_v = eps[-(order + 1):], vals[-(order + 1):]
@@ -714,50 +720,6 @@ def check_bound(samples, p: SymbolPoly) -> KernelBoundReport:
     return KernelBoundReport(kind=kind, m=m, n=n, mu=mu, nu=nu,
                              regimes=tuple(regimes), description=desc,
                              notes=tuple(notes))
-
-
-# ---------------------------------------------------------------------------
-# Scaling identity for homogeneous symbols
-# ---------------------------------------------------------------------------
-
-def scaling_exponents(kind, m, n):
-    """Prefactor and argument exponents of the homogeneous rescaling identity.
-
-    I(t, x) = t^pre * I(1, t^arg * x) with arg = -2/m; pre is -2n/m for I1
-    and -(2n-m)/m for I2.
-    """
-    if kind == "I1":
-        pre = Fraction(-2 * n, m)
-    elif kind == "I2":
-        pre = Fraction(-(2 * n - m), m)
-    else:
-        raise KernelConfigError(f"kind must be one of {KINDS}")
-    return pre, Fraction(-2, m)
-
-
-def scaling_check(p: SymbolPoly, kind, t_list, x_list, cfg: QuadConfig | None = None) -> float:
-    """Max relative deviation of the rescaling identity over the sample set.
-
-    Exact only for homogeneous symbols, so non-homogeneous input is a
-    precondition error.
-    """
-    cfg = cfg or QuadConfig()
-    if principal_part(p) != p:
-        raise KernelConfigError("scaling identity holds only for homogeneous symbols")
-    m, n = p.order, p.n
-    pre, arg = scaling_exponents(kind, m, n)
-    worst = 0.0
-    for t in t_list:
-        if t <= 0:
-            raise KernelConfigError("scaling check uses t > 0")
-        for x in x_list:
-            x = np.asarray(x, dtype=float)
-            lhs = eval_kernel(p, kind, +1, t, x, cfg).value
-            rhs_x = (t ** float(arg)) * x
-            rhs = (t ** float(pre)) * eval_kernel(p, kind, +1, 1.0, rhs_x, cfg).value
-            denom = max(abs(lhs), abs(rhs), 1e-300)
-            worst = max(worst, abs(lhs - rhs) / denom)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,12 @@
 
 check_hypotheses tests the paper's standing assumptions on a symbol: H1
 (positivity + ellipticity of the principal part) and H2 (non-degenerate
-Hessian of the principal part).  The remaining operations
-probe finer structure: growth of det Hess sqrt(P), the contact order of
-the graph of sqrt(P), and the large-s inverse of P along rays.
+Hessian of the principal part).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import re
 from dataclasses import dataclass
@@ -18,20 +15,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fitting import DecayFit, fit_power_law
-
 
 class SymbolError(ValueError):
     """Invalid symbol input (zero polynomial, bad dimension, bad literal)."""
 
 
 class RadialInverseError(RuntimeError):
-    """A ray level that is never reached, or a radial_inverse precondition failing."""
-
-    def __init__(self, message, s=None, omega=None):
-        super().__init__(message)
-        self.s = s
-        self.omega = omega
+    """A level that P never reaches along a ray."""
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +249,11 @@ def _terms_sum(p: SymbolPoly, powers, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Literal format:  a sum of terms, each with any number of leading signs and
 # a product of factors (numbers, xi^e, |x|^k with k even) joined by '*' or
-# written side by side.  An operator must be followed by a factor, and '*'
-# sits between two factors.  The canonical printer always writes explicit
-# coefficients and '*' separators, so parse(to_literal(p), p.n) == p.
+# written side by side.  An operator must be followed by a factor, '*' sits
+# between two factors, and a number never follows a number side by side
+# ("1.5.3" and "1 2" are typos, not products).  The canonical printer always
+# writes explicit coefficients and '*' separators, so
+# parse(to_literal(p), p.n) == p.
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"""
@@ -280,8 +272,9 @@ def parse_symbol(text, n) -> SymbolPoly:
     term = None  # product of the current term's factors so far, sign included
     sign = 1.0
     due = True  # the literal so far ends in an operator, or is empty
+    kind = None
     for tok in _TOKEN.finditer(text):
-        kind = tok.lastgroup
+        prev, kind = kind, tok.lastgroup
         if kind == "bad":
             raise SymbolError(f"cannot tokenize symbol literal near {text[tok.start(kind):]!r}")
         if kind == "op":
@@ -296,6 +289,9 @@ def parse_symbol(text, n) -> SymbolPoly:
             due = True
             continue
         if kind == "num":
+            if prev == "num":
+                raise SymbolError(f"number {tok.group(kind)!r} directly follows "
+                                  f"another number in symbol literal {text!r}")
             factor = SymbolPoly.constant(n, float(tok.group(kind)))
         elif kind == "norm":
             factor = SymbolPoly.radial_power(n, int(tok.group("nk")))
@@ -367,12 +363,6 @@ def principal_part(p: SymbolPoly) -> SymbolPoly:
 
 
 @lru_cache(maxsize=512)
-def gradient_polys(p: SymbolPoly) -> tuple:
-    units = np.eye(p.n, dtype=int)
-    return tuple(derivative(p, tuple(units[i])) for i in range(p.n))
-
-
-@lru_cache(maxsize=512)
 def hessian_polys(p: SymbolPoly) -> tuple:
     units = np.eye(p.n, dtype=int)
     return tuple(tuple(derivative(p, tuple(units[i] + units[j])) for j in range(p.n))
@@ -426,31 +416,6 @@ def hessian_det_values(p: SymbolPoly, points) -> np.ndarray:
     out = np.empty(points.shape[0])
     for rows, vals in _blocks(points, [hp[i][j] for i, j in pairs]):
         out[rows] = _symmetric_det(p.n, dict(zip(pairs, vals)))
-    return out
-
-
-def sqrt_hessian_det_values(p: SymbolPoly, points) -> np.ndarray:
-    """det Hess sqrt(p) at points where p > 0.
-
-    Uses the closed-form second derivatives of sqrt(p),
-    (2 p p_ij - p_i p_j) / (4 p^{3/2}), built from exact derivatives of p.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = np.atleast_1d(p.evaluate(points))
-    if np.any(vals <= 0):
-        bad = points[int(np.argmin(vals))]
-        raise SymbolError(f"sqrt(P) derivatives need P > 0; P({tuple(bad)}) <= 0")
-    n = p.n
-    hp = hessian_polys(p)
-    pairs = _upper_pairs(n)
-    out = np.empty(points.shape[0])
-    polys = list(gradient_polys(p)) + [hp[i][j] for i, j in pairs]
-    for rows, derivs in _blocks(points, polys):
-        v, grads = vals[rows], derivs[:n]
-        scale = 4.0 * v**1.5
-        out[rows] = _symmetric_det(n, {
-            (i, j): (2.0 * v * h - grads[i] * grads[j]) / scale
-            for (i, j), h in zip(pairs, derivs[n:])})
     return out
 
 
@@ -651,112 +616,7 @@ def _h2_report(p: SymbolPoly, dirs) -> HypothesisReport:
 
 
 # ---------------------------------------------------------------------------
-# Growth of det Hess sqrt(P) along rays
-# ---------------------------------------------------------------------------
-
-def sqrt_hessian_growth_exponent(m, n) -> int:
-    """Expected log-log slope of det Hess sqrt(P) along rays: n(m/2 - 2)."""
-    return n * (m // 2 - 2)
-
-
-@dataclass(frozen=True)
-class HessianGrowthFit:
-    """Per-direction fit of log |det Hess sqrt(P)(R w)| against log R."""
-
-    direction: tuple
-    fit: DecayFit | None
-    level: float | None  # fitted |det| / R^exponent at R = 1
-    sign_change: bool
-    det_values: tuple
-
-
-def hessian_growth_sqrt(p: SymbolPoly, radii, dirs) -> list[HessianGrowthFit]:
-    """Fit the radial growth of det Hess sqrt(P) for each probe direction.
-
-    Directions whose determinant changes sign inside the radius window get
-    sign_change=True and no fit, rather than being dropped silently.
-    """
-    radii = np.asarray(radii, dtype=float)
-    if radii.size < 5 or radii.max() < 10.0 * radii.min():
-        raise SymbolError("radii must contain >= 5 values spanning at least one decade")
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    out = []
-    for w in dirs:
-        pts = radii[:, None] * w[None, :]
-        dets = sqrt_hessian_det_values(p, pts)
-        if np.any(dets == 0.0) or (np.min(np.sign(dets)) != np.max(np.sign(dets))):
-            out.append(HessianGrowthFit(tuple(w), None, None, True, tuple(dets)))
-            continue
-        fit = fit_power_law(radii, np.abs(dets))
-        out.append(HessianGrowthFit(
-            tuple(w), fit, math.exp(fit.log_level), False, tuple(dets)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Hypersurface contact order of the graph of sqrt(P)
-# ---------------------------------------------------------------------------
-
-def _multi_indices(n, k):
-    """All multi-indices of total order k in n variables, lexicographic."""
-    if n == 1:
-        yield (k,)
-        return
-    for head in range(k, -1, -1):
-        for rest in _multi_indices(n - 1, k - head):
-            yield (head,) + rest
-
-
-def _strict_sub_indices(alpha):
-    ranges = [range(a + 1) for a in alpha]
-    for beta in itertools.product(*ranges):
-        if any(beta) and beta != alpha:
-            yield beta
-
-
-def _multinomial(alpha, beta):
-    f = 1
-    for a, b in zip(alpha, beta):
-        f *= math.comb(a, b)
-    return f
-
-
-def surface_type(p: SymbolPoly, xi0, k_max) -> int | None:
-    """Smallest k in [2, k_max] with a nonvanishing k-th derivative of sqrt(P) at xi0.
-
-    Derivatives of g = sqrt(P) come from the recurrence obtained by
-    differentiating g*g = P, so no numerical differentiation is involved.
-    A k-tensor counts as vanishing when its largest entry stays below
-    1e-9 * (1 + |P(xi0)|).  Returns None when every probed order up to
-    k_max vanishes.
-    """
-    if k_max < 2:
-        raise SymbolError("k_max must be >= 2")
-    xi0 = np.asarray(xi0, dtype=float)
-    P0 = p.evaluate(xi0)
-    if P0 <= 0:
-        raise SymbolError(f"surface_type needs P(xi0) > 0, got {P0!r}")
-    tol = 1e-9 * (1.0 + abs(P0))
-    g = {(0,) * p.n: math.sqrt(P0)}
-    g0 = g[(0,) * p.n]
-    for k in range(1, k_max + 1):
-        level_max = 0.0
-        for alpha in _multi_indices(p.n, k):
-            dP = derivative(p, alpha).evaluate(xi0)
-            acc = 0.0
-            for beta in _strict_sub_indices(alpha):
-                gamma = tuple(a - b for a, b in zip(alpha, beta))
-                acc += _multinomial(alpha, beta) * g[beta] * g[gamma]
-            val = (dP - acc) / (2.0 * g0)
-            g[alpha] = val
-            level_max = max(level_max, abs(val))
-        if k >= 2 and level_max > tol:
-            return k
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Radial inverse rho(s, w) of P(rho w) = s for large s
+# P along rays: its coefficients and the level search
 # ---------------------------------------------------------------------------
 
 def ray_coefficients(p: SymbolPoly, omega) -> np.ndarray:
@@ -792,100 +652,3 @@ def ray_level(c, reached) -> float:
         else:
             lo = mid
     return hi
-
-
-# radial_threshold probes THRESHOLD_DIR_COUNT sphere directions by default.
-THRESHOLD_DIR_COUNT = 64
-
-
-def radial_threshold(p: SymbolPoly, directions=None) -> float:
-    """Computed threshold a: for s >= a the equation P(rho w) = s has a
-    unique positive root along every probed direction (directions defaults
-    to THRESHOLD_DIR_COUNT sphere directions).
-
-    Per direction, the largest value of P over the radial critical set
-    (rho = 0 plus positive roots of d/drho P(rho w)) bounds the region
-    where the restriction can fail to be monotone; the returned a doubles
-    the worst such value for margin.
-    """
-    if directions is None:
-        directions = sphere_directions(p.n, THRESHOLD_DIR_COUNT)
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    poly = np.polynomial.polynomial
-    worst = 0.0
-    for w in directions:
-        c = ray_coefficients(p, w)
-        crit = [0.0] + [float(r.real) for r in poly.polyroots(poly.polyder(c))
-                        if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real)) and r.real > 0]
-        worst = max(worst, max(float(poly.polyval(r, c)) for r in crit))
-    return 2.0 * worst
-
-
-@dataclass(frozen=True)
-class RadialInverse:
-    """Radial inverse rho(s, w) and its deviation sigma from the
-    homogeneous prediction s^{1/m} P_m(w)^{-1/m}."""
-
-    omega: tuple
-    s: tuple
-    rho: tuple
-    sigma: tuple
-    residuals: tuple
-    threshold: float
-
-    def as_arrays(self):
-        return (np.asarray(self.s), np.asarray(self.rho), np.asarray(self.sigma))
-
-
-def radial_inverse(p: SymbolPoly, omega, s_grid) -> RadialInverse:
-    """Solve P(rho w) = s for each s in s_grid: rho = ray_level(c, v >= s), to
-    rounding.  Every s must be at least the computed threshold, where the
-    root is unique, and above P(0), so that the root is positive."""
-    omega = np.asarray(omega, dtype=float)
-    omega = omega / np.linalg.norm(omega)
-    s_grid = np.asarray(s_grid, dtype=float)
-    m = p.order
-    c = ray_coefficients(p, omega)
-    pm_w = c[m]
-    if pm_w <= 0:
-        raise RadialInverseError("principal part non-positive along this direction",
-                                 omega=tuple(omega))
-    probe = np.vstack([sphere_directions(p.n, THRESHOLD_DIR_COUNT), omega[None, :]])
-    threshold = radial_threshold(p, probe)
-    s_min = float(np.min(s_grid))
-    if s_min < threshold or s_min <= c[0]:
-        raise RadialInverseError(f"s = {s_min!r} below computed threshold a = "
-                                 f"{threshold!r} or not above P(0) = {float(c[0])!r}",
-                                 s=s_min, omega=tuple(omega))
-
-    polyval = np.polynomial.polynomial.polyval
-    rhos, sigmas, residuals = [], [], []
-    for s in s_grid:
-        rho = ray_level(c, lambda v: v >= s)
-        rhos.append(rho)
-        sigmas.append(float(rho - s ** (1.0 / m) * pm_w ** (-1.0 / m)))
-        residuals.append(float(abs(polyval(rho, c) - s) / (1.0 + s)))
-    return RadialInverse(
-        omega=tuple(omega), s=tuple(float(x) for x in s_grid),
-        rho=tuple(rhos), sigma=tuple(sigmas), residuals=tuple(residuals),
-        threshold=float(threshold),
-    )
-
-
-def sigma_decay_fit(inv: RadialInverse) -> DecayFit:
-    """Fitted decay exponent of |d sigma / d s| via central finite differences.
-
-    Companion diagnostic for the radial inverse: the symbol-class bound
-    predicts at least one power of s lost per s-derivative.  That bound is
-    an upper envelope (fitted slope <= -1), not a rate: for a polynomial
-    symbol rho(s) is algebraic, sigma has a Puiseux expansion in s^{-1/m},
-    and |d sigma/ds| decays like s^{-1-1/m} asymptotically.  The fitted
-    slope is therefore not expected to equal -1 (1 + |x|^4 + x1^2 along e1
-    gives -1.2938 on [1e2, 1e4]).
-    """
-    s, _, sigma = inv.as_arrays()
-    if s.size < 7:
-        raise RadialInverseError("need at least 7 grid nodes for the decay diagnostic")
-    dsig = (sigma[2:] - sigma[:-2]) / (s[2:] - s[:-2])
-    mids = s[1:-1]
-    return fit_power_law(mids, np.abs(dsig))

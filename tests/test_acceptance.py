@@ -22,6 +22,8 @@ from ddlab import spectral as sp
 from ddlab import symbol as sym
 from ddlab.fitting import fit_power_law
 
+import lemmas
+
 
 def _verdict(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -58,20 +60,20 @@ def test_criterion_02_sqrt_hessian_growth():
     radii = np.geomspace(10.0, 100.0, 9)
     dirs = sym.sphere_directions(2, 8)
 
-    target4 = sym.sqrt_hessian_growth_exponent(4, 2)
+    target4 = lemmas.sqrt_hessian_growth_exponent(4, 2)
     ok = target4 == 0
-    fits4 = sym.hessian_growth_sqrt(beam(), radii, dirs)
+    fits4 = lemmas.hessian_growth_sqrt(beam(), radii, dirs)
     for f in fits4:
         ok = ok and abs(f.fit.exponent - target4) <= 0.05
 
     square = sym.parse_symbol("1 + 2*|x|^2 + |x|^4", 2)
-    for f in sym.hessian_growth_sqrt(square, radii, dirs):
+    for f in lemmas.hessian_growth_sqrt(square, radii, dirs):
         ok = ok and abs(f.fit.exponent - target4) <= 0.05
         ok = ok and np.max(np.abs(np.asarray(f.det_values) - 4.0)) <= 1e-9
 
     sextic = sym.parse_symbol("1 + |x|^6", 2)
-    fits6 = sym.hessian_growth_sqrt(sextic, radii, dirs)
-    target6 = sym.sqrt_hessian_growth_exponent(6, 2)
+    fits6 = lemmas.hessian_growth_sqrt(sextic, radii, dirs)
+    target6 = lemmas.sqrt_hessian_growth_exponent(6, 2)
     ok = ok and target6 == 2
     for f in fits6:
         ok = ok and abs(f.fit.exponent - target6) <= 0.05
@@ -90,12 +92,12 @@ def test_criterion_03_surface_type_probe():
     types = []
     for x1 in axis:
         for x2 in axis:
-            types.append((x1, x2, sym.surface_type(p, [x1, x2], 4)))
+            types.append((x1, x2, lemmas.surface_type(p, [x1, x2], 4)))
     max_type = max(t for _, _, t in types)
     at_origin = next(t for x1, x2, t in types if x1 == 0.0 and x2 == 0.0)
     ok = max_type == 4 and at_origin == 4
     square = sym.parse_symbol("1 + 2*|x|^2 + |x|^4", 2)
-    uniform = all(sym.surface_type(square, [x1, x2], 4) == 2
+    uniform = all(lemmas.surface_type(square, [x1, x2], 4) == 2
                   for x1 in axis[::4] for x2 in axis[::4])
     ok = ok and uniform
     assert _verdict(3, "hypersurface type probe", ok,
@@ -104,9 +106,9 @@ def test_criterion_03_surface_type_probe():
 
 def test_criterion_04_radial_decomposition():
     p = sym.parse_symbol("1 + |x|^4 + x1^2", 2)
-    inv = sym.radial_inverse(p, [1.0, 0.0], np.geomspace(1e2, 1e4, 33))
+    inv = lemmas.radial_inverse(p, [1.0, 0.0], np.geomspace(1e2, 1e4, 33))
     residual_ok = max(inv.residuals) <= 1e-10
-    fit = sym.sigma_decay_fit(inv)
+    fit = lemmas.sigma_decay_fit(inv)
     # The paper bounds |d sigma/ds| by s^-1 from above only: rho(s) is an
     # algebraic function of s, so sigma has a Puiseux expansion in s^{-1/m}
     # and decays like s^{-1-1/m} (-5/4 here), strictly inside the envelope.
@@ -114,7 +116,7 @@ def test_criterion_04_radial_decomposition():
     # Closed-form oracle along e1: 1 + rho^2 + rho^4 = s.  rho is the ray
     # level of P, bisected to rounding, so sigma is off by rounding only
     # (1.8e-15 measured).
-    s, _, sigma = inv.as_arrays()
+    s, sigma = inv.s, inv.sigma
     sigma_cf = np.sqrt((np.sqrt(4.0 * s - 3.0) - 1.0) / 2.0) - s ** 0.25
     sigma_err = float(np.max(np.abs(sigma - sigma_cf)))
     sigma_ok = sigma_err <= 1e-11
@@ -191,7 +193,7 @@ def test_criterion_07_scaling_identity():
     p = sym.SymbolPoly.radial_power(2, 4)
     cfg = K.QuadConfig(eps_list=(0.2, 0.1, 0.05, 0.025), order=3, method="radial")
     xs = [np.zeros(2), np.array([1.0, 0.0]), np.array([2.0, 0.0])]
-    dev = K.scaling_check(p, "I1", [2.0, 4.0], xs, cfg)
+    dev = lemmas.scaling_check(p, "I1", [2.0, 4.0], xs, cfg)
     ok = dev <= 1e-3
     assert _verdict(7, "homogeneous scaling identity", ok,
                     f"max relative deviation {dev:.2e}")

@@ -130,6 +130,7 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["kernel-scan"], "[kernel]\norder = 3\n", "field kernel.order:"),
     (["check-symbol", "--poly", "1 + |x|^4 -"], None, "field symbol.poly:"),
     (["check-symbol", "--poly", "x1^4 * -x2^4"], None, "field symbol.poly:"),
+    (["check-symbol", "--poly", "1.5.3"], None, "field symbol.poly:"),
 ])
 def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
     if ini is not None:

@@ -16,6 +16,8 @@ from ddlab import kernel as K
 from ddlab import symbol as sym
 from ddlab.spectral import LatticePositivityError
 
+import lemmas
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -617,6 +619,14 @@ def test_extrapolate_polynomial_exact():
     assert out == pytest.approx(3.0, abs=1e-12)
 
 
+def test_extrapolate_rejects_order_outside_values():
+    # the slice through the finest order + 1 values would cut such an order silently
+    for order in (-1, 3, 7):
+        with pytest.raises(K.KernelConfigError) as err:
+            K.extrapolate_to_zero([0.4, 0.2, 0.1], [1.0, 2.0, 3.0], order)
+        assert err.value.field == "order"
+
+
 def test_eval_kernel_error_estimate_invariant():
     p = beam()
     s = K.eval_kernel(p, "I1", +1, 0.5, np.array([0.5, 0.0]),
@@ -728,27 +738,27 @@ def test_spatial_envelope_no_upward_drift():
 
 def test_scaling_exponents_arithmetic():
     # I2 prefactor for (m, n) = (4, 2) is t^0: amplitude-invariant rescale
-    pre, arg = K.scaling_exponents("I2", 4, 2)
+    pre, arg = lemmas.scaling_exponents("I2", 4, 2)
     assert pre == 0 and arg == Fraction(-1, 2)
-    pre1, _ = K.scaling_exponents("I1", 4, 2)
+    pre1, _ = lemmas.scaling_exponents("I1", 4, 2)
     assert pre1 == Fraction(-1)
 
 
 def test_scaling_identity_trivial_at_t1():
     p = sym.SymbolPoly.radial_power(2, 4)
     cfg = K.QuadConfig(eps_list=(0.2, 0.1), order=1, method="radial")
-    dev = K.scaling_check(p, "I1", [1.0], [np.zeros(2)], cfg)
+    dev = lemmas.scaling_check(p, "I1", [1.0], [np.zeros(2)], cfg)
     assert dev == 0.0
 
 
 def test_scaling_identity_numeric():
     p = sym.SymbolPoly.radial_power(2, 4)
     cfg = K.QuadConfig(eps_list=(0.2, 0.1, 0.05), order=2, method="radial")
-    dev = K.scaling_check(p, "I1", [2.0, 4.0],
+    dev = lemmas.scaling_check(p, "I1", [2.0, 4.0],
                           [np.zeros(2), np.array([1.0, 0.0])], cfg)
     assert dev <= 1e-3
 
 
 def test_scaling_rejects_inhomogeneous():
     with pytest.raises(K.KernelConfigError):
-        K.scaling_check(beam(), "I1", [2.0], [np.zeros(2)], FAST)
+        lemmas.scaling_check(beam(), "I1", [2.0], [np.zeros(2)], FAST)

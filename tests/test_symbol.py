@@ -9,6 +9,8 @@ import pytest
 from ddlab import symbol as sym
 from ddlab.symbol import SymbolPoly
 
+import lemmas
+
 
 def beam(n=2):
     return sym.parse_symbol("1 + |x|^4", n)
@@ -342,7 +344,7 @@ def test_sqrt_hessian_constant_for_perfect_square():
     # P = (1 + |x|^2)^2 has sqrt(P) = 1 + |x|^2 with det Hess = 4 exactly
     p = sym.parse_symbol("1 + 2*|x|^2 + |x|^4", 2)
     radii = np.geomspace(10, 100, 9)
-    fits = sym.hessian_growth_sqrt(p, radii, sym.sphere_directions(2, 8))
+    fits = lemmas.hessian_growth_sqrt(p, radii, sym.sphere_directions(2, 8))
     for f in fits:
         assert not f.sign_change
         assert np.max(np.abs(np.array(f.det_values) - 4.0)) < 1e-9
@@ -353,8 +355,8 @@ def test_sqrt_hessian_growth_sextic():
     # sqrt(1 + r^6) ~ r^3, det Hess(r^3) = 18 r^2: slope 2, level 18
     p = sym.parse_symbol("1 + |x|^6", 2)
     radii = np.geomspace(10, 100, 9)
-    fits = sym.hessian_growth_sqrt(p, radii, sym.sphere_directions(2, 8))
-    assert sym.sqrt_hessian_growth_exponent(6, 2) == 2
+    fits = lemmas.hessian_growth_sqrt(p, radii, sym.sphere_directions(2, 8))
+    assert lemmas.sqrt_hessian_growth_exponent(6, 2) == 2
     for f in fits:
         assert f.fit.exponent == pytest.approx(2.0, abs=1e-4)
         assert f.level == pytest.approx(18.0, rel=1e-3)
@@ -363,15 +365,15 @@ def test_sqrt_hessian_growth_sextic():
 
 def test_sqrt_hessian_growth_quartic_is_flat():
     radii = np.geomspace(10, 100, 9)
-    fits = sym.hessian_growth_sqrt(beam(), radii, sym.sphere_directions(2, 8))
-    assert sym.sqrt_hessian_growth_exponent(4, 2) == 0
+    fits = lemmas.hessian_growth_sqrt(beam(), radii, sym.sphere_directions(2, 8))
+    assert lemmas.sqrt_hessian_growth_exponent(4, 2) == 0
     for f in fits:
         assert abs(f.fit.exponent) < 0.05
 
 
 def test_hessian_growth_rejects_narrow_radius_window():
     with pytest.raises(sym.SymbolError):
-        sym.hessian_growth_sqrt(beam(), np.linspace(10, 20, 9), [(1.0, 0.0)])
+        lemmas.hessian_growth_sqrt(beam(), np.linspace(10, 20, 9), [(1.0, 0.0)])
 
 
 def test_hessian_growth_reports_unfittable_directions():
@@ -379,7 +381,7 @@ def test_hessian_growth_reports_unfittable_directions():
     # vanishes identically: no fit, flagged instead of dropped
     p = sym.parse_symbol("1 + x1^4 + x2^4", 2)
     radii = np.geomspace(10, 100, 9)
-    fits = sym.hessian_growth_sqrt(p, radii, [(1.0, 0.0), (0.6, 0.8)])
+    fits = lemmas.hessian_growth_sqrt(p, radii, [(1.0, 0.0), (0.6, 0.8)])
     on_axis, generic = fits
     assert on_axis.sign_change and on_axis.fit is None
     assert not generic.sign_change and generic.fit is not None
@@ -392,12 +394,12 @@ def test_hessian_growth_reports_unfittable_directions():
 def test_type_two_for_perfect_square():
     p = sym.parse_symbol("1 + 2*|x|^2 + |x|^4", 2)
     for xi0 in ([0.0, 0.0], [0.4, -1.1], [2.0, 1.0]):
-        assert sym.surface_type(p, xi0, 6) == 2
+        assert lemmas.surface_type(p, xi0, 6) == 2
 
 
 def test_type_four_at_origin_for_beam():
     # Taylor oracle: sqrt(1 + r^4) = 1 + r^4/2 + O(r^8), orders 2 and 3 vanish
-    assert sym.surface_type(beam(), [0.0, 0.0], 6) == 4
+    assert lemmas.surface_type(beam(), [0.0, 0.0], 6) == 4
 
 
 def test_type_bounded_by_order_on_probe_grid():
@@ -405,12 +407,12 @@ def test_type_bounded_by_order_on_probe_grid():
     axis = np.linspace(-2, 2, 9)
     for x1 in axis:
         for x2 in axis:
-            k = sym.surface_type(p, [x1, x2], 4)
+            k = lemmas.surface_type(p, [x1, x2], 4)
             assert k is not None and 2 <= k <= 4
 
 
 def test_type_exceeding_probe_depth_returns_none():
-    assert sym.surface_type(beam(), [0.0, 0.0], 3) is None
+    assert lemmas.surface_type(beam(), [0.0, 0.0], 3) is None
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +424,7 @@ def test_radial_inverse_closed_form_beam():
     p = beam()
     s = np.geomspace(10, 1e4, 25)
     for w in ([1.0, 0.0], [0.6, 0.8]):
-        inv = sym.radial_inverse(p, w, s)
+        inv = lemmas.radial_inverse(p, w, s)
         rho = np.asarray(inv.rho)
         assert np.max(np.abs(rho - (s - 1) ** 0.25)) < 1e-10
         sigma = np.asarray(inv.sigma)
@@ -432,21 +434,21 @@ def test_radial_inverse_closed_form_beam():
 
 def test_radial_inverse_homogeneous_sigma_vanishes():
     p = SymbolPoly.radial_power(2, 4)
-    inv = sym.radial_inverse(p, [0.6, 0.8], np.geomspace(1, 100, 9))
+    inv = lemmas.radial_inverse(p, [0.6, 0.8], np.geomspace(1, 100, 9))
     assert max(abs(v) for v in inv.sigma) < 1e-12
 
 
 def test_radial_inverse_residuals_small():
     p = sym.parse_symbol("1 + |x|^4 + x1^2", 2)
-    inv = sym.radial_inverse(p, [1.0, 0.0], np.geomspace(100, 1e4, 17))
+    inv = lemmas.radial_inverse(p, [1.0, 0.0], np.geomspace(100, 1e4, 17))
     assert max(inv.residuals) <= 1e-10
 
 
 def test_radial_inverse_below_threshold_rejected():
     p = beam()
-    assert sym.radial_threshold(p) == pytest.approx(2.0)
+    assert lemmas.radial_threshold(p) == pytest.approx(2.0)
     with pytest.raises(sym.RadialInverseError):
-        sym.radial_inverse(p, [1.0, 0.0], [0.5, 10.0])
+        lemmas.radial_inverse(p, [1.0, 0.0], [0.5, 10.0])
 
 
 def test_radial_inverse_exact_to_rounding():
@@ -454,7 +456,7 @@ def test_radial_inverse_exact_to_rounding():
     # rho = sqrt((sqrt(4s-3)-1)/2), and the ray level is that root to rounding
     p = sym.parse_symbol("1 + |x|^4 + x1^2", 2)
     s = np.geomspace(1e2, 1e4, 33)
-    rho = np.asarray(sym.radial_inverse(p, [1.0, 0.0], s).rho)
+    rho = np.asarray(lemmas.radial_inverse(p, [1.0, 0.0], s).rho)
     rho_cf = np.sqrt((np.sqrt(4.0 * s - 3.0) - 1.0) / 2.0)
     assert np.max(np.abs(rho - rho_cf) / rho_cf) <= 1e-15
 
@@ -463,7 +465,7 @@ def test_radial_inverse_rejects_level_without_positive_root():
     # on |x|^4 the threshold is 0 and s = 0 is reached at rho = 0
     p = SymbolPoly.radial_power(2, 4)
     with pytest.raises(sym.RadialInverseError):
-        sym.radial_inverse(p, [1.0, 0.0], [0.0, 1.0])
+        lemmas.radial_inverse(p, [1.0, 0.0], [0.0, 1.0])
 
 
 def test_ray_level_never_reached_raises():
@@ -472,7 +474,7 @@ def test_ray_level_never_reached_raises():
     with pytest.raises(sym.RadialInverseError):
         sym.ray_level(c, lambda v: v >= 2.0)
     with pytest.raises(sym.RadialInverseError):
-        sym.radial_inverse(beam(), [1.0, 0.0], [10.0, math.inf])
+        lemmas.radial_inverse(beam(), [1.0, 0.0], [10.0, math.inf])
 
 
 def test_sigma_decay_diagnostic_matches_closed_form():
@@ -480,8 +482,8 @@ def test_sigma_decay_diagnostic_matches_closed_form():
     # rho = sqrt((sqrt(4s-3)-1)/2); the same finite-difference fit of
     # |d sigma/ds| over s in [1e2, 1e4] (33 log nodes) evaluates to -1.29380
     p = sym.parse_symbol("1 + |x|^4 + x1^2", 2)
-    inv = sym.radial_inverse(p, [1.0, 0.0], np.geomspace(1e2, 1e4, 33))
-    fit = sym.sigma_decay_fit(inv)
+    inv = lemmas.radial_inverse(p, [1.0, 0.0], np.geomspace(1e2, 1e4, 33))
+    fit = lemmas.sigma_decay_fit(inv)
     assert fit.exponent == pytest.approx(-1.29380, abs=1e-3)
     # consistency with the symbol-class bound: at least one power of s lost
     assert fit.exponent <= -1.0 + 0.15
@@ -519,6 +521,10 @@ def test_literal_rejects_garbage():
                  "x1^4 * -x2^4", "1 + |x|^4 - 2 * -x1^2"):
         with pytest.raises(sym.SymbolError, match="operator|between two factors"):
             sym.parse_symbol(text, 2)
+    # a number never follows a number side by side: "1.5.3" would read as 1.5 * .3
+    for text in ("1.5.3", "1 2 + |x|^4", "|x|^4 + 1 .5"):
+        with pytest.raises(sym.SymbolError, match="follows another number"):
+            sym.parse_symbol(text, 2)
 
 
 @pytest.mark.parametrize("text, terms", [
@@ -526,6 +532,7 @@ def test_literal_rejects_garbage():
     ("- - x1^4", {(4, 0): 1.0}),
     ("2.5e-1*x1 + 1E2", {(1, 0): 0.25, (0, 0): 100.0}),
     ("0", {}),
+    ("2 x1 * 3", {(1, 0): 6.0}),
 ])
 def test_literal_forms_still_parse(text, terms):
     assert sym.parse_symbol(text, 2) == sym.SymbolPoly.from_terms(2, terms)
