@@ -136,8 +136,8 @@ def admissible_region(qr: ExponentQuery):
     return build_region("delta_m", qr.m, qr.n)
 
 
-def _classified_region(qr: ExponentQuery):
-    """(admissible region, classification of the query's index point); raises
+def _classification(qr: ExponentQuery) -> Classification:
+    """Classification of the query's index point in its admissible region; raises
     RegionError naming the region when the pair is not admissible for the route."""
     region = admissible_region(qr)
     cls = classify(region, qr.point)
@@ -145,7 +145,7 @@ def _classified_region(qr: ExponentQuery):
         raise RegionError(
             f"index point ({qr.inv_p}, {qr.inv_q}) outside region "
             f"{region.kind} (m={qr.m}, n={qr.n})")
-    return region, cls
+    return cls
 
 
 def theoretical_exponent(qr: ExponentQuery) -> Fraction:
@@ -154,7 +154,7 @@ def theoretical_exponent(qr: ExponentQuery) -> Fraction:
     Raises RegionError naming the region when the index pair is not
     admissible for the route.
     """
-    _classified_region(qr)
+    _classification(qr)
     return _time_exponent(qr)
 
 
@@ -184,18 +184,19 @@ MOLLIFY_SIGMA = 1.0
 
 def gaussian_family(g: GridSpec):
     """Centered Gaussians of GAUSSIAN_WIDTHS plus the ball indicator of
-    INDICATOR_RADIUS mollified at scale MOLLIFY_SIGMA (all unnormalized).
+    INDICATOR_RADIUS mollified at scale MOLLIFY_SIGMA (all real, unnormalized).
 
-    The indicator is smoothed spectrally so its Nyquist tail is controlled;
-    callers normalize in whatever data norm the estimate uses.
+    The indicator is smoothed spectrally so its Nyquist tail is controlled
+    (dropping the rounding-level imaginary part of the inverse FFT); callers
+    normalize in whatever data norm the estimate uses.
     """
     xs = g.x_grids()
     r2 = sum(x**2 for x in xs)
-    fields = [np.exp(-r2 / (2.0 * a * a)).astype(complex) for a in GAUSSIAN_WIDTHS]
+    fields = [np.exp(-r2 / (2.0 * a * a)) for a in GAUSSIAN_WIDTHS]
     ind = (np.sqrt(r2) <= INDICATOR_RADIUS).astype(complex)
     xi2 = sum(x**2 for x in g.xi_grids())
     smooth = np.fft.ifftn(np.fft.fftn(ind) * np.exp(-0.5 * MOLLIFY_SIGMA**2 * xi2))
-    fields.append(smooth)
+    fields.append(smooth.real)
     names = [f"gaussian(width={a})" for a in GAUSSIAN_WIDTHS] + ["smoothed-indicator"]
     return list(zip(names, fields))
 
@@ -278,7 +279,7 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
         raise RegionError(
             f"query (m={qr.m}, n={qr.n}) does not match symbol "
             f"(m={p.order}, n={p.n})")
-    _, cls = _classified_region(qr)
+    cls = _classification(qr)
     theo = _time_exponent(qr)
     if grid is None:
         grid = make_grid(qr.n, 128, 16.0)
@@ -299,12 +300,12 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
             raise NormError(f"datum {name} has zero norm")
         data_norms.append(dn)
     # one transform per normalized datum serves the tail fraction and the propagation
-    hats = data_transforms(grid, (f / dn for (_, f), dn in zip(data, data_norms)))
-    worst_tail = max((spectral_tail_fraction(h, grid) for h in hats), default=0.0)
+    spectra = data_transforms(grid, (f / dn for (_, f), dn in zip(data, data_norms)))
+    worst_tail = max((spectral_tail_fraction(h, grid) for h, _ in spectra), default=0.0)
     if worst_tail > 1e-10:
         notes.append(f"spectral tail fraction {worst_tail:.3e} above 1e-10")
 
-    parts = propagate_part(hats, t_grid, p, grid, qr.part)
+    parts = propagate_part(spectra, t_grid, p, grid, qr.part)
     norm_rows = []
     for t in t_grid:
         best = best_l2 = best_inf = 0.0

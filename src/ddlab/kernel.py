@@ -180,8 +180,7 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, N):
         raise KernelConfigError(
             f"lattice has {N**n} points, over the cap of {MAX_LATTICE_POINTS}", "lattice_N")
     axis, h = _lattice_axis(p, eps_list, N)
-    # P is even in xi_i when every term has an even exponent in xi_i
-    folded = tuple(i for i in range(n) if all(a[i] % 2 == 0 for a, _ in p.terms))
+    folded = p.even_axes
     nodes, weights, coarse_masks = [], [], []
     for i in range(n):
         idx = np.r_[0, N // 2:N] if i in folded else np.arange(N)  # indices on the full axis

@@ -127,17 +127,17 @@ def sqrt_symbol(p: SymbolPoly, axes, strict=True) -> np.ndarray:
 
 
 def data_transforms(g: GridSpec, fields) -> list:
-    """The FFT of each data field, one field at a time (fields may be a
-    generator), after checking it against the grid."""
-    hats = []
+    """(F f, f is real) for each data field, one field at a time (fields may
+    be a generator), after checking it against the grid."""
+    spectra = []
     for f in fields:
         f = np.asarray(f, dtype=complex)
         if f.shape != g.shape:
             raise GridError("data fields do not match the grid shape")
         if not np.all(np.isfinite(f)):
             raise GridError("data fields contain non-finite entries")
-        hats.append(np.fft.fftn(f))
-    return hats
+        spectra.append((np.fft.fftn(f), not np.any(f.imag)))
+    return spectra
 
 
 def sine_multiplier(w: np.ndarray, t: float) -> np.ndarray:
@@ -152,7 +152,7 @@ def propagate(u0, u1, t, p: SymbolPoly, g: GridSpec) -> WaveState:
     ut = F^-1[-w sin(w t) F u0] + F^-1[cos(w t) F u1]
     with w = sqrt(P) on the frequency lattice.
     """
-    u0_hat, u1_hat = data_transforms(g, (u0, u1))
+    (u0_hat, _), (u1_hat, _) = data_transforms(g, (u0, u1))
     w = sqrt_symbol(p, [g.xi_axis] * g.n)
     coswt = np.cos(w * t)
     Q = sine_multiplier(w, t)
@@ -161,21 +161,53 @@ def propagate(u0, u1, t, p: SymbolPoly, g: GridSpec) -> WaveState:
     return WaveState(t=float(t), u=u, ut=ut)
 
 
-def propagate_part(hats, t_grid, p: SymbolPoly, g: GridSpec, part):
+def propagate_part(spectra, t_grid, p: SymbolPoly, g: GridSpec, part):
     """Yield part "U" (F^-1[cos(w t) F f]) or "V" (F^-1[sin(w t)/w F f]) of each
     field f at each t in t_grid, t-major: propagate(u0, u1, t).u = U(t)u0 + V(t)u1.
 
-    hats are the transforms F f (see data_transforms), so a caller that also
-    needs them for something else transforms each field once; w is evaluated
-    once, and each (t, field) then costs one inverse FFT.
+    spectra are the (F f, f is real) pairs of data_transforms, so a caller that
+    also needs F f for something else transforms each field once; w is
+    evaluated once.  When P is even on every axis (SymbolPoly.even_axes), U(t)
+    and V(t) are real and equal at mirrored lattice indices, so they map real
+    fields to real fields: w lives on the half lattice of rfftn, a real f takes
+    one irfftn per t and a complex f is split as U(Re f) + i U(Im f).  Even
+    total degree is not enough, since the index -N/2 is its own mirror; such
+    a P takes one complex ifftn per (t, field).
     """
     if part not in ("U", "V"):
         raise ValueError(f"part must be U or V, got {part!r}")
-    w = sqrt_symbol(p, [g.xi_axis] * g.n)
+    if len(p.even_axes) == g.n:
+        half = g.N // 2 + 1
+        w = sqrt_symbol(p, [g.xi_axis] * (g.n - 1) + [g.xi_axis[:half]])
+        inputs = [_half_spectra(h, real, half) for h, real in spectra]
+        axes = tuple(range(g.n))
+        def inverse(x):
+            return np.fft.irfftn(x, g.shape, axes)
+    else:
+        w = sqrt_symbol(p, [g.xi_axis] * g.n)
+        inputs = [(h,) for h, _ in spectra]
+        inverse = np.fft.ifftn
     for t in t_grid:
         multiplier = np.cos(w * t) if part == "U" else sine_multiplier(w, t)
-        for h in hats:
-            yield np.fft.ifftn(multiplier * h)
+        for x in inputs:
+            if len(x) == 1:
+                yield inverse(multiplier * x[0])
+            else:  # U(Re f) + i U(Im f), filled one part at a time
+                out = np.empty(g.shape, dtype=complex)
+                out.real = inverse(multiplier * x[0])
+                out.imag = inverse(multiplier * x[1])
+                yield out
+
+
+def _half_spectra(h, real, half):
+    """Half-lattice transforms (last axis indices 0..N/2) of Re f and, unless
+    f is real, of Im f, from h = F f: F(Re f)(k) = (h(k) + conj h(-k)) / 2 and
+    F(Im f)(k) = (h(k) - conj h(-k)) / 2i."""
+    if real:
+        return (h[..., :half],)
+    mirror = np.conj(np.roll(np.flip(h), 1, axis=tuple(range(h.ndim))))[..., :half]
+    h = h[..., :half]
+    return ((h + mirror) / 2, (h - mirror) / 2j)
 
 
 def energy(state: WaveState, p: SymbolPoly, g: GridSpec) -> float:

@@ -91,6 +91,11 @@ class SymbolPoly:
         """Total degree m (0 for the zero polynomial)."""
         return max((sum(a) for a, _ in self.terms), default=0)
 
+    @property
+    def even_axes(self) -> tuple:
+        """The axes i on which P is even in xi_i: every term has an even exponent in xi_i."""
+        return tuple(i for i in range(self.n) if all(a[i] % 2 == 0 for a, _ in self.terms))
+
     def coeff(self, alpha) -> float:
         alpha = tuple(alpha)
         for a, c in self.terms:

@@ -303,6 +303,25 @@ def test_verify_transforms_each_datum_once(monkeypatch):
     assert rep.nyquist_tail == pytest.approx(tail, rel=1e-9)
 
 
+def test_verify_even_symbol_takes_no_complex_inverse(monkeypatch):
+    # 1 + |x|^4 is even on every axis: a real datum takes irfftn and a complex
+    # one its Re/Im split, so neither reaches the complex inverse
+    g = sp.make_grid(2, 32, 8.0)
+    xs = g.x_grids()
+    gauss = np.exp(-(xs[0] ** 2 + xs[1] ** 2) / 2.0)
+    data = [("real", gauss), ("complex", gauss * np.exp(1j * xs[0]))]
+
+    def no_ifftn(*args, **kwargs):
+        raise AssertionError("complex inverse FFT for an even symbol")
+
+    monkeypatch.setattr(np.fft, "ifftn", no_ifftn)
+    ts = np.geomspace(0.05, 0.5, 5)
+    for part, route in (("U", "convolution"), ("V", "multiplier")):
+        qr = D.ExponentQuery(part, "small", 2, 2, 4, 2, route=route)
+        rep = D.verify_lp_lq(beam(), qr, grid=g, t_grid=ts, data=data)
+        assert rep.fit is not None and len(rep.series) == len(ts)
+
+
 def test_verify_mismatched_symbol_rejected():
     qr = D.ExponentQuery("V", "small", 2, 2, 4, 6)
     with pytest.raises(D.RegionError):

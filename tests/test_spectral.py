@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -93,16 +92,28 @@ def test_propagate_single_mode_closed_form():
         assert np.max(np.abs(st.u - math.cos(w * t) * u0)) < 1e-12
 
 
-def test_propagate_parts_recombine():
+PART_SYMBOLS = {
+    "even-axes": "1 + |x|^4",  # real transforms on the half lattice
+    "even-degree": "1 + |x|^4 + x1*x2",  # -N/2 is its own mirror: complex transforms
+    "odd": "1 + |x|^4 + x1^3",
+}
+
+
+@pytest.mark.parametrize("data", ["real", "complex"])
+@pytest.mark.parametrize("symbol", PART_SYMBOLS)
+def test_propagate_parts_recombine(symbol, data):
     # both data at both times: each (t, datum) pair recombines on its own
     g = sp.make_grid(2, 32, 8.0)
+    p = sym.parse_symbol(PART_SYMBOLS[symbol], 2)
     u0, u1 = random_state(g, 7)
+    if data == "real":
+        u0, u1 = u0.real, u1.real
     ts = [0.3, 1.2]
-    cos_parts = sp.propagate_part(sp.data_transforms(g, [u0, u1]), ts, beam(), g, "U")
-    sin_parts = sp.propagate_part(sp.data_transforms(g, [u1, u0]), ts, beam(), g, "V")
+    cos_parts = sp.propagate_part(sp.data_transforms(g, [u0, u1]), ts, p, g, "U")
+    sin_parts = sp.propagate_part(sp.data_transforms(g, [u1, u0]), ts, p, g, "V")
     for t in ts:
         for a, b in ((u0, u1), (u1, u0)):
-            u = sp.propagate(a, b, t, beam(), g).u
+            u = sp.propagate(a, b, t, p, g).u
             recombine_err = np.max(np.abs(u - (next(cos_parts) + next(sin_parts))))
             assert recombine_err < 1e-14 * np.max(np.abs(u))
 
