@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
@@ -25,6 +25,7 @@ from . import decay, kernel, regions, spectral, symbol
 VERSION = "0.1.0"
 
 OK_VERDICTS = {"pass", "consistent"}
+SOLVE_WIDTH = 1.5  # standard deviation of solve's Gaussian datum u0
 
 
 class ConfigError(ValueError):
@@ -35,16 +36,13 @@ DEFAULTS = {
     "run": {"seed": "0"},
     "symbol": {"poly": "1 + |x|^4", "n": "2", "m_expect": ""},
     "grid": {"N": "64", "L": "12.0"},
-    "solve": {"t_list": "0.5,1.0,2.0", "q": "4", "width": "1.5"},
+    "solve": {"t_list": "0.5,1.0,2.0", "q": "4"},
     "kernel": {
         "kind": "I1", "sign": "+", "t_list": "0.25,0.5",
         "x_list": "0.0,1.0", "eps_list": "0.4,0.2,0.1", "N": "512",
-        "order": "2", "method": "lattice",
+        "method": "lattice",
     },
-    "decay": {
-        "part": "V", "regime": "small", "p": "2", "q": "2",
-        "route": "multiplier", "t_count": "9", "N": "64", "L": "12.0",
-    },
+    "decay": {"part": "V", "regime": "small", "p": "2", "q": "2", "route": "multiplier"},
     "regions": {"kind": "all", "m": "4", "n": "6", "a": ""},
 }
 
@@ -52,13 +50,18 @@ DEFAULTS = {
 def load_config(path=None) -> dict:
     """Layered configuration {section: {key: text}}: DEFAULTS, then the INI
     file at path.  Sections and keys are fixed by DEFAULTS; anything else in
-    the file is rejected with the offending field named."""
+    the file is rejected with the offending field named, and so is a file
+    that configparser cannot parse.  Values are taken literally: a % is text."""
     sections = {sec: dict(keys) for sec, keys in DEFAULTS.items()}
     if path is None:
         return sections
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (N vs n)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        detail = " ".join(str(exc).split())  # one line, as every config error
+        raise ConfigError(f"malformed config file {path}: {detail}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for sec in parser.sections():
@@ -66,7 +69,7 @@ def load_config(path=None) -> dict:
             raise ConfigError(f"unknown config section [{sec}]")
         for key, value in parser.items(sec):
             if key not in sections[sec]:
-                raise ConfigError(f"unknown key {key!r} in section [{sec}]")
+                raise ConfigError(f"field {sec}.{key}: unknown key")
             sections[sec][key] = value
     return sections
 
@@ -109,9 +112,21 @@ def _choice(cfg, sec, key, allowed):
     return _field(cfg, sec, key, str, " or ".join(allowed), lambda value: value in allowed)
 
 
+def _json_default(obj):
+    """JSON form of the library's report types: an exact rational as "p/q",
+    an index point as its pair (1/p, 1/q) and any other dataclass as its fields."""
+    if isinstance(obj, Fraction):  # the most frequent case first
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, regions.IndexPoint):
+        return obj.as_tuple()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(path, obj):
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2, default=_json_default)
         fh.write("\n")
 
 
@@ -162,9 +177,8 @@ def cmd_check_symbol(cfg, outdir):
 def cmd_solve(cfg, outdir):
     p = _parse_symbol(cfg)
     g = _grid(cfg, "grid", p.n)
-    width = _positive(cfg, "solve", "width")
     xs = g.x_grids()
-    u0 = np.exp(-sum(x**2 for x in xs) / (2.0 * width**2)).astype(complex)
+    u0 = np.exp(-sum(x**2 for x in xs) / (2.0 * SOLVE_WIDTH**2)).astype(complex)
     u1 = np.zeros(g.shape, dtype=complex)
     q_text = cfg["solve"]["q"]
     q = _field(cfg, "solve", "q", float, "a number >= 1 or inf", lambda value: value >= 1)
@@ -182,7 +196,7 @@ def cmd_solve(cfg, outdir):
                      decay.lq_norm(state.u, 2, g),
                      decay.lq_norm(state.u, q, g),
                      decay.lq_norm(state.u, math.inf, g)))
-    spectral.write_norm_series(outdir / "norms.csv", rows)
+    spectral.write_norm_series(outdir / "solve_norms.csv", rows)
     tail = spectral.spectral_tail_fraction(np.fft.fftn(u0), g)
     checks = [{
         "name": "energy-conservation",
@@ -190,7 +204,7 @@ def cmd_solve(cfg, outdir):
         "details": {"relative_drift": drift, "clearance": clear,
                     "nyquist_tail": tail, "norm_q": q_text},
     }]
-    return checks, {"norms.csv": "t,l2,lq,linf series"}
+    return checks, {"solve_norms.csv": "t,l2,lq,linf series"}
 
 
 def cmd_kernel_scan(cfg, outdir):
@@ -199,9 +213,10 @@ def cmd_kernel_scan(cfg, outdir):
     sign = _field(cfg, "kernel", "sign", lambda text: signs.get(text.strip()),
                   "+, +1, 1, - or -1", lambda value: value is not None)
     kernel.mu_nu(p.order, p.n)  # the envelopes need order m > 2: fail before sampling
+    eps_list = tuple(_finite_floats(cfg, "kernel", "eps_list"))
     qcfg = kernel.QuadConfig(
-        eps_list=tuple(_finite_floats(cfg, "kernel", "eps_list")),
-        order=_int(cfg, "kernel", "order"),
+        eps_list=eps_list,
+        order=len(eps_list) - 1,  # extrapolate through every value
         lattice_N=_int(cfg, "kernel", "N"),
         method=_choice(cfg, "kernel", "method", ("lattice", "radial")),
     )
@@ -214,13 +229,13 @@ def cmd_kernel_scan(cfg, outdir):
             samples.append(kernel.eval_kernel(p, kind, sign, t, x, tcfg))
     kernel.samples_to_csv(outdir / "samples.csv", samples)
     report = kernel.check_bound(samples, p)
-    _write_json(outdir / "kernel_bounds.json", kernel.bound_report_dict(report))
+    _write_json(outdir / "kernel_bounds.json", report)
     flagged = sum(1 for s in samples if s.flagged)
     checks = [{
         "name": "kernel-scan",
         "verdict": "pass" if flagged == 0 else "fail",
         "details": {"samples": len(samples), "flagged": flagged,
-                    "bounds": kernel.bound_report_dict(report)},
+                    "bounds": report},
     }]
     return checks, {"samples.csv": "kernel samples",
                     "kernel_bounds.json": "envelope report"}
@@ -234,10 +249,7 @@ def cmd_decay_verify(cfg, outdir):
     lp = _fraction(cfg, "decay", "p")
     lq = math.inf if cfg["decay"]["q"].strip() == "inf" else _fraction(cfg, "decay", "q")
     qr = decay.ExponentQuery(part, regime, lp, lq, p.order, p.n, route)
-    g = _grid(cfg, "decay", p.n)
-    lo, hi = decay.DEFAULT_WINDOWS[qr.regime]
-    t_grid = np.geomspace(lo, hi, _count(cfg, "decay", "t_count"))
-    report = decay.verify_lp_lq(p, qr, grid=g, t_grid=t_grid)
+    report = decay.verify_lp_lq(p, qr, grid=_grid(cfg, "grid", p.n))
     _write_json(outdir / "decay_report.json", report.to_dict())
     spectral.write_norm_series(outdir / "norms.csv", report.norm_rows)
     checks = [{
@@ -256,14 +268,13 @@ def cmd_regions(cfg, outdir):
     a = _fraction(cfg, "regions", "a") if cfg["regions"]["a"].strip() else None
     kinds = ("delta_m", "AEF", "hexagon") if kind == "all" else (kind,)
     built = [regions.build_region(k, m, n, a=a) for k in kinds]
-    payload = [regions.region_to_dict(r) for r in built]
-    _write_json(outdir / "regions.json", payload if len(payload) > 1 else payload[0])
+    _write_json(outdir / "regions.json", built if len(built) > 1 else built[0])
     with open(outdir / "regions.svg", "w", encoding="ascii") as fh:
         fh.write(regions.regions_svg(built))
     checks = [{
         "name": f"regions({r.kind})",
         "verdict": "pass",
-        "details": regions.region_to_dict(r),
+        "details": r,
     } for r in built]
     return checks, {"regions.json": "vertex lists", "regions.svg": "index square"}
 
@@ -283,7 +294,7 @@ def cmd_all(cfg, outdir):
 # the `field` a library error blames to the config key(s) at fault.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Subcommand:
     pipeline: object  # (cfg, outdir) -> (checks, artifacts)
     flags: dict  # flag -> config keys it sets
@@ -310,15 +321,14 @@ COMMANDS = {
                "--x-list": ("kernel.x_list",), "--eps-list": ("kernel.eps_list",)},
         fields={**SYMBOL_FIELDS, "kind": "kernel.kind", "t": "kernel.t_list",
                 "x": "kernel.x_list", "eps_list": "kernel.eps_list",
-                "order": "kernel.order", "lattice_N": "kernel.N",
-                "method": "kernel.method"}),
+                "lattice_N": "kernel.N", "method": "kernel.method"}),
     "decay-verify": Subcommand(
         cmd_decay_verify,
         flags={**SYMBOL_FLAGS, "--part": ("decay.part",), "--regime": ("decay.regime",),
                "--p": ("decay.p",), "--q": ("decay.q",), "--route": ("decay.route",)},
         # the route picks the region kind; a RegionError without a field is an
         # index point outside the route's region
-        fields={**SYMBOL_FIELDS, "m": "symbol.poly", "n": "symbol.n", "N": "decay.N",
+        fields={**SYMBOL_FIELDS, "m": "symbol.poly", "n": "symbol.n", "N": "grid.N",
                 "p": "decay.p", "q": "decay.q", "kind": "decay.route",
                 None: "decay.p, decay.q, decay.route"}),
     "regions": Subcommand(

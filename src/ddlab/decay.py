@@ -236,7 +236,6 @@ class DecayReport:
     notes: tuple = ()
 
     def to_dict(self) -> dict:
-        th = self.theoretical
         return {
             "query": {
                 "part": self.query.part,
@@ -247,7 +246,7 @@ class DecayReport:
                 "n": self.query.n,
                 "route": self.query.route,
             },
-            "theoretical_exponent": f"{th.numerator}/{th.denominator}",
+            "theoretical_exponent": self.theoretical,
             "fitted_exponent": None if self.fit is None else self.fit.exponent,
             "residual": None if self.fit is None else self.fit.residual,
             "C_emp": self.c_emp,

@@ -738,32 +738,3 @@ def samples_to_csv(path, samples):
             row += [repr(v) for v in s.x]
             row += [repr(s.value.real), repr(s.value.imag), repr(s.err)]
             fh.write(",".join(row) + "\n")
-
-
-def bound_report_dict(report: KernelBoundReport) -> dict:
-    def frac(f):
-        return None if f is None else f"{f.numerator}/{f.denominator}"
-
-    return {
-        "kind": report.kind,
-        "m": report.m,
-        "n": report.n,
-        "mu": frac(report.mu),
-        "nu": frac(report.nu),
-        "notes": list(report.notes),
-        "description": report.description,
-        "regimes": [
-            {
-                "regime": r.regime,
-                "no_data": r.no_data,
-                "time_exponent": frac(r.time_exponent),
-                "arg_exponent": frac(r.arg_exponent),
-                "spatial_power": frac(r.spatial_power),
-                "c_emp": r.c_emp,
-                "drift": r.drift,
-                "saturated": r.saturated,
-                "n_samples": r.n_samples,
-            }
-            for r in report.regimes
-        ],
-    }

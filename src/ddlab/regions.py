@@ -353,23 +353,6 @@ def contains_bruteforce(region: IndexRegion, pt: IndexPoint) -> bool:
 # Export
 # ---------------------------------------------------------------------------
 
-def region_to_dict(region: IndexRegion) -> dict:
-    return {
-        "kind": region.kind,
-        "m": region.m,
-        "n": region.n,
-        "a": None if region.a is None else f"{region.a.numerator}/{region.a.denominator}",
-        "degenerate": region.degenerate,
-        "notes": list(region.notes),
-        "labels": list(region.labels),
-        "vertices": [
-            [f"{v.inv_p.numerator}/{v.inv_p.denominator}",
-             f"{v.inv_q.numerator}/{v.inv_q.denominator}"]
-            for v in region.vertices
-        ],
-    }
-
-
 _SVG_STYLES = {
     "delta_a": ("#000000", "none"),
     "hexagon": ("#aa0000", "2,4"),

@@ -148,16 +148,15 @@ def sine_multiplier(w: np.ndarray, t: float) -> np.ndarray:
 def propagate(u0, u1, t, p: SymbolPoly, g: GridSpec) -> WaveState:
     """One-shot solution at time t from data (u0, u1).
 
-    u  = F^-1[cos(w t) F u0] + F^-1[sin(w t)/w F u1]
-    ut = F^-1[-w sin(w t) F u0] + F^-1[cos(w t) F u1]
-    with w = sqrt(P) on the frequency lattice.
+    u  = F^-1[cos(w t) F u0 + sin(w t)/w F u1]
+    ut = F^-1[cos(w t) F u1 - w sin(w t) F u0]
+    with w = sqrt(P) on the frequency lattice: one inverse transform per field.
     """
     (u0_hat, _), (u1_hat, _) = data_transforms(g, (u0, u1))
     w = sqrt_symbol(p, [g.xi_axis] * g.n)
     coswt = np.cos(w * t)
-    Q = sine_multiplier(w, t)
-    u = np.fft.ifftn(coswt * u0_hat) + np.fft.ifftn(Q * u1_hat)
-    ut = np.fft.ifftn(-w * np.sin(w * t) * u0_hat) + np.fft.ifftn(coswt * u1_hat)
+    u = np.fft.ifftn(coswt * u0_hat + sine_multiplier(w, t) * u1_hat)
+    ut = np.fft.ifftn(coswt * u1_hat - w * np.sin(w * t) * u0_hat)
     return WaveState(t=float(t), u=u, ut=ut)
 
 

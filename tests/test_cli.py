@@ -118,7 +118,7 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["decay-verify", "--n", "1"], None, "field symbol.n:"),
     (["decay-verify", "--route", "convolution", "--regime", "large",
       "--p", "1", "--q", "2"], None, "field decay.route:"),
-    (["decay-verify", "--n", "3", "--p", "1", "--q", "inf"], "[decay]\nN = 16\n",
+    (["decay-verify", "--n", "3", "--p", "1", "--q", "inf"], "[grid]\nN = 16\n",
      "field decay.p, decay.q, decay.route:"),
     (["regions", "--kind", "square"], None, "field regions.kind:"),
     (["solve", "--t-list", "inf"], None, "field solve.t_list"),
@@ -131,6 +131,16 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["check-symbol", "--poly", "1 + |x|^4 -"], None, "field symbol.poly:"),
     (["check-symbol", "--poly", "x1^4 * -x2^4"], None, "field symbol.poly:"),
     (["check-symbol", "--poly", "1.5.3"], None, "field symbol.poly:"),
+    (["decay-verify"], "[grid]\nN = 63\n", "grid.N"),
+    # keys whose value is fixed or derived: [decay] N/L and t_count, kernel.order
+    # and solve.width (the rows above with N = 63, order = -1, order = 3,
+    # t_count = 0 and width = 0 now name each as an unknown key)
+    (["decay-verify"], "[decay]\nL = 12.0\n", "field decay.L: unknown key"),
+    # malformed INI files; a % is literal text
+    (["solve"], "[solve]\nq = 4%\n", "field solve.q: must be a number >= 1 or inf, got '4%'"),
+    (["check-symbol"], "[symbol]\nn = 2\nn = 3\n", "malformed config file"),
+    (["check-symbol"], "n = 2\n[symbol]\n", "malformed config file"),
+    (["check-symbol"], "[symbol]\nn\n", "malformed config file"),
 ])
 def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
     if ini is not None:
@@ -140,6 +150,7 @@ def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field
     assert run(args + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
+    assert "malformed" not in err or str(tmp_path / "bad.ini") in err
     # no nan the input did not give (kernel-scan's x = inf once printed 0 * inf)
     assert "nan" not in err or "nan" in " ".join(args) + (ini or "")
 
@@ -165,8 +176,8 @@ def test_flag_sets_the_keys_its_table_names(tmp_path, monkeypatch, name, flag):
         assert config["symbol"]["n"] == config["regions"]["n"] == "marker"
 
 
-@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
-def test_pipeline_reads_every_key_its_flags_set(tmp_path, monkeypatch, name):
+def _record_reads(monkeypatch):
+    """The set that collects "sec.key" for every config value a run reads."""
     reads = set()
     load = cli.load_config
 
@@ -181,9 +192,22 @@ def test_pipeline_reads_every_key_its_flags_set(tmp_path, monkeypatch, name):
 
     monkeypatch.setattr(cli, "load_config", lambda path=None: {
         sec: Section(sec, keys) for sec, keys in load(path).items()})
+    return reads
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_pipeline_reads_every_key_its_flags_set(tmp_path, monkeypatch, name):
+    reads = _record_reads(monkeypatch)
     assert run([name, "--out", str(tmp_path / "o")]) == 0
     set_keys = {key for keys in cli.COMMANDS[name].flags.values() for key in keys}
     assert set_keys <= reads
+
+
+def test_all_reads_every_config_key(tmp_path, monkeypatch):
+    # a key that no pipeline reads is a setting that changes nothing
+    reads = _record_reads(monkeypatch)
+    assert run(["all", "--out", str(tmp_path / "o")]) == 0
+    assert reads == {f"{sec}.{key}" for sec, keys in cli.DEFAULTS.items() for key in keys}
 
 
 @pytest.mark.parametrize("args", [
@@ -243,7 +267,7 @@ def test_solve_writes_norm_series(tmp_path):
     rc = run(["solve", "--grid-N", "32", "--grid-L", "10", "--t-list", "0.5,1.0",
               "--out", str(out)])
     assert rc == 0
-    lines = (out / "norms.csv").read_text().splitlines()
+    lines = (out / "solve_norms.csv").read_text().splitlines()
     assert lines[0] == "t,l2,lq,linf"
     assert len(lines) == 3
 
@@ -281,10 +305,9 @@ def test_all_with_config_file_and_overrides(tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(
         "[run]\nseed = 7\n\n"
-        "[grid]\nN = 32\nL = 10.0\n\n"
+        "[grid]\nN = 32\nL = 12.0\n\n"
         "[solve]\nt_list = 0.5,1.0\nq = inf\n\n"
-        "[kernel]\nt_list = 0.5\nx_list = 0.0\n\n"
-        "[decay]\nN = 32\nL = 12.0\n")
+        "[kernel]\nt_list = 0.5\nx_list = 0.0\n")
     out1, out2 = tmp_path / "c1", tmp_path / "c2"
     assert run(["all", "--config", str(cfg), "--out", str(out1)]) == 0
     assert run(["all", "--config", str(cfg), "--out", str(out2)]) == 0
@@ -302,6 +325,18 @@ def test_checked_in_manifests_run_clean(tmp_path):
     rc = run(["kernel-scan", "--config", str(CONFIGS / "anisotropic2d.ini"),
               "--out", str(tmp_path / "aniso")])
     assert rc == 0
+
+
+def test_all_keeps_solve_and_decay_norm_series(tmp_path):
+    out = tmp_path / "beam"
+    assert run(["all", "--config", str(CONFIGS / "beam2d.ini"), "--out", str(out)]) == 0
+    solve_t = [line.split(",")[0] for line in
+               (out / "solve_norms.csv").read_text().splitlines()[1:]]
+    assert solve_t == ["0.5", "1.0", "2.0", "4.0"]
+    decay_rows = (out / "norms.csv").read_text().splitlines()[1:]
+    assert len(decay_rows) == 9 and decay_rows[0].startswith("0.01,")
+    artifacts = json.loads((out / "report.json").read_text())["artifacts"]
+    assert {"norms.csv", "solve_norms.csv"} <= set(artifacts)
 
 
 def test_report_json_schema(tmp_path):

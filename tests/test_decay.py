@@ -335,5 +335,5 @@ def test_verify_report_dict_schema():
     for key in ("query", "theoretical_exponent", "fitted_exponent", "residual",
                 "C_emp", "clearance", "verdict", "series"):
         assert key in d
-    assert d["theoretical_exponent"] == "1/1"
+    assert d["theoretical_exponent"] == Fraction(1)
     assert d["verdict"] in ("consistent", "inconclusive", "contradicted")

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import jv, roots_legendre, spherical_jn
 
+from ddlab import cli
 from ddlab import kernel as K
 from ddlab import symbol as sym
 from ddlab.spectral import LatticePositivityError
@@ -685,14 +687,15 @@ def test_envelope_exponent_table():
         assert err.value.field == "poly"
 
 
-def test_check_bound_reports_header_and_regimes():
+def test_check_bound_reports_header_and_regimes(tmp_path):
     samples = [K.KernelSample("I2", +1, t, (x, 0.0), 0.5 + 0j, 1e-8)
                for t in (0.5, 2.0) for x in (0.0, 1.0)]
     rep = K.check_bound(samples, beam())
     assert rep.mu == Fraction(2) and rep.nu == Fraction(-1)
     assert {r.regime for r in rep.regimes} == {"small", "large"}
     assert any("n >= m" in note for note in rep.notes)  # n=2 < m=4 caveat
-    d = K.bound_report_dict(rep)
+    cli._write_json(tmp_path / "bounds.json", rep)
+    d = json.loads((tmp_path / "bounds.json").read_text())
     assert d["mu"] == "2/1"
 
 

@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from ddlab import cli
 from ddlab import regions as R
 
 
@@ -240,8 +242,10 @@ def test_classify_endpoint_tags(kind, a, B, D):
         assert R.classify(reg, reg.vertices[0]) == R.Classification("boundary")
 
 
-def test_json_export_rational_strings():
-    d = R.region_to_dict(R.build_region("delta_m", 4, 6))
+def test_json_export_rational_strings(tmp_path):
+    path = tmp_path / "region.json"
+    cli._write_json(path, R.build_region("delta_m", 4, 6))
+    d = json.loads(path.read_text())
     assert d["vertices"][0] == ["1/2", "1/2"]
     assert d["vertices"][1] == ["1/1", "1/3"]
     assert d["labels"] == ["A", "B", "C", "D"]
