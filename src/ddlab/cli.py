@@ -58,8 +58,8 @@ def load_config(path=None) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (N vs n)
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         detail = " ".join(str(exc).split())  # one line, as every config error
         raise ConfigError(f"malformed config file {path}: {detail}") from exc
     if not read:
@@ -138,10 +138,8 @@ def _write_json(path, obj):
 def _parse_symbol(cfg):
     p = symbol.parse_symbol(cfg["symbol"]["poly"], _count(cfg, "symbol", "n"))
     expect = cfg["symbol"]["m_expect"]
-    if expect.strip():
-        if p.order != _int(cfg, "symbol", "m_expect"):
-            raise ConfigError(
-                f"field symbol.m_expect: symbol has order {p.order}, expected {expect}")
+    if expect.strip() and p.order != _int(cfg, "symbol", "m_expect"):
+        raise ConfigError(f"field symbol.m_expect: symbol has order {p.order}, expected {expect}")
     return p
 
 
@@ -150,14 +148,15 @@ def cmd_check_symbol(cfg, outdir):
     # sphere_directions rejects a negative seed at every n
     seed = _field(cfg, "run", "seed", int, "a non-negative integer", lambda value: value >= 0)
     h1, h2 = symbol.check_hypotheses(p, seed)
+    def witnesses(report):
+        return [{"kind": w.kind, "point": w.point, "value": w.value} for w in report.witnesses]
     checks = [{
         "name": "H1",
         "verdict": "pass" if h1.passed else "fail",
         "details": {
             "sampled_min": h1.sampled_min,
             "description": h1.description,
-            "witnesses": [{"kind": w.kind, "point": w.point, "value": w.value}
-                          for w in h1.witnesses],
+            "witnesses": witnesses(h1),
         },
     }]
     checks.append({
@@ -167,8 +166,7 @@ def cmd_check_symbol(cfg, outdir):
             "sphere_min_abs_det": h2.sampled_min,
             "sphere_max_abs_det": h2.sampled_max,
             "flags": list(h2.flags),
-            "witnesses": [{"kind": w.kind, "point": w.point, "value": w.value}
-                          for w in h2.witnesses],
+            "witnesses": witnesses(h2),
         },
     })
     return checks, {}
@@ -182,6 +180,7 @@ def cmd_solve(cfg, outdir):
     u1 = np.zeros(g.shape, dtype=complex)
     q_text = cfg["solve"]["q"]
     q = _field(cfg, "solve", "q", float, "a number >= 1 or inf", lambda value: value >= 1)
+    norms = [decay.norm_reducer(v, g) for v in (2, q, math.inf)]
     rows = []
     e0 = None
     drift = 0.0
@@ -191,11 +190,9 @@ def cmd_solve(cfg, outdir):
         e = spectral.energy(state, p, g)
         e0 = e if e0 is None else e0
         drift = max(drift, abs(e - e0) / max(e0, 1e-300))
-        clear = min(clear, spectral.box_clearance(state.u, g))
-        rows.append((t,
-                     decay.lq_norm(state.u, 2, g),
-                     decay.lq_norm(state.u, q, g),
-                     decay.lq_norm(state.u, math.inf, g)))
+        s = spectral.abs_squared(state.u)  # the row and the clearance read |u|^2
+        clear = min(clear, spectral.box_clearance(s, g))
+        rows.append((t, *(norm(s) for norm in norms)))
     spectral.write_norm_series(outdir / "solve_norms.csv", rows)
     tail = spectral.spectral_tail_fraction(np.fft.fftn(u0), g)
     checks = [{

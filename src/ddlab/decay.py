@@ -9,7 +9,7 @@ estimates predict for the index pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -17,12 +17,12 @@ import numpy as np
 
 from .fitting import DecayFit, FitError, fit_power_law
 from .regions import Classification, IndexPoint, RegionError, build_region, classify
-from .spectral import (GridSpec, box_clearance, data_transforms, make_grid, propagate_part,
-                       spectral_tail_fraction)
+from .spectral import (GridSpec, _times_power, abs_squared, box_clearance, data_transforms,
+                       make_grid, propagate_part, spectral_tail_fraction)
 from .symbol import SymbolPoly
 
 __all__ = [
-    "DecayFit", "fit_power_law", "ExponentQuery", "lq_norm", "weak_lq_norm",
+    "DecayFit", "fit_power_law", "ExponentQuery", "lq_norm", "weak_lq_norm", "norm_reducer",
     "theoretical_exponent", "admissible_region", "verify_lp_lq", "DecayReport",
     "gaussian_family",
 ]
@@ -32,32 +32,46 @@ class NormError(ValueError):
     """Invalid norm order."""
 
 
+PRODUCT_MAX_Q = 16  # up to this integer q, s^{q/2} takes products and at most one sqrt
+
+
+def norm_reducer(q, g: GridSpec, weak=False):
+    """reduce(s): the Riemann-sum L^q norm, cell volume (2L/N)^n, of a field f
+    on g from s = abs_squared(f); q = inf is sqrt(max s), exact as
+    sqrt(x * x) = |x| in IEEE arithmetic.  When weak, the discrete weak-L^q
+    norm sup_k a_k (k * cell)^{1/q} of the |f| samples a_k in descending order
+    (an indicator's weak norm is its strong one), its weights computed once."""
+    q = float(q)
+    if not (q >= 1 and (math.isfinite(q) or not weak)):
+        raise NormError(f"{'weak norms here need finite' if weak else 'L^q norms need'} "
+                        f"q >= 1, got {q}")
+    cell = g.cell_volume
+    if weak:  # for s sorted ascending: the k-th largest value takes (k * cell)^{2/q}
+        scale = (np.arange(g.npoints, 0, -1, dtype=float) * cell) ** (2.0 / q)
+        return lambda s: math.sqrt(float(np.max(np.sort(s, axis=None) * scale)))
+    if q == math.inf:
+        return lambda s: math.sqrt(float(np.max(s)))
+    if q.is_integer() and q <= PRODUCT_MAX_Q:
+        def power(s):  # s^{q/2}
+            if q == 2:
+                return s
+            out = np.sqrt(s) if q % 2 else s.copy()
+            _times_power(out, s, math.ceil(q / 2) - 1)
+            return out
+    else:
+        def power(s):
+            return s ** (q / 2)
+    return lambda s: float((np.sum(power(s)) * cell) ** (1.0 / q))
+
+
 def lq_norm(f, q, g: GridSpec) -> float:
     """Riemann-sum L^q norm with cell volume (2L/N)^n; q = inf is the max norm."""
-    f = np.asarray(f)
-    if q == math.inf or q == "inf":
-        return float(np.max(np.abs(f)))
-    q = float(q)
-    if not q >= 1:
-        raise NormError(f"L^q norms need q >= 1, got {q}")
-    return float((np.sum(np.abs(f) ** q) * g.cell_volume) ** (1.0 / q))
+    return norm_reducer(q, g)(abs_squared(f))
 
 
 def weak_lq_norm(f, q, g: GridSpec) -> float:
-    """Discrete weak-L^q norm: sup_k a_k (k * cell)^{1/q} over the sorted samples.
-
-    Levels are taken just below each sample value, so a two-level function
-    (an indicator) reproduces its strong L^q norm exactly.
-    """
-    q = float(q)
-    if not math.isfinite(q) or q < 1:
-        raise NormError(f"weak norms here need finite q >= 1, got {q}")
-    mags = np.sort(np.abs(np.asarray(f)).ravel())[::-1]
-    mags = mags[mags > 0]
-    if mags.size == 0:
-        return 0.0
-    counts = np.arange(1, mags.size + 1, dtype=float)
-    return float(np.max(mags * (counts * g.cell_volume) ** (1.0 / q)))
+    """Discrete weak-L^q norm of a field on g (see norm_reducer)."""
+    return norm_reducer(q, g, weak=True)(abs_squared(f))
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +107,11 @@ class ExponentQuery:
     route: str = "convolution"
 
     def __post_init__(self):
-        if self.part not in ("U", "V"):
-            raise RegionError(f"part must be U or V, got {self.part!r}")
-        if self.regime not in ("small", "large"):
-            raise RegionError(f"regime must be small or large, got {self.regime!r}")
-        if self.route not in ("convolution", "multiplier"):
-            raise RegionError(f"route must be convolution or multiplier, got {self.route!r}")
+        for name, allowed in (("part", ("U", "V")), ("regime", ("small", "large")),
+                              ("route", ("convolution", "multiplier"))):
+            if getattr(self, name) not in allowed:
+                raise RegionError(f"{name} must be {' or '.join(allowed)}, "
+                                  f"got {getattr(self, name)!r}")
         ip, iq = self.inv_p, self.inv_q
         if not (Fraction(1, 2) <= ip <= 1 and 0 <= iq <= Fraction(1, 2)):
             raise RegionError(
@@ -207,13 +220,11 @@ def _data_norm(f, qr: ExponentQuery, cls: Classification, g: GridSpec):
     return lq_norm(f, float(1 / qr.inv_p), g), "proxy-strong" if cls.lorentz_data else "strong"
 
 
-def _output_norm(f, qr: ExponentQuery, cls: Classification, g: GridSpec):
-    if qr.inv_q == 0:
-        return lq_norm(f, math.inf, g), "strong"
-    q = float(1 / qr.inv_q)
-    if cls.weak_output:
-        return weak_lq_norm(f, q, g), "weak"
-    return lq_norm(f, q, g), "strong"
+def _output_reducer(qr: ExponentQuery, cls: Classification, g: GridSpec):
+    """(reduce, kind) of the query's output norm, weak at the Lorentz endpoints."""
+    q = math.inf if qr.inv_q == 0 else float(1 / qr.inv_q)
+    weak = bool(cls.weak_output) and q != math.inf
+    return norm_reducer(q, g, weak), "weak" if weak else "strong"
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +248,7 @@ class DecayReport:
 
     def to_dict(self) -> dict:
         return {
-            "query": {
-                "part": self.query.part,
-                "regime": self.query.regime,
-                "p": str(self.query.p),
-                "q": str(self.query.q),
-                "m": self.query.m,
-                "n": self.query.n,
-                "route": self.query.route,
-            },
+            "query": {**asdict(self.query), "p": str(self.query.p), "q": str(self.query.q)},
             "theoretical_exponent": self.theoretical,
             "fitted_exponent": None if self.fit is None else self.fit.exponent,
             "residual": None if self.fit is None else self.fit.residual,
@@ -286,6 +289,8 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
         lo, hi = DEFAULT_WINDOWS[qr.regime]
         t_grid = np.geomspace(lo, hi, 9)
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not t_grid.size or not np.all(np.isfinite(t_grid) & (t_grid > 0)):
+        raise ValueError(f"t_grid must list finite times > 0, got {t_grid.tolist()}")
     data = gaussian_family(grid) if data is None else list(data)
 
     notes = []
@@ -305,17 +310,18 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
         notes.append(f"spectral tail fraction {worst_tail:.3e} above 1e-10")
 
     parts = propagate_part(spectra, t_grid, p, grid, qr.part)
+    output, out_kind = _output_reducer(qr, cls, grid)
+    l2_norm, sup_norm = norm_reducer(2, grid), norm_reducer(math.inf, grid)
     norm_rows = []
     for t in t_grid:
         best = best_l2 = best_inf = 0.0
         for _ in data:
-            mag = np.abs(next(parts))  # every norm below depends on |u| only
-            val, out_kind = _output_norm(mag, qr, cls, grid)
-            best = max(best, val)
-            best_l2 = max(best_l2, lq_norm(mag, 2, grid))
-            best_inf = max(best_inf, lq_norm(mag, math.inf, grid))
+            s = abs_squared(next(parts))  # every number of the row is read from |u|^2
+            best = max(best, output(s))
+            best_l2 = max(best_l2, l2_norm(s))
+            best_inf = max(best_inf, sup_norm(s))
             if t == t_grid[-1]:
-                worst_clearance = min(worst_clearance, box_clearance(mag, grid))
+                worst_clearance = min(worst_clearance, box_clearance(s, grid))
         series.append((float(t), float(best)))
         norm_rows.append((float(t), float(best_l2), float(best), float(best_inf)))
 

@@ -21,7 +21,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .symbol import CHUNK_POINTS, RadialInverseError, SymbolPoly, ray_coefficients, ray_level
-from .spectral import checked_sqrt, sqrt_symbol
+from .spectral import _sin_cos, _times_power, checked_sqrt, sqrt_symbol
 
 KINDS = ("I1", "I2")
 
@@ -137,7 +137,7 @@ def _ray_cutoff(ray, eps_min) -> float:
     the ray w whose polynomial P(r w) has the coefficients ray."""
     target = math.log(1.0 / TAIL_TOL) / eps_min  # need sqrt(P) >= target
     try:
-        return ray_level(ray, lambda v: np.sqrt(max(v, 0.0)) >= target)
+        return ray_level(ray, lambda v: math.sqrt(max(v, 0.0)) >= target)
     except RadialInverseError as exc:
         raise KernelConfigError("damping never reaches the tail tolerance", "poly") from exc
 
@@ -166,7 +166,8 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, N):
     Any other axis keeps its N nodes with weights exp(i x_i xi).  The coarse
     sublattice is the even original indices k on every axis; k and N - k
     have the same parity.  A fully even symbol thus takes (N/2 + 1)^n values
-    of sqrt(P) instead of N^n, reduced by _damped_sums one chunk at a time.
+    of sqrt(P) instead of N^n, reduced by _damped_sums one chunk at a time;
+    the coarse sums index the chunk's own damping and oscillation arrays.
 
     Returns (fine_values, coarse_values, work): complex arrays over eps_list
     and {"points": lattice points evaluated, "folded_axes": tuple of axes}.
@@ -192,8 +193,10 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, N):
         nodes.append(axis[idx])
         weights.append(w)
         coarse_masks.append(idx % 2 == 0)
-    # outer product of the weights of axes 1..n-1
+    # outer product of the weights of axes 1..n-1; the flat (C order) indices of
+    # its coarse nodes, and in each block those of the block's coarse nodes
     rest_weight = reduce(np.multiply.outer, weights[1:], np.ones(()))
+    rest_coarse = np.flatnonzero(reduce(np.logical_and.outer, coarse_masks[1:], True))
     fine, coarse = np.zeros((2, len(eps_list)), dtype=complex)
     def blocks():
         chunk = max(1, CHUNK_POINTS // rest_weight.size)
@@ -203,10 +206,9 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, N):
             weight = np.multiply.outer(weights[0][rows], rest_weight)
             if kind == "I2":
                 weight /= A
-            sub = np.ix_(coarse_masks[0][rows], *coarse_masks[1:])
-            # the fine block last: its temporaries are held while the next chunk is made
-            yield A[sub].ravel(), weight[sub].ravel(), coarse, None
-            yield A.ravel(), weight.ravel(), fine, None
+            coarse_rows = np.flatnonzero(coarse_masks[0][rows])
+            index = np.add.outer(coarse_rows * rest_weight.size, rest_coarse).ravel()
+            yield A.ravel(), weight.ravel(), fine, None, (index, coarse)
     _damped_sums(blocks(), sign, t, eps_list)
     return (fine * h**n, coarse * (2.0 * h) ** n,
             {"points": math.prod(v.size for v in nodes), "folded_axes": folded})
@@ -354,41 +356,18 @@ def _horner(coeffs, u, out):
     return out
 
 
-def _times_power(out, base, e):
-    """out *= base^e for e >= 0 a multiple of 1/2, by sqrt and multiplications."""
-    whole = math.floor(e)
-    if e != whole:
-        out *= np.sqrt(base)
-    for _ in range(whole):
-        out *= base
-
-
-def _sin_cos(x):
-    """sin x and cos x from t = tan(x/2), within 2.3e-16 absolute.
-
-    In float64, np.tan costs a fraction of np.sin and np.cos together.
-    """
-    t = np.tan(0.5 * x)
-    t2 = t * t
-    d = np.add(t2, 1.0)
-    np.divide(1.0, d, out=d)
-    t *= 2.0
-    t *= d  # 2t / (1 + t^2)
-    np.subtract(1.0, t2, out=t2)
-    t2 *= d  # (1 - t^2) / (1 + t^2)
-    return t, t2
-
-
 def _damped_sums(blocks, sign, t, eps_list):
     """Add sum exp((i s t - eps) A) weight over each block, at every eps.
 
-    blocks yields (A, weight, sums, masses): sqrt(P) and the real or complex
-    weight (with I2's 1/A) on a block of nodes, 1-d, and the arrays over
+    blocks yields (A, weight, sums, masses, coarse): sqrt(P) and the real or
+    complex weight (with I2's 1/A) on a block of nodes, 1-d, the arrays over
     eps_list that receive the sums and the damped masses sum exp(-eps A)
-    |weight| (or None).  A block's temporaries live until the next block is
-    made, so the heap is not trimmed between blocks.
+    |weight| (or None), and None or (index, coarse_sums): coarse_sums also
+    receives the sums over the nodes at the flat indices index, taken from the
+    same damping and oscillation arrays.  A block's temporaries live until the
+    next block is made, so the heap is not trimmed between blocks.
     """
-    for A, weight, sums, masses in blocks:
+    for A, weight, sums, masses, coarse in blocks:
         sin_st, cos_st = _sin_cos(sign * t * A)
         osc = np.empty(A.shape, dtype=complex)  # exp(i s t A) weight
         if np.iscomplexobj(weight):
@@ -398,10 +377,15 @@ def _damped_sums(blocks, sign, t, eps_list):
             np.multiply(cos_st, weight, out=osc.real)
             np.multiply(sin_st, weight, out=osc.imag)
         abs_weight = None if masses is None else np.abs(weight)
+        if coarse is not None:
+            index, coarse_sums = coarse
+            coarse_osc = osc[index]
         for k, eps in enumerate(eps_list):
             damp = np.exp(-eps * A)
             # einsum, not np.dot: an unpinned multithreaded BLAS dot is slower at these sizes
             sums[k] += np.einsum("i,i->", damp, osc)
+            if coarse is not None:
+                coarse_sums[k] += np.einsum("i,i->", damp[index], coarse_osc)
             if masses is not None:
                 masses[k] += np.einsum("i,i->", damp, abs_weight)
 
@@ -462,7 +446,7 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list):
                 weight *= rr ** (p.n - 1) * _angular_factor(p.n, r_abs_x * rr)
                 if kind == "I2":
                     weight /= A
-                yield A, weight, vals, mass
+                yield A, weight, vals, mass, None
         _damped_sums(blocks(), sign, t, eps_list)
         return vals, mass
 
@@ -506,11 +490,7 @@ def extrapolate_to_zero(eps_list, values, order):
         return total
 
     extrap = lagrange_at_zero(use_e, use_v)
-    if order >= 1:
-        lower = lagrange_at_zero(use_e[1:], use_v[1:])
-        stability = abs(extrap - lower)
-    else:
-        stability = 0.0
+    stability = abs(extrap - lagrange_at_zero(use_e[1:], use_v[1:])) if order >= 1 else 0.0
     return extrap, stability
 
 

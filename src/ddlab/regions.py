@@ -24,11 +24,7 @@ class RegionError(ValueError):
 
 
 def _fr(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (Fraction, int, str)):
         return Fraction(value)
     raise RegionError(f"expected an exact rational, got {value!r}")
 
@@ -64,11 +60,7 @@ class IndexRegion:
     notes: tuple = ()
 
     def distinct_vertices(self):
-        seen = []
-        for v in self.vertices:
-            if v not in seen:
-                seen.append(v)
-        return seen
+        return list(dict.fromkeys(self.vertices))
 
     @cached_property
     def halfplanes(self) -> tuple:

@@ -140,9 +140,27 @@ def data_transforms(g: GridSpec, fields) -> list:
     return spectra
 
 
-def sine_multiplier(w: np.ndarray, t: float) -> np.ndarray:
-    """Q(t, xi) = sin(w t)/w, for w > 0 as sqrt_symbol(strict=True) gives it."""
-    return np.sin(w * t) / w
+def _sin_cos(x):
+    """sin x and cos x from t = tan(x/2), within 2.3e-16 absolute: in float64,
+    np.tan costs a fraction of np.sin and np.cos together."""
+    t = np.tan(0.5 * x)
+    t2 = t * t
+    d = np.add(t2, 1.0)
+    np.divide(1.0, d, out=d)
+    t *= 2.0
+    t *= d  # 2t / (1 + t^2)
+    np.subtract(1.0, t2, out=t2)
+    t2 *= d  # (1 - t^2) / (1 + t^2)
+    return t, t2
+
+
+def _times_power(out, base, e):
+    """out *= base^e for e >= 0 a multiple of 1/2, by sqrt and multiplications."""
+    whole = math.floor(e)
+    if e != whole:
+        out *= np.sqrt(base)
+    for _ in range(whole):
+        out *= base
 
 
 def propagate(u0, u1, t, p: SymbolPoly, g: GridSpec) -> WaveState:
@@ -150,13 +168,14 @@ def propagate(u0, u1, t, p: SymbolPoly, g: GridSpec) -> WaveState:
 
     u  = F^-1[cos(w t) F u0 + sin(w t)/w F u1]
     ut = F^-1[cos(w t) F u1 - w sin(w t) F u0]
-    with w = sqrt(P) on the frequency lattice: one inverse transform per field.
+    with w = sqrt(P) on the frequency lattice: one inverse transform per field,
+    cos(w t) and sin(w t) from one _sin_cos call.
     """
     (u0_hat, _), (u1_hat, _) = data_transforms(g, (u0, u1))
     w = sqrt_symbol(p, [g.xi_axis] * g.n)
-    coswt = np.cos(w * t)
-    u = np.fft.ifftn(coswt * u0_hat + sine_multiplier(w, t) * u1_hat)
-    ut = np.fft.ifftn(coswt * u1_hat - w * np.sin(w * t) * u0_hat)
+    sin_wt, cos_wt = _sin_cos(w * t)
+    u = np.fft.ifftn(cos_wt * u0_hat + sin_wt / w * u1_hat)
+    ut = np.fft.ifftn(cos_wt * u1_hat - w * sin_wt * u0_hat)
     return WaveState(t=float(t), u=u, ut=ut)
 
 
@@ -166,12 +185,13 @@ def propagate_part(spectra, t_grid, p: SymbolPoly, g: GridSpec, part):
 
     spectra are the (F f, f is real) pairs of data_transforms, so a caller that
     also needs F f for something else transforms each field once; w is
-    evaluated once.  When P is even on every axis (SymbolPoly.even_axes), U(t)
-    and V(t) are real and equal at mirrored lattice indices, so they map real
-    fields to real fields: w lives on the half lattice of rfftn, a real f takes
-    one irfftn per t and a complex f is split as U(Re f) + i U(Im f).  Even
-    total degree is not enough, since the index -N/2 is its own mirror; such
-    a P takes one complex ifftn per (t, field).
+    evaluated once and each t takes one _sin_cos call.  When P is even on
+    every axis (SymbolPoly.even_axes), U(t) and V(t) are real and equal at
+    mirrored lattice indices, so they map real fields to real fields: w lives
+    on the half lattice of rfftn, a real f takes one irfftn per t and a
+    complex f is split as U(Re f) + i U(Im f).  Even total degree is not
+    enough, since the index -N/2 is its own mirror; such a P takes one
+    complex ifftn per (t, field).
     """
     if part not in ("U", "V"):
         raise ValueError(f"part must be U or V, got {part!r}")
@@ -187,7 +207,8 @@ def propagate_part(spectra, t_grid, p: SymbolPoly, g: GridSpec, part):
         inputs = [(h,) for h, _ in spectra]
         inverse = np.fft.ifftn
     for t in t_grid:
-        multiplier = np.cos(w * t) if part == "U" else sine_multiplier(w, t)
+        sin_wt, cos_wt = _sin_cos(w * t)
+        multiplier = cos_wt if part == "U" else np.divide(sin_wt, w, out=sin_wt)
         for x in inputs:
             if len(x) == 1:
                 yield inverse(multiplier * x[0])
@@ -235,14 +256,24 @@ def spectral_tail_fraction(field_hat, g: GridSpec) -> float:
     return _outer_fraction(power, g.xi_grids(), TAIL_CUTOFF * g.xi_max)
 
 
-def box_clearance(field, g: GridSpec) -> float:
-    """Interior-mass fraction: 1 means the solution has not reached the box edge.
+def abs_squared(field) -> np.ndarray:
+    """|field|^2, a new float array: u * u or re^2 + im^2, never hypot."""
+    field = np.asarray(field)
+    if not np.iscomplexobj(field):
+        return np.square(field, dtype=float)
+    s = np.square(field.real)
+    s += np.square(field.imag)
+    return s
+
+
+def box_clearance(power, g: GridSpec) -> float:
+    """Interior-mass fraction of power = |u|^2 (abs_squared(u)): 1 means the
+    solution u has not reached the box edge.
 
     The edge region is the outer EDGE_BAND fraction per axis
     (|x_i| > (1 - EDGE_BAND) L).
     """
-    return 1.0 - _outer_fraction(np.abs(np.asarray(field)) ** 2, g.x_grids(),
-                                 (1.0 - EDGE_BAND) * g.L)
+    return 1.0 - _outer_fraction(power, g.x_grids(), (1.0 - EDGE_BAND) * g.L)
 
 
 def _outer_fraction(power, grids, limit) -> float:

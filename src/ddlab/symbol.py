@@ -54,14 +54,10 @@ class SymbolPoly:
         clean = {}
         for alpha, c in dict(mapping).items():
             alpha = tuple(int(a) for a in alpha)
-            c = float(c)
-            if c != 0.0:
-                clean[alpha] = clean.get(alpha, 0.0) + c
-        terms = tuple(sorted(
-            ((a, c) for a, c in clean.items() if c != 0.0),
-            key=lambda t: (sum(t[0]), t[0]),
-        ))
-        return cls(n=n, terms=terms)
+            clean[alpha] = clean.get(alpha, 0.0) + float(c)
+        terms = sorted(((a, c) for a, c in clean.items() if c != 0.0),
+                       key=lambda t: (sum(t[0]), t[0]))
+        return cls(n=n, terms=tuple(terms))
 
     @classmethod
     def constant(cls, n, c) -> "SymbolPoly":
@@ -97,11 +93,7 @@ class SymbolPoly:
         return tuple(i for i in range(self.n) if all(a[i] % 2 == 0 for a, _ in self.terms))
 
     def coeff(self, alpha) -> float:
-        alpha = tuple(alpha)
-        for a, c in self.terms:
-            if a == alpha:
-                return c
-        return 0.0
+        return dict(self.terms).get(tuple(alpha), 0.0)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -531,6 +523,15 @@ class HypothesisReport:
             raise SymbolError("a failing report must carry at least one witness")
 
 
+def _probe_witnesses(kind, points, values, bad, key, detail) -> list:
+    """Witnesses at the first probe point that bad marks and at the one of
+    least key (one witness if they coincide); none when bad marks none."""
+    if not np.any(bad):
+        return []
+    return [Witness(kind, tuple(float(v) for v in points[i]), float(values[i]), detail)
+            for i in dict.fromkeys([int(np.argmax(bad)), int(np.argmin(key))])]
+
+
 def check_hypotheses(p: SymbolPoly, seed=0) -> tuple:
     """The reports (H1, H2) of the paper's hypotheses on p, on one sphere probe.
 
@@ -562,14 +563,8 @@ def _h1_report(p: SymbolPoly, dirs) -> HypothesisReport:
     pm_vals = np.atleast_1d(pm.evaluate(dirs))
     pm_max = float(np.max(np.abs(pm_vals)))
     tol = POSITIVITY_RTOL * max(1.0, pm_max)
-    bad = np.nonzero(pm_vals <= tol)[0]
-    if bad.size:
-        first = int(bad[0])
-        amin = int(np.argmin(pm_vals))
-        for idx in dict.fromkeys([first, amin]):
-            witnesses.append(Witness(
-                "ellipticity", tuple(float(v) for v in dirs[idx]), float(pm_vals[idx]),
-                "principal part is not positive on this direction"))
+    witnesses += _probe_witnesses("ellipticity", dirs, pm_vals, pm_vals <= tol, pm_vals,
+                                  "principal part is not positive on this direction")
 
     radii = np.linspace(0.0, BALL_RADIUS, BALL_RADIAL_COUNT)
     ball_dirs = dirs[:: max(1, len(dirs) // BALL_DIR_COUNT)]
@@ -602,15 +597,9 @@ def _h2_report(p: SymbolPoly, dirs) -> HypothesisReport:
     abs_dets = np.abs(dets)
     dmin, dmax = float(np.min(abs_dets)), float(np.max(abs_dets))
     floor = NONDEGENERACY_RTOL * dmax
-    witnesses = []
-    bad = np.nonzero(abs_dets < floor)[0]
-    if bad.size:
-        first = int(bad[0])
-        amin = int(np.argmin(abs_dets))
-        for idx in dict.fromkeys([first, amin]):
-            witnesses.append(Witness(
-                "nondegeneracy", tuple(float(v) for v in dirs[idx]), float(dets[idx]),
-                "det Hess of the principal part vanishes (relative to sphere max)"))
+    witnesses = _probe_witnesses(
+        "nondegeneracy", dirs, dets, abs_dets < floor, abs_dets,
+        "det Hess of the principal part vanishes (relative to sphere max)")
     passed = not witnesses
     desc = (f"{len(dirs)} sphere directions; min |det Hess P_m| = {dmin!r}, "
             f"max = {dmax!r}, relative floor = {NONDEGENERACY_RTOL!r}")
@@ -640,9 +629,14 @@ def ray_coefficients(p: SymbolPoly, omega) -> np.ndarray:
 
 def ray_level(c, reached) -> float:
     """Smallest r >= 0, to rounding, from which reached(P(r w)) holds, for the
-    ray coefficients c of P(r w): doubling from r = 1, then 60 bisections."""
+    ray coefficients c of P(r w): doubling from r = 1, then 60 bisections; P(r w)
+    is a Horner loop over Python floats, in polyval's order and so bit-equal to it."""
+    high_first = np.asarray(c, dtype=float).tolist()[::-1]
     def at(r):
-        return reached(np.polynomial.polynomial.polyval(r, c))
+        v = 0.0
+        for ck in high_first:
+            v = ck + v * r
+        return reached(v)
     lo, hi = 0.0, 1.0
     for _ in range(200):
         if at(hi):

@@ -155,6 +155,16 @@ def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field
     assert "nan" not in err or "nan" in " ".join(args) + (ini or "")
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    # a byte that is not UTF-8 is a malformed file, not a crash
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(b"[symbol]\npoly = 1 \xff\n")
+    assert run(["check-symbol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: malformed config file {cfg}: ")
+    assert len(err.splitlines()) == 1
+
+
 FLAG_CASES = [(name, flag) for name, command in cli.COMMANDS.items()
               for flag in command.flags]
 

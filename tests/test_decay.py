@@ -100,6 +100,67 @@ def test_weak_norm_below_strong():
         assert D.weak_lq_norm(f, q, g) <= D.lq_norm(f, q, g) * (1 + 1e-12)
 
 
+def _ref_lq(f, q, g):
+    """The L^q norm from |f| and one pow per sample: the reference."""
+    mags = np.abs(f)
+    if q == math.inf:
+        return float(np.max(mags))
+    return float((np.sum(mags**q) * g.cell_volume) ** (1.0 / q))
+
+
+def _ref_weak(f, q, g):
+    """The weak-L^q norm from the magnitudes sorted in descending order."""
+    mags = np.sort(np.abs(f).ravel())[::-1]
+    k = np.arange(1, mags.size + 1)
+    return float(np.max(mags * (k * g.cell_volume) ** (1.0 / q)))
+
+
+def _assert_rel(got, want, rtol):
+    assert abs(got - want) <= rtol * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_norms_match_reference_formulas(field):
+    # every norm is read from |f|^2: products and one sqrt for the integer q,
+    # one pow for the others, sorted |f|^2 for the weak norm
+    g = sp.make_grid(2, 32, 4.0)
+    rng = np.random.default_rng(9)
+    f = rng.standard_normal(g.shape)
+    if field == "complex":
+        f = f + 1j * rng.standard_normal(g.shape)
+    for q in (1.0, 6 / 5, 2.0, 8 / 3, 3.0, 4.0, 6.0, math.inf):
+        _assert_rel(D.lq_norm(f, q, g), _ref_lq(f, q, g), 1e-14)
+        if q != math.inf:
+            _assert_rel(D.weak_lq_norm(f, q, g), _ref_weak(f, q, g), 1e-14)
+
+
+@pytest.mark.parametrize("n, part, route, p, q", [
+    pytest.param(2, "U", "convolution", Fraction(4, 3), 4, id="U-n2"),
+    pytest.param(2, "V", "multiplier", Fraction(6, 5), Fraction(8, 3), id="V-n2"),
+    pytest.param(4, "V", "multiplier", Fraction(6, 5), 3, id="V-n4-weak"),
+])
+def test_verify_norm_rows_match_reference_norms(n, part, route, p, q):
+    # the norm rows of a query against the reference norms of the fields that
+    # propagate_part yields for the normalized real and complex data
+    g = sp.make_grid(n, 32 if n == 2 else 8, 8.0)
+    xs = g.x_grids()
+    r2 = sum(x**2 for x in xs)
+    data = [("real", np.exp(-r2 / 2.0)), ("complex", np.exp(-r2 / 4.0 + 1j * xs[0]))]
+    ts = [0.05, 0.2, 0.5]
+    qr = D.ExponentQuery(part, "small", p, q, 4, n, route=route)
+    rep = D.verify_lp_lq(beam(n), qr, grid=g, t_grid=ts, data=data)
+    assert rep.norm_kind == ("weak" if n == 4 else "strong")
+    output = _ref_weak if rep.norm_kind == "weak" else _ref_lq
+    spectra = sp.data_transforms(g, (f / _ref_lq(f, float(p), g) for _, f in data))
+    fields = sp.propagate_part(spectra, ts, beam(n), g, part)
+    for t, row in zip(ts, rep.norm_rows):
+        us = [next(fields) for _ in data]
+        assert row[0] == t
+        _assert_rel(row[1], max(_ref_lq(u, 2.0, g) for u in us), 1e-13)
+        _assert_rel(row[2], max(output(u, float(q), g) for u in us), 1e-13)
+        _assert_rel(row[3], max(_ref_lq(u, math.inf, g) for u in us), 1e-13)
+
+
 # ---------------------------------------------------------------------------
 # theoretical exponents
 # ---------------------------------------------------------------------------
@@ -221,7 +282,8 @@ def test_output_norm_weakens_at_lorentz_endpoint():
     rng = np.random.default_rng(1)
     f = rng.standard_normal(g.shape)
     assert cls.weak_output
-    val, kind = D._output_norm(f, qr, cls, g)
+    reduce, kind = D._output_reducer(qr, cls, g)
+    val = reduce(sp.abs_squared(f))
     assert kind == "weak"
     assert val == pytest.approx(D.weak_lq_norm(f, 3, g))
 
@@ -320,6 +382,14 @@ def test_verify_even_symbol_takes_no_complex_inverse(monkeypatch):
         qr = D.ExponentQuery(part, "small", 2, 2, 4, 2, route=route)
         rep = D.verify_lp_lq(beam(), qr, grid=g, t_grid=ts, data=data)
         assert rep.fit is not None and len(rep.series) == len(ts)
+
+
+@pytest.mark.parametrize("t_grid", [[], [0.1, -0.2], [0.0, 0.5], [0.1, math.nan],
+                                    [0.1, math.inf]])
+def test_verify_rejects_bad_t_grid(t_grid):
+    qr = D.ExponentQuery("V", "small", 2, 2, 4, 2, route="multiplier")
+    with pytest.raises(ValueError, match="t_grid"):
+        D.verify_lp_lq(beam(), qr, grid=sp.make_grid(2, 16, 8.0), t_grid=t_grid)
 
 
 def test_verify_mismatched_symbol_rejected():

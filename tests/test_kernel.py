@@ -179,6 +179,20 @@ def test_lattice_sums_match_full_lattice(monkeypatch, text, n, folded, kind, sig
         np.testing.assert_array_less(np.abs(coarse - ref_coarse), 1e-12 * np.abs(ref_coarse))
 
 
+@pytest.mark.parametrize("text, folded", [("1 + |x|^4 + x1^2", (0, 1)),
+                                         ("2 + |x|^4 + x1*x2", ())])
+@pytest.mark.parametrize("kind", ["I1", "I2"])
+def test_coarse_sums_are_the_half_lattice_sums(text, folded, kind):
+    # the coarse sublattice (even indices on every axis) at N is the N/2
+    # lattice on the same box, so the coarse sums at N are the fine sums at N/2
+    p = sym.parse_symbol(text, 2)
+    eps_list, x = (0.4, 0.2, 0.1), np.array([0.7, -1.3])
+    _, coarse, work = K._lattice_sums(p, kind, +1, 0.8, x, eps_list, 128)
+    half, _, _ = K._lattice_sums(p, kind, +1, 0.8, x, eps_list, 64)
+    assert work["folded_axes"] == folded
+    np.testing.assert_array_less(np.abs(coarse - half), 1e-13 * np.abs(half))
+
+
 def test_lattice_sample_records_work():
     cfg = K.QuadConfig(eps_list=(0.4, 0.2, 0.1), order=2, lattice_N=512)
     even = K.eval_kernel(beam(), "I1", +1, 0.5, np.array([0.5, 0.0]), cfg)

@@ -18,6 +18,9 @@ ALLOWED = {
     # the exact exponent of one query, which the benchmark's numerics
     # workload scores its verdicts against
     ("decay", "theoretical_exponent"),
+    # the weak norm of one field, exported beside lq_norm; verify_lp_lq reads
+    # the same reducer (norm_reducer) from |u|^2
+    ("decay", "weak_lq_norm"),
 }
 
 

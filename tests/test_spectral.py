@@ -217,8 +217,8 @@ def test_box_clearance_detects_edge_mass():
     xs = g.x_grids()
     centered = np.exp(-(xs[0] ** 2 + xs[1] ** 2))
     shifted = np.exp(-((xs[0] - 7.5) ** 2 + xs[1] ** 2))
-    assert sp.box_clearance(centered, g) > 0.999999
-    assert sp.box_clearance(shifted, g) < 0.5
+    assert sp.box_clearance(sp.abs_squared(centered), g) > 0.999999
+    assert sp.box_clearance(sp.abs_squared(shifted), g) < 0.5
 
 
 def test_norm_series_csv(tmp_path):

@@ -468,6 +468,41 @@ def test_radial_inverse_rejects_level_without_positive_root():
         lemmas.radial_inverse(p, [1.0, 0.0], [0.0, 1.0])
 
 
+def _polyval_ray_level(c, reached):
+    """ray_level with numpy's polyval for P(r w): the reference."""
+    def at(r):
+        return reached(np.polynomial.polynomial.polyval(r, c))
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        if at(hi):
+            break
+        hi *= 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if at(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("text, n", [("1 + |x|^4", 2), ("1 + |x|^4 + x1^2", 2),
+                                     ("|x|^4 - 50*|x|^2 + 620", 2),
+                                     ("x1^4 - 4*x1^2*x2^2 + 4*x2^4 + |x|^2 + 1", 2),
+                                     ("2 + |x|^4 + x1*x2", 2), ("1 + |x|^4 + x1^2*x3", 3)])
+def test_ray_level_matches_polyval_bisection(text, n):
+    # the Horner loop over Python floats gives polyval's values to the bit
+    p = sym.parse_symbol(text, n)
+    rng = np.random.default_rng(3)
+    directions = list(np.eye(n)) + [w / np.linalg.norm(w) for w in rng.standard_normal((4, n))]
+    for w in directions:
+        c = sym.ray_coefficients(p, w)
+        for level in (0.5, 3.7, 611.0, 1e3, 1e8):
+            for reached in (lambda v: v >= level, lambda v: math.sqrt(max(v, 0.0)) >= level):
+                assert (sym.ray_level(c, reached).hex()
+                        == _polyval_ray_level(c, reached).hex())
+
+
 def test_ray_level_never_reached_raises():
     # P(r e2) = 1 for 1 + x1^4: the ray stays at 1, so the level 2 is never reached
     c = sym.ray_coefficients(sym.parse_symbol("1 + x1^4", 2), [0.0, 1.0])
