@@ -302,6 +302,7 @@ SYMBOL_FLAGS = {"--poly": ("symbol.poly",), "--n": ("symbol.n",),
                 "--m-expect": ("symbol.m_expect",)}
 SYMBOL_FIELDS = {"poly": "symbol.poly"}
 GRID_FLAGS = {"--grid-N": ("grid.N",), "--grid-L": ("grid.L",)}
+GRID_FIELDS = {"N": "grid.N", "L": "grid.L"}
 
 COMMANDS = {
     "check-symbol": Subcommand(
@@ -311,7 +312,9 @@ COMMANDS = {
     "solve": Subcommand(
         cmd_solve,
         flags={**SYMBOL_FLAGS, **GRID_FLAGS, "--t-list": ("solve.t_list",)},
-        fields={**SYMBOL_FIELDS, "N": "grid.N"}),
+        # a GridError without a field is a state that overflowed, sqrt(P) t
+        # not finite: P on a lattice whose xi_max = pi N/(2L) is too large, or t
+        fields={**SYMBOL_FIELDS, **GRID_FIELDS, None: "grid.L, solve.t_list"}),
     "kernel-scan": Subcommand(
         cmd_kernel_scan,
         flags={**SYMBOL_FLAGS, "--kind": ("kernel.kind",), "--t-list": ("kernel.t_list",),
@@ -325,7 +328,7 @@ COMMANDS = {
                "--p": ("decay.p",), "--q": ("decay.q",), "--route": ("decay.route",)},
         # the route picks the region kind; a RegionError without a field is an
         # index point outside the route's region
-        fields={**SYMBOL_FIELDS, "m": "symbol.poly", "n": "symbol.n", "N": "grid.N",
+        fields={**SYMBOL_FIELDS, **GRID_FIELDS, "m": "symbol.poly", "n": "symbol.n",
                 "p": "decay.p", "q": "decay.q", "kind": "decay.route",
                 None: "decay.p, decay.q, decay.route"}),
     "regions": Subcommand(
@@ -343,8 +346,7 @@ COMMANDS = {
 }
 
 # the field blamed by each library error class that carries none
-_CLASS_FIELDS = {symbol.SymbolError: "poly", spectral.LatticePositivityError: "poly",
-                 spectral.GridError: "N"}
+_CLASS_FIELDS = {symbol.SymbolError: "poly", spectral.LatticePositivityError: "poly"}
 
 
 def _run_pipeline(name, cfg, outdir):
@@ -353,7 +355,8 @@ def _run_pipeline(name, cfg, outdir):
     command = COMMANDS[name]
     try:
         return command.pipeline(cfg, outdir)
-    except (*_CLASS_FIELDS, kernel.KernelConfigError, regions.RegionError) as exc:
+    except (*_CLASS_FIELDS, spectral.GridError, kernel.KernelConfigError,
+            regions.RegionError) as exc:
         field = _CLASS_FIELDS[type(exc)] if type(exc) in _CLASS_FIELDS else exc.field
         names = field if isinstance(field, tuple) else (field,)
         keys = ", ".join(command.fields[f] for f in names if f in command.fields)

@@ -99,14 +99,13 @@ class IndexRegion:
     @cached_property
     def endpoints(self) -> tuple | None:
         """(B, D) = ((1, 1/q_a), (1/q_a', 0)) of the quadrangle and the
-        hexagon, where the norm pair weakens; None for the other kinds and
-        for q_a = 1 or infinity."""
-        if self.kind not in ("delta_a", "hexagon"):  # build_region sets a for both
+        hexagon, read from the vertices, where the norm pair weakens; None
+        for the other kinds and for q_a = 1 or infinity."""
+        if self.kind not in ("delta_a", "hexagon"):
             return None
-        _, q = mu_q(self.a, self.m, self.n)
-        if q is None or q == 1:
-            return None
-        return IndexPoint(Fraction(1), 1 / q), IndexPoint(1 - 1 / q, Fraction(0))
+        corners = dict(zip(self.labels, self.vertices))
+        B, D = corners["B"], corners["D"]
+        return None if B.inv_q in (0, 1) else (B, D)
 
 
 def _order_and_dimension(m, n):
@@ -121,14 +120,17 @@ def _order_and_dimension(m, n):
 def mu_q(a, m, n):
     """Exact pair (mu_a, q_a) with mu_a = (mn - 4n + 2a)/(2(m-2)), q_a = n/mu_a.
 
-    q_a is None when mu_a = 0 (the q = infinity degeneracy); negative
-    mu_a means the region is undefined.
+    q_a is None when mu_a = 0 (the q = infinity degeneracy).  The region is
+    undefined, and RegionError names a, for mu_a < 0 and for q_a < 1
+    (mu_a > n, that is a > mn/2), which puts B and D outside the unit square.
     """
     a = _fr(a)
     m, n = _order_and_dimension(m, n)
     mu = Fraction(m * n - 4 * n, 2 * (m - 2)) + Fraction(2, 2 * (m - 2)) * a
     if mu < 0:
         raise RegionError(f"mu_a = {mu} < 0: index region undefined for a = {a}", "a")
+    if mu > n:
+        raise RegionError(f"q_a = {n / mu} < 1: index region undefined for a = {a} > mn/2", "a")
     q = None if mu == 0 else Fraction(n) / mu
     return mu, q
 
@@ -136,20 +138,12 @@ def mu_q(a, m, n):
 _HALF = Fraction(1, 2)
 
 
-def _quadrangle_points(a, m, n):
-    mu, q = mu_q(a, m, n)
-    inv_q_B = Fraction(0) if q is None else 1 / q
-    A = IndexPoint(_HALF, _HALF)
-    B = IndexPoint(Fraction(1), inv_q_B)
-    C = IndexPoint(Fraction(1), Fraction(0))
-    D = IndexPoint(1 - inv_q_B, Fraction(0))
-    return A, B, C, D, mu, q
-
-
-def _ef_points(m, n):
-    E = IndexPoint(Fraction(n + m, 2 * n), _HALF)
-    F = IndexPoint(_HALF, Fraction(n - m, 2 * n))
-    return E, F
+def _quadrangle_corners(a, m, n):
+    """B = (1, 1/q_a), C = (1, 0) and D = (1/q_a', 0) of Delta_a, where
+    1/q_a' = 1 - 1/q_a; B and D collapse onto C when q_a is infinite."""
+    _, q = mu_q(a, m, n)
+    inv_q = Fraction(0) if q is None else 1 / q
+    return IndexPoint(1, inv_q), IndexPoint(1, 0), IndexPoint(1 - inv_q, 0)
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -159,78 +153,57 @@ def build_region(kind, m, n, a=None) -> IndexRegion:
     kinds: "delta_a" (quadrangle ABCD for the given a; "delta_m" and
     "delta_0" are shorthands), "AEF" (triangle), "hexagon" (AEBCDF), and
     "pentagon" (the n < m < 2n variant; m >= 2n yields the full half
-    square).  Degenerate collapses are flagged, not hidden.  Regions are
+    square).  Delta_m, AEF and the hexagon need n >= m.  A region is
+    degenerate when a vertex repeats, and AEF also when F lies on the
+    1/q = 0 axis (n = m); collapses are flagged, not hidden.  Regions are
     frozen values, so repeated calls share one region and its cached
     half-plane table.  Only "delta_a" takes the parameter a.
     """
     m, n = _order_and_dimension(m, n)
     if a is not None and kind != "delta_a":
         raise RegionError(f"only delta_a takes the parameter a, not {kind!r}", "a")
-    notes = []
-    if kind == "delta_m":
-        kind, a = "delta_a", Fraction(m)
-    elif kind == "delta_0":
-        kind, a = "delta_a", Fraction(0)
+    if kind in ("delta_m", "delta_0"):
+        kind, a = "delta_a", (m if kind == "delta_m" else 0)
+    elif kind == "hexagon":
+        a = m
+    elif kind == "delta_a" and a is None:
+        raise RegionError("delta_a needs the parameter a", "a")
+    elif kind not in ("delta_a", "AEF", "pentagon"):
+        raise RegionError(f"unknown region kind {kind!r}", "kind")
+    a = None if a is None else _fr(a)
+    name = "delta_m" if kind == "delta_a" and a == m else kind  # also for a given a = m
+    if name in ("delta_m", "AEF", "hexagon") and n < m:
+        raise RegionError(f"{name} requires n >= m, got n={n} < m={m}", "kind")
+    if kind == "pentagon" and m <= n:
+        raise RegionError(f"pentagon is the n < m variant, got m={m} <= n={n}", "kind")
 
+    A, notes = IndexPoint(_HALF, _HALF), ()
+    if a is not None:
+        B, C, D = _quadrangle_corners(a, m, n)
+        if B == C:
+            notes = ("q_a is infinite (mu_a = 0): B and D collapse onto C",)
+    if kind in ("AEF", "hexagon"):
+        E = IndexPoint(Fraction(n + m, 2 * n), _HALF)
+        F = IndexPoint(_HALF, Fraction(n - m, 2 * n))
     if kind == "delta_a":
-        if a is None:
-            raise RegionError("delta_a needs the parameter a", "a")
-        a = _fr(a)
-        A, B, C, D, mu, q = _quadrangle_points(a, m, n)
-        degenerate = B == C or D == C or B == D
-        if q is None:
-            notes.append("q_a is infinite (mu_a = 0): B and D collapse onto C")
-        if a == m and n < m:
-            raise RegionError(f"delta_m requires n >= m, got n={n} < m={m}", "kind")
-        return IndexRegion(kind="delta_a", m=m, n=n, a=a,
-                           vertices=(A, B, C, D), labels=("A", "B", "C", "D"),
-                           degenerate=degenerate, notes=tuple(notes))
-
-    if kind == "AEF":
-        if n < m:
-            raise RegionError(f"AEF requires n >= m, got n={n} < m={m}", "kind")
-        E, F = _ef_points(m, n)
-        A = IndexPoint(_HALF, _HALF)
-        degenerate = F.inv_q == 0
-        if degenerate:
-            notes.append("n = m: F touches the 1/q = 0 axis")
-        return IndexRegion(kind="AEF", m=m, n=n, a=None,
-                           vertices=(A, E, F), labels=("A", "E", "F"),
-                           degenerate=degenerate, notes=tuple(notes))
-
-    if kind == "hexagon":
-        if n < m:
-            raise RegionError(f"hexagon requires n >= m, got n={n} < m={m}", "kind")
-        A, B, C, D, mu, q = _quadrangle_points(Fraction(m), m, n)
-        E, F = _ef_points(m, n)
-        verts = (A, E, B, C, D, F)
-        degenerate = len(set(verts)) != 6
-        return IndexRegion(kind="hexagon", m=m, n=n, a=Fraction(m),
-                           vertices=verts, labels=("A", "E", "B", "C", "D", "F"),
-                           degenerate=degenerate, notes=tuple(notes))
-
-    if kind == "pentagon":
-        if m <= n:
-            raise RegionError(f"pentagon is the n < m variant, got m={m} <= n={n}", "kind")
-        if m >= 2 * n:
-            verts = (IndexPoint(_HALF, _HALF), IndexPoint(1, _HALF),
-                     IndexPoint(1, Fraction(0)), IndexPoint(_HALF, Fraction(0)))
-            notes.append("m >= 2n: admissible set is the full half square")
-            return IndexRegion(kind="pentagon", m=m, n=n, a=None, vertices=verts,
-                               labels=("A", "A'", "C", "C'"), degenerate=False,
-                               notes=tuple(notes))
-        m1 = m // 2
-        verts = (IndexPoint(_HALF, _HALF),
-                 IndexPoint(1, _HALF),
-                 IndexPoint(1, Fraction(n - m1, n)),
-                 IndexPoint(Fraction(m1, n), Fraction(0)),
-                 IndexPoint(_HALF, Fraction(0)))
-        notes.append("endpoint list implemented verbatim from the source statement")
-        return IndexRegion(kind="pentagon", m=m, n=n, a=None, vertices=verts,
-                           labels=("P1", "P2", "P3", "P4", "P5"),
-                           degenerate=len(set(verts)) != 5, notes=tuple(notes))
-
-    raise RegionError(f"unknown region kind {kind!r}", "kind")
+        vertices, labels = (A, B, C, D), ("A", "B", "C", "D")
+    elif kind == "AEF":
+        vertices, labels = (A, E, F), ("A", "E", "F")
+        if F.inv_q == 0:
+            notes = ("n = m: F touches the 1/q = 0 axis",)
+    elif kind == "hexagon":
+        vertices, labels = (A, E, B, C, D, F), ("A", "E", "B", "C", "D", "F")
+    elif m >= 2 * n:  # pentagon
+        vertices = (A, IndexPoint(1, _HALF), IndexPoint(1, 0), IndexPoint(_HALF, 0))
+        labels = ("A", "A'", "C", "C'")
+        notes = ("m >= 2n: admissible set is the full half square",)
+    else:
+        vertices = (A, IndexPoint(1, _HALF), IndexPoint(1, Fraction(n - m // 2, n)),
+                    IndexPoint(Fraction(m // 2, n), 0), IndexPoint(_HALF, 0))
+        labels = ("P1", "P2", "P3", "P4", "P5")
+        notes = ("endpoint list implemented verbatim from the source statement",)
+    degenerate = len(set(vertices)) < len(vertices) or (kind == "AEF" and F.inv_q == 0)
+    return IndexRegion(kind, m, n, a, vertices, labels, degenerate, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,13 @@ EDGE_BAND = 0.25  # see box_clearance
 
 
 class GridError(ValueError):
-    """Invalid grid parameters or memory-cap violation."""
+    """Invalid grid parameters, memory-cap violation or data that do not fit
+    the grid; `field` names the make_grid parameter at fault ("n", "N" or
+    "L"), when there is one."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class LatticePositivityError(ValueError):
@@ -79,16 +85,25 @@ class GridSpec:
 
 
 def make_grid(n, N, L) -> GridSpec:
-    """Validated grid constructor: N a power of two, L > 0, N^n under the cap."""
+    """Validated grid constructor: N a power of two, L > 0 with a positive
+    finite float cell volume (2L/N)^n, N^n under the cap."""
     if n < 1:
-        raise GridError(f"dimension must be >= 1, got {n}")
+        raise GridError(f"dimension must be >= 1, got {n}", "n")
     if N < 2 or (N & (N - 1)) != 0:
-        raise GridError(f"N must be a power of two >= 2, got {N}")
+        raise GridError(f"N must be a power of two >= 2, got {N}", "N")
     if not 0 < L < math.inf:
-        raise GridError(f"box half-length must be positive and finite, got {L}")
+        raise GridError(f"box half-length must be positive and finite, got {L}", "L")
     if N**n > MAX_GRID_POINTS:
-        raise GridError(f"N^n = {N**n} exceeds the memory cap of {MAX_GRID_POINTS} points")
-    return GridSpec(n=n, N=N, L=float(L))
+        raise GridError(f"N^n = {N**n} exceeds the memory cap of {MAX_GRID_POINTS} points", "N")
+    g = GridSpec(n=n, N=N, L=float(L))
+    try:
+        cell = g.cell_volume
+    except OverflowError:
+        cell = math.inf
+    if not 0 < cell < math.inf:
+        raise GridError(f"box half-length {L} gives the cell volume (2L/N)^n = {cell}, "
+                        "not a positive finite float", "L")
+    return g
 
 
 @dataclass
@@ -98,12 +113,6 @@ class WaveState:
     t: float
     u: np.ndarray
     ut: np.ndarray
-
-    def validate(self, g: GridSpec):
-        if self.u.shape != g.shape or self.ut.shape != g.shape:
-            raise GridError("state fields do not match the grid shape")
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.ut))):
-            raise GridError("state fields contain non-finite entries")
 
 
 def checked_sqrt(P: np.ndarray, point, strict=True) -> np.ndarray:
@@ -236,10 +245,8 @@ def energy(state: WaveState, p: SymbolPoly, g: GridSpec) -> float:
     Norms use the Riemann cell volume, so a single lattice mode
     exp(i<k,x>) has ||.||_2^2 = (2L)^n.
     """
-    state.validate(g)
+    (u_hat, _), (ut_hat, _) = data_transforms(g, (state.u, state.ut))
     w = sqrt_symbol(p, [g.xi_axis] * g.n)
-    ut_hat = np.fft.fftn(state.ut)
-    u_hat = np.fft.fftn(state.u)
     scale = g.cell_volume / g.npoints
     kinetic = np.sum(np.abs(ut_hat) ** 2)
     potential = np.sum((w * np.abs(u_hat)) ** 2)

@@ -8,6 +8,7 @@ Hessian of the principal part).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ class RadialInverseError(RuntimeError):
 class SymbolPoly:
     """Sparse real polynomial on R^n, stored as (exponent-tuple, coefficient) terms.
 
-    Canonical form: coefficients are nonzero and terms are sorted by
+    Canonical form: coefficients are nonzero and finite, and terms are sorted by
     (total degree, exponents).  Instances are immutable and hashable, so
     derivative/Hessian computations can be cached.
     """
@@ -46,8 +47,9 @@ class SymbolPoly:
         for alpha, c in self.terms:
             if len(alpha) != self.n or any(a < 0 for a in alpha):
                 raise SymbolError(f"bad exponent tuple {alpha!r} for dimension {self.n}")
-            if c == 0.0:
-                raise SymbolError("canonical form must not contain zero coefficients")
+            if c == 0.0 or not math.isfinite(c):
+                raise SymbolError(f"coefficients must be nonzero and finite, got {c!r} "
+                                  f"for {alpha!r}")
 
     @classmethod
     def from_terms(cls, n, mapping) -> "SymbolPoly":

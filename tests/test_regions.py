@@ -59,6 +59,33 @@ def test_region_preconditions():
         R.build_region("nonagon", 4, 6)
 
 
+@pytest.mark.parametrize("kind, m, n, a, message, field", [
+    ("delta_m", 6, 4, None, "delta_m requires n >= m, got n=4 < m=6", "kind"),
+    ("delta_a", 6, 4, 6, "delta_m requires n >= m, got n=4 < m=6", "kind"),
+    ("AEF", 6, 4, None, "AEF requires n >= m, got n=4 < m=6", "kind"),
+    ("hexagon", 6, 4, None, "hexagon requires n >= m, got n=4 < m=6", "kind"),
+    ("pentagon", 4, 4, None, "pentagon is the n < m variant, got m=4 <= n=4", "kind"),
+    ("pentagon", 4, 6, None, "pentagon is the n < m variant, got m=4 <= n=6", "kind"),
+    ("delta_a", 4, 6, 13, "q_a = 12/13 < 1: index region undefined for a = 13 > mn/2", "a"),
+    ("delta_a", 4, 6, F(25, 2),
+     "q_a = 24/25 < 1: index region undefined for a = 25/2 > mn/2", "a"),
+], ids=["delta_m", "delta_a-at-m", "AEF", "hexagon", "pentagon-m=n", "pentagon-m<n",
+        "q_a<1", "q_a<1-fraction"])
+def test_region_rule_rejections(kind, m, n, a, message, field):
+    with pytest.raises(R.RegionError) as err:
+        R.build_region(kind, m, n, a=a)
+    assert (str(err.value), err.value.field) == (message, field)
+    if field == "a":  # q_a < 1 is mu_q's rule
+        with pytest.raises(R.RegionError, match="q_a = "):
+            R.mu_q(a, m, n)
+
+
+def test_q_a_one_is_accepted():
+    reg = R.build_region("delta_a", 4, 6, a=12)  # a = mn/2: B = (1, 1), D = (0, 0)
+    assert [v.as_tuple() for v in reg.vertices[1:]] == [(1, 1), (1, 0), (0, 0)]
+    assert reg.endpoints is None and not reg.degenerate
+
+
 def test_pentagon_endpoints_verbatim():
     reg = R.build_region("pentagon", 4, 3)  # n < m < 2n
     expected = [(F(1, 2), F(1, 2)), (F(1), F(1, 2)), (F(1), F(1, 3)),

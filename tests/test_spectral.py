@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ddlab import decay
 from ddlab import spectral as sp
 from ddlab import symbol as sym
 
@@ -46,6 +47,33 @@ def test_grid_validation():
     for L in (math.inf, math.nan):
         with pytest.raises(sp.GridError, match="positive and finite"):
             sp.make_grid(2, 64, L)
+
+
+@pytest.mark.parametrize("n, N, L, field", [
+    (0, 64, 1.0, "n"), (2, 100, 1.0, "N"), (3, 4096, 1.0, "N"), (2, 64, -1.0, "L"),
+    (2, 64, math.nan, "L"),
+    (2, 64, 1e200, "L"),  # (2L/N)^n overflows
+    (2, 64, 1e-300, "L"),  # (2L/N)^n underflows to 0
+])
+def test_grid_errors_name_their_field(n, N, L, field):
+    with pytest.raises(sp.GridError) as err:
+        sp.make_grid(n, N, L)
+    assert err.value.field == field
+
+
+def test_fields_that_do_not_fit_the_grid_rejected():
+    g = sp.make_grid(2, 16, 4.0)
+    p = beam()
+    good = np.ones(g.shape)
+    qr = decay.ExponentQuery("V", "small", 2, 2, 4, 2, "multiplier")
+    for f, message in ((np.ones((16, 8)), "do not match the grid shape"),
+                       (np.full(g.shape, np.nan), "non-finite entries")):
+        for call in (lambda: sp.propagate(f, good, 1.0, p, g),
+                     lambda: sp.energy(sp.WaveState(0.0, good, f), p, g),
+                     lambda: decay.verify_lp_lq(p, qr, g, data=[("bad", f)])):
+            with pytest.raises(sp.GridError, match=message) as err:
+                call()
+            assert err.value.field is None
 
 
 def test_frequency_lattice_symmetric_up_to_nyquist():

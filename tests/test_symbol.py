@@ -573,6 +573,16 @@ def test_literal_forms_still_parse(text, terms):
     assert sym.parse_symbol(text, 2) == sym.SymbolPoly.from_terms(2, terms)
 
 
+@pytest.mark.parametrize("text", ["1e400 + |x|^4", "1e200 * 1e200 * x1^4 + 1",
+                                  "1e400 - 1e400 + |x|^4"])
+def test_nonfinite_coefficient_rejected(text):
+    with pytest.raises(sym.SymbolError, match="nonzero and finite"):
+        sym.parse_symbol(text, 2)
+    for c in (math.inf, math.nan, 0.0):
+        with pytest.raises(sym.SymbolError, match="nonzero and finite"):
+            SymbolPoly(2, (((4, 0), c),))
+
+
 def test_literal_scientific_notation_and_zero():
     p = sym.parse_symbol("2.5e-1*x1 + 1E2", 2)
     assert p == sym.SymbolPoly.from_terms(2, {(1, 0): 0.25, (0, 0): 100.0})
