@@ -132,6 +132,15 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["check-symbol", "--poly", "x1^4 * -x2^4"], None, "field symbol.poly:"),
     (["check-symbol", "--poly", "1.5.3"], None, "field symbol.poly:"),
     (["decay-verify"], "[grid]\nN = 63\n", "grid.N"),
+    # keys whose value is fixed or derived: [decay] N/L and t_count, kernel.order
+    # and solve.width (the rows above with N = 63, order = -1, order = 3,
+    # t_count = 0 and width = 0 now name each as an unknown key)
+    (["decay-verify"], "[decay]\nL = 12.0\n", "field decay.L: unknown key"),
+    # malformed INI files; a % is literal text
+    (["solve"], "[solve]\nq = 4%\n", "field solve.q: must be a number >= 1 or inf, got '4%'"),
+    (["check-symbol"], "[symbol]\nn = 2\nn = 3\n", "malformed config file"),
+    (["check-symbol"], "n = 2\n[symbol]\n", "malformed config file"),
+    (["check-symbol"], "[symbol]\nn\n", "malformed config file"),
     # a coefficient that overflows, a cell volume (2L/N)^n that is not a positive
     # finite float, and an a > mn/2, for which q_a < 1
     (["check-symbol", "--poly", "1e400+|x|^4"], None, "field symbol.poly:"),
@@ -142,15 +151,6 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["solve", "--grid-L", "1e-300"], None, "field grid.L:"),
     (["decay-verify"], "[grid]\nL = 1e200\n", "field grid.L:"),
     (["regions", "--kind", "delta_a", "--a", "1000"], None, "field regions.a:"),
-    # keys whose value is fixed or derived: [decay] N/L and t_count, kernel.order
-    # and solve.width (the rows above with N = 63, order = -1, order = 3,
-    # t_count = 0 and width = 0 now name each as an unknown key)
-    (["decay-verify"], "[decay]\nL = 12.0\n", "field decay.L: unknown key"),
-    # malformed INI files; a % is literal text
-    (["solve"], "[solve]\nq = 4%\n", "field solve.q: must be a number >= 1 or inf, got '4%'"),
-    (["check-symbol"], "[symbol]\nn = 2\nn = 3\n", "malformed config file"),
-    (["check-symbol"], "n = 2\n[symbol]\n", "malformed config file"),
-    (["check-symbol"], "[symbol]\nn\n", "malformed config file"),
 ])
 def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
     if ini is not None:
