@@ -2,8 +2,8 @@
 
 verify_lp_lq propagates a small family of data, measures the requested
 output norm of the cosine part U or the sine part V, fits the time power
-law, and compares the slope against the exact rational exponent the
-estimates predict for the index pair.
+law, and compares the slope against the exact rational exponent that the
+query's row of regions.CLAIMS predicts for the index pair.
 """
 
 from __future__ import annotations
@@ -16,14 +16,14 @@ from functools import cached_property
 import numpy as np
 
 from .fitting import DecayFit, FitError, fit_power_law
-from .regions import Classification, IndexPoint, RegionError, build_region, classify
+from .regions import CLAIMS, Classification, IndexPoint, RegionError, build_region, classify
 from .spectral import (GridSpec, _times_power, abs_squared, box_clearance, data_transforms,
                        make_grid, propagate_part, spectral_tail_fraction)
 from .symbol import SymbolPoly
 
 __all__ = [
     "DecayFit", "fit_power_law", "ExponentQuery", "lq_norm", "weak_lq_norm", "norm_reducer",
-    "theoretical_exponent", "admissible_region", "verify_lp_lq", "DecayReport",
+    "theoretical_exponent", "verify_lp_lq", "DecayReport",
     "gaussian_family",
 ]
 
@@ -95,7 +95,8 @@ class ExponentQuery:
     route selects between the two V estimates: "convolution" is the
     kernel-envelope route (quadrangle region, time decay for large t);
     "multiplier" is the direct sine-multiplier route (AEF triangle,
-    uniformly bounded for large t).  U has only the convolution route.
+    uniformly bounded for large t).  U has only the convolution route,
+    which it takes whatever route is given.
     """
 
     part: str
@@ -133,57 +134,27 @@ class ExponentQuery:
         return IndexPoint(self.inv_p, self.inv_q)
 
 
-def admissible_region(qr: ExponentQuery):
-    """Region of index pairs for which the requested estimate is claimed.
+def _claim(qr: ExponentQuery) -> tuple:
+    """(Classification, exact time exponent) of the query's row of
+    regions.CLAIMS: U reads its convolution row on either route, and the AEF
+    triangle is the pentagon when n < m.
 
-    The multiplier route extends below n = m (pentagon for n < m < 2n,
-    full half square for m >= 2n); the convolution route for V needs the
-    kernel envelope and with it n >= m.
+    Raises RegionError naming the region when the index pair is not
+    admissible for the route.
     """
-    if qr.part == "U":
-        return build_region("delta_0", qr.m, qr.n)
-    if qr.route == "multiplier":
-        if qr.n >= qr.m:
-            return build_region("AEF", qr.m, qr.n)
-        return build_region("pentagon", qr.m, qr.n)
-    return build_region("delta_m", qr.m, qr.n)
-
-
-def _classification(qr: ExponentQuery) -> Classification:
-    """Classification of the query's index point in its admissible region; raises
-    RegionError naming the region when the pair is not admissible for the route."""
-    region = admissible_region(qr)
+    kind, exponent = CLAIMS[qr.part, qr.regime, "convolution" if qr.part == "U" else qr.route]
+    region = build_region("pentagon" if kind == "AEF" and qr.n < qr.m else kind, qr.m, qr.n)
     cls = classify(region, qr.point)
     if cls.location == "outside":
         raise RegionError(
             f"index point ({qr.inv_p}, {qr.inv_q}) outside region "
             f"{region.kind} (m={qr.m}, n={qr.n})")
-    return cls
+    return cls, exponent(qr.inv_p, qr.inv_q, qr.m, qr.n)
 
 
 def theoretical_exponent(qr: ExponentQuery) -> Fraction:
-    """Exact rational time exponent for the requested estimate.
-
-    Raises RegionError naming the region when the index pair is not
-    admissible for the route.
-    """
-    _classification(qr)
-    return _time_exponent(qr)
-
-
-def _time_exponent(qr: ExponentQuery) -> Fraction:
-    ip, iq = qr.inv_p, qr.inv_q
-    m1 = Fraction(qr.m, 2)
-    if qr.part == "V":
-        if qr.regime == "small":
-            return Fraction(qr.n) / m1 * (iq - ip) + 1
-        if qr.route == "multiplier":
-            return Fraction(0)
-        return qr.n * abs(iq - (1 - ip)) - Fraction(1, qr.m)
-    # part U
-    if qr.regime == "small":
-        return Fraction(qr.n) / m1 * (iq - ip)
-    return qr.n * abs(iq - (1 - ip)) - 1 / m1
+    """Exact rational time exponent for the requested estimate (see _claim)."""
+    return _claim(qr)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +252,7 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
         raise RegionError(
             f"query (m={qr.m}, n={qr.n}) does not match symbol "
             f"(m={p.order}, n={p.n})")
-    cls = _classification(qr)
-    theo = _time_exponent(qr)
+    cls, theo = _claim(qr)
     if grid is None:
         grid = make_grid(qr.n, 128, 16.0)
     if t_grid is None:

@@ -21,6 +21,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .symbol import CHUNK_POINTS, RadialInverseError, SymbolPoly, ray_coefficients, ray_level
+from .regions import CLAIMS, mu_a
 from .spectral import _sin_cos, _times_power, checked_sqrt, sqrt_symbol
 
 KINDS = ("I1", "I2")
@@ -574,32 +575,26 @@ def envelope_exponents(kind, m, n):
     """(time_exponent, argument_scale_exponent, spatial_power) per regime.
 
     Returns {"small": (...), "large": (...)} with exact Fractions.  The
-    envelope is |t|^time_exp * (1 + |t|^arg_exp |x|)^{-spatial_power}.
+    envelope is |t|^time_exp * (1 + |t|^arg_exp |x|)^{-spatial_power}: the U (I1)
+    or V (I2) convolution claim at (1/p, 1/q) = (1, 0), as ||T(t)||_{1->inf} =
+    sup |K_t|, and the power mu_0 (I1) or mu_m (I2) of regions.mu_a.
     """
     m, n = int(m), int(n)
-    mu, _ = mu_nu(m, n)
-    m1 = Fraction(m, 2)
-    if kind == "I2":
-        small = (-(n - m1) / m1, Fraction(-1) / m1, mu)
-        large = (Fraction(-1, m), Fraction(-1), mu)
-    elif kind == "I1":
-        power = Fraction(n * (m - 4), 2 * (m - 2))
-        small = (Fraction(-n) / m1, Fraction(-1) / m1, power)
-        large = (Fraction(-1) / m1, Fraction(-1), power)
-    else:
+    mu_nu(m, n)  # order m > 2 before the kind
+    if kind not in KINDS:
         raise KernelConfigError(f"kind must be one of {KINDS}")
-    return {"small": small, "large": large}
+    part, a = ("U", 0) if kind == "I1" else ("V", m)
+    return {regime: (CLAIMS[part, regime, "convolution"][1](1, 0, m, n), arg, mu_a(a, m, n))
+            for regime, arg in (("small", Fraction(-2, m)), ("large", Fraction(-1)))}
 
 
 def mu_nu(m, n):
-    """Spatial envelope power mu and the auxiliary time power nu = (n-m)/(m-2).
+    """Spatial envelope power mu = mu_m and the auxiliary time power nu = (n-m)/(m-2).
 
     Both need order m > 2, as every envelope does."""
     if m <= 2:
         raise KernelConfigError(f"kernel envelopes need order m > 2, got m = {m}", "poly")
-    mu = Fraction(m * n - 4 * n + 2 * m, 2 * (m - 2))
-    nu = Fraction(n - m, m - 2)
-    return mu, nu
+    return mu_a(m, m, n), Fraction(n - m, m - 2)
 
 
 @dataclass(frozen=True)

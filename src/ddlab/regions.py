@@ -1,8 +1,10 @@
-"""Exact rational geometry of admissible (1/p, 1/q) index regions.
+"""The paper's L^p-L^q claims and the exact rational geometry of their
+admissible (1/p, 1/q) index regions.
 
-No floating point enters the region builders or the membership tests:
-the builders use Fraction arithmetic, and `locate` tests a point against
-each region's half-planes in integers over the common denominator.
+CLAIMS states each estimate once: its region kind and its exact time
+exponent.  No floating point enters the region builders or the membership
+tests: the builders use Fraction arithmetic, and `locate` tests a point
+against each region's half-planes in integers over the common denominator.
 """
 
 from __future__ import annotations
@@ -117,8 +119,14 @@ def _order_and_dimension(m, n):
     return m, n
 
 
+def mu_a(a, m, n):
+    """mu_a = (mn - 4n + 2a)/(2(m-2)), exact; mu_0 and mu_m are the spatial powers
+    of the I1 and I2 envelopes.  Each caller checks its own domain."""
+    return Fraction(m * n - 4 * n + 2 * a, 2 * (m - 2))
+
+
 def mu_q(a, m, n):
-    """Exact pair (mu_a, q_a) with mu_a = (mn - 4n + 2a)/(2(m-2)), q_a = n/mu_a.
+    """Exact pair (mu_a, q_a) with q_a = n/mu_a (see mu_a).
 
     q_a is None when mu_a = 0 (the q = infinity degeneracy).  The region is
     undefined, and RegionError names a, for mu_a < 0 and for q_a < 1
@@ -126,7 +134,7 @@ def mu_q(a, m, n):
     """
     a = _fr(a)
     m, n = _order_and_dimension(m, n)
-    mu = Fraction(m * n - 4 * n, 2 * (m - 2)) + Fraction(2, 2 * (m - 2)) * a
+    mu = mu_a(a, m, n)
     if mu < 0:
         raise RegionError(f"mu_a = {mu} < 0: index region undefined for a = {a}", "a")
     if mu > n:
@@ -204,6 +212,28 @@ def build_region(kind, m, n, a=None) -> IndexRegion:
         notes = ("endpoint list implemented verbatim from the source statement",)
     degenerate = len(set(vertices)) < len(vertices) or (kind == "AEF" and F.inv_q == 0)
     return IndexRegion(kind, m, n, a, vertices, labels, degenerate, notes)
+
+
+# The claims ||T(t)||_{p->q} <= C |t|^e, one row per (part, regime, route):
+# (kind of the region of admissible (1/p, 1/q), e(1/p, 1/q, m, n)).  U is the
+# cosine part and V the sine part; "small" is |t| <= 1.  The convolution route
+# goes through the kernel envelopes (U through I1, V through I2), and its rows
+# at (1, 0) give sup |K_t|; the multiplier route bounds sin(t sqrt(P))/sqrt(P)
+# directly, on the pentagon when n < m.
+CLAIMS = {
+    ("U", "small", "convolution"):
+        ("delta_0", lambda ip, iq, m, n: Fraction(n) / Fraction(m, 2) * (iq - ip)),
+    ("U", "large", "convolution"):
+        ("delta_0", lambda ip, iq, m, n: n * abs(iq - (1 - ip)) - 1 / Fraction(m, 2)),
+    ("V", "small", "convolution"):
+        ("delta_m", lambda ip, iq, m, n: Fraction(n) / Fraction(m, 2) * (iq - ip) + 1),
+    ("V", "large", "convolution"):
+        ("delta_m", lambda ip, iq, m, n: n * abs(iq - (1 - ip)) - Fraction(1, m)),
+    ("V", "small", "multiplier"):
+        ("AEF", lambda ip, iq, m, n: Fraction(n) / Fraction(m, 2) * (iq - ip) + 1),
+    ("V", "large", "multiplier"):
+        ("AEF", lambda ip, iq, m, n: Fraction(0)),
+}
 
 
 # ---------------------------------------------------------------------------
