@@ -125,9 +125,11 @@ def _json_default(obj):
 
 
 def _write_json(path, obj):
+    """obj as JSON; NaN and Infinity are not JSON, so a non-finite number
+    raises ValueError before the file is opened."""
+    text = json.dumps(obj, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------

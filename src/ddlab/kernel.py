@@ -701,9 +701,14 @@ def check_bound(samples, p: SymbolPoly) -> KernelBoundReport:
 # ---------------------------------------------------------------------------
 
 def samples_to_csv(path, samples):
+    """One CSV row per sample; a non-finite number raises ValueError before
+    the file is opened."""
     samples = list(samples)
     if not samples:
         raise KernelConfigError("nothing to write")
+    if not all(math.isfinite(v) for s in samples
+               for v in (s.t, *s.x, s.value.real, s.value.imag, s.err)):
+        raise ValueError("the kernel samples hold a non-finite number")
     n = len(samples[0].x)
     cols = ["kind", "sign", "t"] + [f"x{i + 1}" for i in range(n)] + ["re", "im", "err"]
     with open(path, "w", encoding="ascii") as fh:

@@ -135,6 +135,19 @@ def sqrt_symbol(p: SymbolPoly, axes, strict=True) -> np.ndarray:
                         lambda idx: [float(ax[i]) for ax, i in zip(axes, idx)], strict)
 
 
+def _frequency_sqrt(p: SymbolPoly, g: GridSpec, half=False) -> np.ndarray:
+    """sqrt(P) on the frequency lattice of g, or on the half lattice of rfftn
+    (last axis indices 0..N/2) when half.  A box too small for P's growth makes
+    P overflow below xi_max = pi N/(2L); that raises GridError naming L."""
+    axes = [g.xi_axis] * (g.n - 1) + [g.xi_axis[:g.N // 2 + 1] if half else g.xi_axis]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = sqrt_symbol(p, axes)
+    if not math.isfinite(float(np.max(w))):
+        raise GridError(f"P is not finite on the frequency lattice of box half-length {g.L!r}, "
+                        f"where |xi_i| reaches {g.xi_max!r}", "L")
+    return w
+
+
 def data_transforms(g: GridSpec, fields) -> list:
     """(F f, f is real) for each data field, one field at a time (fields may
     be a generator), after checking it against the grid."""
@@ -181,7 +194,7 @@ def propagate(u0, u1, t, p: SymbolPoly, g: GridSpec) -> WaveState:
     cos(w t) and sin(w t) from one _sin_cos call.
     """
     (u0_hat, _), (u1_hat, _) = data_transforms(g, (u0, u1))
-    w = sqrt_symbol(p, [g.xi_axis] * g.n)
+    w = _frequency_sqrt(p, g)
     sin_wt, cos_wt = _sin_cos(w * t)
     u = np.fft.ifftn(cos_wt * u0_hat + sin_wt / w * u1_hat)
     ut = np.fft.ifftn(cos_wt * u1_hat - w * sin_wt * u0_hat)
@@ -206,13 +219,13 @@ def propagate_part(spectra, t_grid, p: SymbolPoly, g: GridSpec, part):
         raise ValueError(f"part must be U or V, got {part!r}")
     if len(p.even_axes) == g.n:
         half = g.N // 2 + 1
-        w = sqrt_symbol(p, [g.xi_axis] * (g.n - 1) + [g.xi_axis[:half]])
+        w = _frequency_sqrt(p, g, half=True)
         inputs = [_half_spectra(h, real, half) for h, real in spectra]
         axes = tuple(range(g.n))
         def inverse(x):
             return np.fft.irfftn(x, g.shape, axes)
     else:
-        w = sqrt_symbol(p, [g.xi_axis] * g.n)
+        w = _frequency_sqrt(p, g)
         inputs = [(h,) for h, _ in spectra]
         inverse = np.fft.ifftn
     for t in t_grid:
@@ -246,7 +259,7 @@ def energy(state: WaveState, p: SymbolPoly, g: GridSpec) -> float:
     exp(i<k,x>) has ||.||_2^2 = (2L)^n.
     """
     (u_hat, _), (ut_hat, _) = data_transforms(g, (state.u, state.ut))
-    w = sqrt_symbol(p, [g.xi_axis] * g.n)
+    w = _frequency_sqrt(p, g)
     scale = g.cell_volume / g.npoints
     kinetic = np.sum(np.abs(ut_hat) ** 2)
     potential = np.sum((w * np.abs(u_hat)) ** 2)
@@ -295,7 +308,10 @@ def _outer_fraction(power, grids, limit) -> float:
 
 
 def write_norm_series(path, rows):
-    """CSV with columns t, l2, lq, linf (one row per time)."""
+    """CSV with columns t, l2, lq, linf (one row per time); a non-finite
+    number raises ValueError before the file is opened."""
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise ValueError("the norm series holds a non-finite number")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("t,l2,lq,linf\n")
         for t, l2, lq, linf in rows:

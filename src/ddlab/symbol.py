@@ -11,7 +11,7 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -595,13 +595,30 @@ def _h2_report(p: SymbolPoly, dirs) -> HypothesisReport:
     if m < 4:
         flags.append(f"m={m} < 4: outside the intended symbol class, checked anyway")
     pm = principal_part(p)
-    dets = hessian_det_values(pm, dirs)
+    # H2 is decided on P_m 2^-k, whose largest coefficient lies in [1/2, 1), so
+    # that det Hess neither overflows nor underflows; the scaling is exact and
+    # multiplies every determinant by 2^-kn.
+    k = math.frexp(max(abs(c) for _, c in pm.terms))[1]
+    dets = hessian_det_values(
+        SymbolPoly.from_terms(p.n, {a: math.ldexp(c, -k) for a, c in pm.terms}), dirs)
     abs_dets = np.abs(dets)
     dmin, dmax = float(np.min(abs_dets)), float(np.max(abs_dets))
-    floor = NONDEGENERACY_RTOL * dmax
-    witnesses = _probe_witnesses(
-        "nondegeneracy", dirs, dets, abs_dets < floor, abs_dets,
-        "det Hess of the principal part vanishes (relative to sphere max)")
+    if 0 < dmax < math.inf:
+        bad = abs_dets < NONDEGENERACY_RTOL * dmax
+        detail = "det Hess of the principal part vanishes (relative to sphere max)"
+    else:  # no relative floor: every zero or non-finite determinant fails
+        bad = ~((abs_dets > 0) & (abs_dets < math.inf))
+        detail = f"det Hess of the principal part is {dmax!r} at most on the sphere"
+    witnesses = _probe_witnesses("nondegeneracy", dirs, dets, bad, abs_dets, detail)
+    # the numbers in P's own units when they stay normal floats, so exact
+    shift = k * p.n
+    if all(math.isfinite(v) and (v == 0 or -1021 <= math.frexp(v)[1] + shift <= 1024)
+           for v in [dmin, dmax] + [w.value for w in witnesses]):
+        dmin, dmax = math.ldexp(dmin, shift), math.ldexp(dmax, shift)
+        witnesses = [replace(w, value=math.ldexp(w.value, shift)) for w in witnesses]
+    else:
+        flags.append(f"determinants are those of P_m * 2^{-k}: in P's units they "
+                     "leave the float range")
     passed = not witnesses
     desc = (f"{len(dirs)} sphere directions; min |det Hess P_m| = {dmin!r}, "
             f"max = {dmax!r}, relative floor = {NONDEGENERACY_RTOL!r}")

@@ -40,6 +40,29 @@ def test_check_symbol_beam(tmp_path):
     assert by_name["H2"]["details"]["sphere_min_abs_det"] == pytest.approx(48.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("poly, rc", [("1e300*|x|^4 + 1", 0), ("x1^4 + 1", 1)])
+def test_check_symbol_report_holds_finite_numbers(tmp_path, poly, rc):
+    # P_m = 1e300 |x|^4 once overflowed det Hess to NaN, and det Hess x1^4 = 0
+    # met the floor 1e-8 * 0: both passed H2
+    out = tmp_path / "c"
+    assert run(["check-symbol", "--poly", poly, "--n", "2", "--out", str(out)]) == rc
+
+    def refuse(name):
+        raise ValueError(f"{name} in report.json")
+
+    rep = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    h2 = {c["name"]: c for c in rep["checks"]}["H2"]
+    assert h2["verdict"] == ("pass" if rc == 0 else "fail")
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    path = tmp_path / "r.json"
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cli._write_json(path, {"value": [1.0, bad]})
+        assert not path.exists()
+
+
 def test_check_symbol_failure_exit_code(tmp_path):
     rc = run(["check-symbol", "--poly", "x1^4 + x2^4", "--n", "2",
               "--out", str(tmp_path / "f")])
@@ -151,6 +174,9 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["solve", "--grid-L", "1e-300"], None, "field grid.L:"),
     (["decay-verify"], "[grid]\nL = 1e200\n", "field grid.L:"),
     (["regions", "--kind", "delta_a", "--a", "1000"], None, "field regions.a:"),
+    # a box so small that P overflows on its frequency lattice
+    (["decay-verify"], "[grid]\nL = 1e-150\n", "field grid.L:"),
+    (["solve", "--grid-L", "1e-150"], None, "field grid.L:"),
 ])
 def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
     if ini is not None:

@@ -679,6 +679,16 @@ def test_samples_csv_header(tmp_path):
     assert lines[1].startswith("I1,+1,0.5,")
 
 
+@pytest.mark.parametrize("field, bad", [("value", complex(math.nan, 0.0)), ("err", math.inf),
+                                        ("x", (0.0, -math.inf))])
+def test_samples_csv_refuses_non_finite_numbers(tmp_path, field, bad):
+    s = replace(K.KernelSample("I1", +1, 0.5, (0.0, 0.0), 1 + 2j, 1e-9), **{field: bad})
+    path = tmp_path / "samples.csv"
+    with pytest.raises(ValueError, match="non-finite"):
+        K.samples_to_csv(path, [s])
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # envelope exponents / bound reports
 # ---------------------------------------------------------------------------

@@ -255,3 +255,28 @@ def test_norm_series_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,l2,lq,linf"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_norm_series_csv_refuses_non_finite_numbers(tmp_path, bad):
+    path = tmp_path / "norms.csv"
+    with pytest.raises(ValueError, match="non-finite"):
+        sp.write_norm_series(path, [(0.1, 1.0, 2.0, 3.0), (0.2, 0.5, bad, 0.125)])
+    assert not path.exists()
+
+
+def test_symbol_that_overflows_on_the_lattice_names_L():
+    # xi_max = pi N/(2L) ~ 1e152 for L = 1e-150, so |xi|^4 overflows; each
+    # path that takes sqrt(P) on a grid refuses it, with no RuntimeWarning
+    g = sp.make_grid(2, 16, 1e-150)
+    p = sym.parse_symbol("1 + |x|^4", 2)
+    u0 = np.ones(g.shape)
+    spectra = sp.data_transforms(g, [u0])
+    for call in (lambda: sp.propagate(u0, u0, 1.0, p, g),
+                 lambda: next(sp.propagate_part(spectra, [1.0], p, g, "U")),
+                 lambda: next(sp.propagate_part(spectra, [1.0], p + sym.parse_symbol("x1", 2),
+                                                g, "V")),
+                 lambda: sp.energy(sp.WaveState(0.0, u0, u0), p, g)):
+        with pytest.raises(sp.GridError) as err:
+            call()
+        assert err.value.field == "L"

@@ -234,6 +234,30 @@ def test_h2_verdict_invariant_under_positive_scaling():
             assert sym.check_hypotheses(c * p)[1].passed == base
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-300, 2.0**-1000, 3.0])
+def test_h2_decided_on_a_rescaled_principal_part(scale):
+    # H2 and its floor are invariant under positive scaling, and the check
+    # scales P_m by a power of two: every decision and number matches the
+    # unscaled symbol's, in P's units when they are normal floats
+    base = sym.check_hypotheses(beam())[1]
+    rep = sym.check_hypotheses(scale * beam() + 1.0 - scale)[1]
+    assert rep.passed
+    if abs(math.log2(scale)) < 450:  # 48 scale^2 stays a normal float
+        assert not rep.flags
+        assert rep.sampled_min == pytest.approx(scale**2 * base.sampled_min, rel=1e-12)
+    else:
+        assert any("2^" in f for f in rep.flags)
+        assert 0 < rep.sampled_min <= rep.sampled_max < math.inf
+        assert rep.sampled_min == pytest.approx(rep.sampled_max, rel=1e-12)
+
+
+def test_h2_fails_when_det_hess_vanishes_identically():
+    # det Hess x1^4 = 0 everywhere: the relative floor 1e-8 * 0 once passed it
+    rep = sym.check_hypotheses(sym.parse_symbol("x1^4 + 1", 2))[1]
+    assert not rep.passed
+    assert rep.sampled_max == 0.0 and rep.witnesses[0].value == 0.0
+
+
 def test_hessian_det_homogeneity():
     pm = SymbolPoly.radial_power(2, 4)
     dirs = sym.sphere_directions(2, 32)
