@@ -603,13 +603,11 @@ def _h2_report(p: SymbolPoly, dirs) -> HypothesisReport:
         SymbolPoly.from_terms(p.n, {a: math.ldexp(c, -k) for a, c in pm.terms}), dirs)
     abs_dets = np.abs(dets)
     dmin, dmax = float(np.min(abs_dets)), float(np.max(abs_dets))
-    if 0 < dmax < math.inf:
-        bad = abs_dets < NONDEGENERACY_RTOL * dmax
-        detail = "det Hess of the principal part vanishes (relative to sphere max)"
-    else:  # no relative floor: every zero or non-finite determinant fails
-        bad = ~((abs_dets > 0) & (abs_dets < math.inf))
-        detail = f"det Hess of the principal part is {dmax!r} at most on the sphere"
-    witnesses = _probe_witnesses("nondegeneracy", dirs, dets, bad, abs_dets, detail)
+    # a zero or non-finite determinant fails too, also where the floor is 0 or NaN
+    ok = (abs_dets >= NONDEGENERACY_RTOL * dmax) & (abs_dets > 0) & (abs_dets < math.inf)
+    witnesses = _probe_witnesses(
+        "nondegeneracy", dirs, dets, ~ok, abs_dets,
+        "det Hess of the principal part vanishes (relative to sphere max)")
     # the numbers in P's own units when they stay normal floats, so exact
     shift = k * p.n
     if all(math.isfinite(v) and (v == 0 or -1021 <= math.frexp(v)[1] + shift <= 1024)
@@ -617,8 +615,7 @@ def _h2_report(p: SymbolPoly, dirs) -> HypothesisReport:
         dmin, dmax = math.ldexp(dmin, shift), math.ldexp(dmax, shift)
         witnesses = [replace(w, value=math.ldexp(w.value, shift)) for w in witnesses]
     else:
-        flags.append(f"determinants are those of P_m * 2^{-k}: in P's units they "
-                     "leave the float range")
+        flags.append(f"determinants are those of P_m * 2^{-k}, as P's own leave the float range")
     passed = not witnesses
     desc = (f"{len(dirs)} sphere directions; min |det Hess P_m| = {dmin!r}, "
             f"max = {dmax!r}, relative floor = {NONDEGENERACY_RTOL!r}")
