@@ -7,8 +7,7 @@ from .symbol import (
 )
 from .spectral import GridSpec, WaveState, make_grid, propagate, energy
 from .kernel import (
-    QuadConfig, KernelSample, KernelBoundReport, eval_kernel, eval_damped,
-    check_bound,
+    QuadConfig, KernelSample, KernelBoundReport, eval_kernel, check_bound,
 )
 from .decay import (
     ExponentQuery, DecayFit, lq_norm, weak_lq_norm, theoretical_exponent,

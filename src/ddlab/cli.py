@@ -26,6 +26,7 @@ VERSION = "0.1.0"
 
 OK_VERDICTS = {"pass", "consistent"}
 SOLVE_WIDTH = 1.5  # standard deviation of solve's Gaussian datum u0
+KERNEL_EPS = (0.4, 0.2, 0.1)  # kernel-scan's damping ladder, extrapolated through every value
 
 
 class ConfigError(ValueError):
@@ -37,11 +38,7 @@ DEFAULTS = {
     "symbol": {"poly": "1 + |x|^4", "n": "2", "m_expect": ""},
     "grid": {"N": "64", "L": "12.0"},
     "solve": {"t_list": "0.5,1.0,2.0", "q": "4"},
-    "kernel": {
-        "kind": "I1", "sign": "+", "t_list": "0.25,0.5",
-        "x_list": "0.0,1.0", "eps_list": "0.4,0.2,0.1", "N": "512",
-        "method": "lattice",
-    },
+    "kernel": {"kind": "I1", "sign": "+", "t_list": "0.25,0.5", "x_list": "0.0,1.0"},
     "decay": {"part": "V", "regime": "small", "p": "2", "q": "2", "route": "multiplier"},
     "regions": {"kind": "all", "m": "4", "n": "6", "a": ""},
 }
@@ -212,13 +209,9 @@ def cmd_kernel_scan(cfg, outdir):
     sign = _field(cfg, "kernel", "sign", lambda text: signs.get(text.strip()),
                   "+, +1, 1, - or -1", lambda value: value is not None)
     kernel.mu_nu(p.order, p.n)  # the envelopes need order m > 2: fail before sampling
-    eps_list = tuple(_finite_floats(cfg, "kernel", "eps_list"))
     qcfg = kernel.QuadConfig(
-        eps_list=eps_list,
-        order=len(eps_list) - 1,  # extrapolate through every value
-        lattice_N=_int(cfg, "kernel", "N"),
-        method=_choice(cfg, "kernel", "method", ("lattice", "radial")),
-    )
+        eps_list=KERNEL_EPS, order=len(KERNEL_EPS) - 1,
+        method="lattice" if p.n <= kernel.LATTICE_MAX_N else "radial")
     kind = _choice(cfg, "kernel", "kind", kernel.KINDS)
     samples = []
     for t in _finite_floats(cfg, "kernel", "t_list"):
@@ -320,10 +313,12 @@ COMMANDS = {
     "kernel-scan": Subcommand(
         cmd_kernel_scan,
         flags={**SYMBOL_FLAGS, "--kind": ("kernel.kind",), "--t-list": ("kernel.t_list",),
-               "--x-list": ("kernel.x_list",), "--eps-list": ("kernel.eps_list",)},
+               "--x-list": ("kernel.x_list",)},
+        # |t| < 1 scales the fixed ladder, so an eps_list fault is a |t| too small;
+        # a method fault is a non-radial symbol above the lattice's dimension limit
         fields={**SYMBOL_FIELDS, "kind": "kernel.kind", "t": "kernel.t_list",
-                "x": "kernel.x_list", "eps_list": "kernel.eps_list",
-                "lattice_N": "kernel.N", "method": "kernel.method"}),
+                "x": "kernel.x_list", "eps_list": "kernel.t_list",
+                "method": "symbol.poly, symbol.n"}),
     "decay-verify": Subcommand(
         cmd_decay_verify,
         flags={**SYMBOL_FLAGS, "--part": ("decay.part",), "--regime": ("decay.regime",),
@@ -342,8 +337,7 @@ COMMANDS = {
     "all": Subcommand(
         cmd_all,
         flags={**SYMBOL_FLAGS, **GRID_FLAGS, "--n": ("symbol.n", "regions.n"),
-               "--seed": ("run.seed",), "--t-list": ("solve.t_list",),
-               "--eps-list": ("kernel.eps_list",)},
+               "--seed": ("run.seed",), "--t-list": ("solve.t_list",)},
         fields={}),  # each pipeline of the loop names its own fields
 }
 

@@ -67,17 +67,6 @@ class KernelConfigError(ValueError):
         self.field = field
 
 
-def _eps_tuple(eps_list) -> tuple:
-    """eps_list as a tuple of floats, checked positive, finite and strictly
-    decreasing."""
-    eps = tuple(float(e) for e in eps_list)
-    if not eps or not all(0 < e < math.inf for e in eps):
-        raise KernelConfigError("eps_list must contain positive finite values", "eps_list")
-    if any(a <= b for a, b in zip(eps, eps[1:])):
-        raise KernelConfigError("eps_list must be strictly decreasing", "eps_list")
-    return eps
-
-
 def _check_order(order, count):
     """Raise unless 0 <= order < count: an extrapolation of the given order
     goes through order + 1 of the count damped values."""
@@ -104,7 +93,11 @@ class QuadConfig:
     method: str = "lattice"  # "lattice" or "radial"
 
     def __post_init__(self):
-        eps = _eps_tuple(self.eps_list)
+        eps = tuple(float(e) for e in self.eps_list)
+        if not eps or not all(0 < e < math.inf for e in eps):
+            raise KernelConfigError("eps_list must contain positive finite values", "eps_list")
+        if any(a <= b for a, b in zip(eps, eps[1:])):
+            raise KernelConfigError("eps_list must be strictly decreasing", "eps_list")
         object.__setattr__(self, "eps_list", eps)
         _check_order(self.order, len(eps))
         N = self.lattice_N
@@ -135,12 +128,15 @@ class KernelSample:
 
 def _ray_cutoff(ray, eps_min) -> float:
     """Smallest R with exp(-eps_min sqrt(max(P(R w), 0))) <= TAIL_TOL along
-    the ray w whose polynomial P(r w) has the coefficients ray."""
+    the ray w whose polynomial P(r w) has the coefficients ray.  Where there
+    is none, eps_min is at fault if P grows along the ray, else the symbol."""
     target = math.log(1.0 / TAIL_TOL) / eps_min  # need sqrt(P) >= target
     try:
         return ray_level(ray, lambda v: math.sqrt(max(v, 0.0)) >= target)
     except RadialInverseError as exc:
-        raise KernelConfigError("damping never reaches the tail tolerance", "poly") from exc
+        grows = np.any(ray[1:]) and ray[np.flatnonzero(ray)[-1]] > 0
+        raise KernelConfigError("damping never reaches the tail tolerance",
+                                "eps_list" if grows else "poly") from exc
 
 
 def _lattice_axis(p: SymbolPoly, eps_list, N):
@@ -153,6 +149,7 @@ def _lattice_axis(p: SymbolPoly, eps_list, N):
 
 
 MAX_LATTICE_POINTS = 2**27
+LATTICE_MAX_N = 3  # the lattice is desk-scale up to this dimension
 # Each block of _damped_sums holds CHUNK_POINTS nodes (a lattice chunk at least
 # one row), the budget of the symbol's batch evaluation.
 
@@ -174,14 +171,18 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, N):
     and {"points": lattice points evaluated, "folded_axes": tuple of axes}.
     """
     n = p.n
-    if n > 3:
+    if n > LATTICE_MAX_N:
         raise KernelConfigError(
-            f"full-lattice evaluation is desk-scale only for n <= 3 (got n={n}); "
+            f"full-lattice evaluation is desk-scale only for n <= {LATTICE_MAX_N} (got n={n}); "
             "use method='radial' for radial symbols in higher dimension", "method")
     if N**n > MAX_LATTICE_POINTS:
         raise KernelConfigError(
             f"lattice has {N**n} points, over the cap of {MAX_LATTICE_POINTS}", "lattice_N")
     axis, h = _lattice_axis(p, eps_list, N)
+    xi_max = -float(axis[0])
+    if not math.isfinite(float(np.max(np.abs(x))) * xi_max):
+        raise KernelConfigError(
+            f"the phase x_i xi overflows at the lattice edge xi_max = {xi_max:.3g}", "x")
     folded = p.even_axes
     nodes, weights, coarse_masks = [], [], []
     for i in range(n):
@@ -411,7 +412,8 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list):
     oscillations at large t stay resolved.  _damped_sums reduces the
     panels in blocks of CHUNK_POINTS nodes, so memory does not grow with t
     or |x|.  Composite panels are doubled until every value is stable to
-    RADIAL_RTOL or to its rounding floor.
+    RADIAL_RTOL or to its rounding floor.  A first composition that would reach
+    RADIAL_MAX_PANELS raises KernelConfigError naming x or t, the larger phase.
     """
     if not is_radial(p):
         raise KernelConfigError("radial reduction requires a radial symbol", "method")
@@ -419,14 +421,18 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list):
         raise KernelConfigError(
             "radial I2 needs P(0) > 0: the P^{-1/2} weight is singular at the origin",
             ("poly", "kind"))
-    r_abs_x = float(np.linalg.norm(x))
+    r_abs_x = math.hypot(*x)
     ray = ray_coefficients(p, np.eye(p.n)[0])
     R = _ray_cutoff(ray, min(eps_list))  # the same on every ray of a radial P
     # sqrt(P(R)) reaches the cutoff's target, so P(R) > 0
-    total_phase = (abs(t) * np.sqrt(np.polynomial.polynomial.polyval(R, ray))
-                   + r_abs_x * R + 8.0)
-    panels = int(min(RADIAL_MAX_PANELS,
-                     max(64, 2 ** math.ceil(math.log2(total_phase / PANEL_PHASE + 1)))))
+    t_phase = abs(t) * float(np.sqrt(np.polynomial.polynomial.polyval(R, ray)))
+    x_phase = r_abs_x * R
+    first = (t_phase + x_phase + 8.0) / PANEL_PHASE + 1
+    if first > RADIAL_MAX_PANELS / 2:  # rounded up, it leaves no room to refine
+        raise KernelConfigError(
+            f"the radial phase |t| sqrt(P(R)) + |x| R = {t_phase + x_phase:.3g} needs "
+            f"{RADIAL_MAX_PANELS} panels or more", "x" if x_phase > t_phase else "t")
+    panels = max(64, 2 ** math.ceil(math.log2(first)))
     nodes, weights = _gauss_legendre()
     block = CHUNK_POINTS // nodes.size  # panels per block
 
@@ -525,17 +531,6 @@ def _checked_point(p: SymbolPoly, kind, sign, t, x) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise KernelConfigError(f"x must be finite, got {tuple(x.tolist())}", "x")
     return x
-
-
-def eval_damped(p, kind, sign, t, x, eps, cfg: QuadConfig | None = None) -> complex:
-    """Single fixed-eps evaluation (no extrapolation).  t = 0 is allowed here;
-    the x = 0, t = 0 probe is the plain damped transform of the weight."""
-    cfg = cfg or QuadConfig()
-    x = _checked_point(p, kind, sign, t, x)
-    eps_list = _eps_tuple((eps,))
-    if cfg.method == "radial":
-        return complex(_damped_radial_values(p, kind, sign, t, x, eps_list)[0][0])
-    return complex(_lattice_sums(p, kind, sign, t, x, eps_list, cfg.lattice_N)[0][0])
 
 
 def eval_kernel(p, kind, sign, t, x, cfg: QuadConfig | None = None) -> KernelSample:
@@ -649,7 +644,8 @@ def check_bound(samples, p: SymbolPoly) -> KernelBoundReport:
     Samples are split at |t| = 1; each regime records C_emp and whether
     the running max has stopped drifting (saturated means the upward
     drift across the last decade stayed within SATURATION_TOL).  Empty
-    regimes are reported as no-data.
+    regimes are reported as no-data.  An envelope too small to divide |I|
+    by (it underflows at large |x|) raises KernelConfigError naming x.
     """
     samples = list(samples)
     if not samples:
@@ -679,9 +675,14 @@ def check_bound(samples, p: SymbolPoly) -> KernelBoundReport:
         ratios, keys = [], []
         for s in sub:
             at = abs(s.t)
-            ax = float(np.linalg.norm(s.x))
+            ax = math.hypot(*s.x)
             env = at ** float(te) * (1.0 + at ** float(ae) * ax) ** (-float(sp))
-            ratios.append(abs(s.value) / env)
+            ratio = abs(s.value) / env if env > 0.0 else math.inf
+            if not ratio < math.inf:
+                raise KernelConfigError(
+                    f"the {regime}-time envelope at t = {s.t!r}, |x| = {ax!r} is {env!r}, "
+                    "too small to divide |I| by", "x")
+            ratios.append(ratio)
             keys.append(1.0 / at if regime == "small" else max(at, ax, 1.0))
         order_idx = np.argsort(keys, kind="stable")
         keys_sorted = np.asarray(keys)[order_idx]

@@ -564,7 +564,7 @@ def _h1_report(p: SymbolPoly, dirs) -> HypothesisReport:
     pm = principal_part(p)
     pm_vals = np.atleast_1d(pm.evaluate(dirs))
     pm_max = float(np.max(np.abs(pm_vals)))
-    tol = POSITIVITY_RTOL * max(1.0, pm_max)
+    tol = POSITIVITY_RTOL * pm_max
     witnesses += _probe_witnesses("ellipticity", dirs, pm_vals, pm_vals <= tol, pm_vals,
                                   "principal part is not positive on this direction")
 

@@ -180,8 +180,8 @@ def test_criterion_06_kernel_oracle_equivalence():
     worst = 0.0
     for t, r in pairs:
         x = np.array([r, 0.0])
-        lat = K.eval_damped(p, "I1", +1, t, x, 0.1, cfg)
-        rad = K.eval_damped(p, "I1", +1, t, x, 0.1, replace(cfg, method="radial"))
+        lat = K.eval_kernel(p, "I1", +1, t, x, cfg).value
+        rad = K.eval_kernel(p, "I1", +1, t, x, replace(cfg, method="radial")).value
         worst = max(worst, abs(lat - rad) / max(abs(lat), abs(rad)))
     ok = worst <= 1e-6
     assert _verdict(6, "kernel oracle equivalence", ok,

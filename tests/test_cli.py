@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from ddlab import cli, symbol
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -100,27 +102,26 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["decay-verify", "--route", "convolution", "--regime", "large",
       "--p", "1", "--q", "2"], None, "decay.route"),
     (["check-symbol", "--n", "4", "--seed", "-1"], None, "run.seed"),
-    (["kernel-scan", "--eps-list", "0.1,0.2"], None, "kernel.eps_list"),
+    (["kernel-scan"], "[kernel]\neps_list = 0.1,0.2\n", "kernel.eps_list"),
     (["kernel-scan"], "[kernel]\neps_list = 0.2,-0.1\n", "kernel.eps_list"),
     (["kernel-scan"], "[kernel]\nN = 0\n", "kernel.N"),
     (["kernel-scan"], "[kernel]\nN = -4\n", "kernel.N"),
     (["kernel-scan"], "[kernel]\nN = 63\n", "kernel.N"),
     (["kernel-scan"], "[kernel]\norder = -1\n", "kernel.order"),
-    (["kernel-scan", "--poly", "1+|x|^4", "--n", "4"], None, "kernel.method"),
+    (["kernel-scan", "--poly", "1 + |x|^4 + x1^2", "--n", "4"], None,
+     "field symbol.poly, symbol.n:"),
     (["kernel-scan", "--t-list", "0"], None, "kernel.t_list"),
-    (["kernel-scan", "--poly", "|x|^4", "--n", "4"], "[kernel]\nmethod = radial\nkind = I2\n",
+    (["kernel-scan", "--poly", "|x|^4", "--n", "4"], "[kernel]\nkind = I2\n",
      "field symbol.poly, kernel.kind:"),
     (["kernel-scan", "--poly", "1+|x|^2"], None, "field symbol.poly:"),
     (["all", "--poly", "1+|x|^2"], None, "field symbol.poly:"),
     (["kernel-scan", "--poly", "3"], None, "field symbol.poly:"),
-    (["kernel-scan", "--poly", "1 - 3*|x|^2 + |x|^4"], "[kernel]\nmethod = radial\n",
-     "field symbol.poly:"),
-    (["kernel-scan", "--poly", "1 - 3*|x|^2 + |x|^4"], "[kernel]\nmethod = lattice\n",
-     "field symbol.poly:"),
+    (["kernel-scan", "--poly", "1 - 3*|x|^2 + |x|^4", "--n", "4"], None, "field symbol.poly:"),
+    (["kernel-scan", "--poly", "1 - 3*|x|^2 + |x|^4"], None, "field symbol.poly:"),
     (["kernel-scan", "--t-list", "nan"], None, "field kernel.t_list:"),
     (["kernel-scan", "--t-list", "inf"], None, "field kernel.t_list:"),
     (["kernel-scan", "--x-list", "inf"], None, "field kernel.x_list:"),
-    (["kernel-scan", "--eps-list", "0.2,nan"], None, "field kernel.eps_list:"),
+    (["kernel-scan"], "[kernel]\neps_list = 0.2,nan\n", "field kernel.eps_list:"),
     (["decay-verify"], "[decay]\nt_count = 0\n", "field decay.t_count"),
     (["decay-verify"], "[decay]\nt_count = -3\n", "field decay.t_count"),
     (["solve"], "[solve]\nq = nan\n", "field solve.q"),
@@ -155,9 +156,10 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["check-symbol", "--poly", "x1^4 * -x2^4"], None, "field symbol.poly:"),
     (["check-symbol", "--poly", "1.5.3"], None, "field symbol.poly:"),
     (["decay-verify"], "[grid]\nN = 63\n", "grid.N"),
-    # keys whose value is fixed or derived: [decay] N/L and t_count, kernel.order
-    # and solve.width (the rows above with N = 63, order = -1, order = 3,
-    # t_count = 0 and width = 0 now name each as an unknown key)
+    # keys whose value is fixed or derived: [decay] N/L and t_count, kernel.order,
+    # solve.width and kernel.eps_list, N and method (the rows above with N = 63,
+    # order = -1, order = 3, t_count = 0, width = 0, eps_list, [kernel] N and
+    # method = foo now name each as an unknown key)
     (["decay-verify"], "[decay]\nL = 12.0\n", "field decay.L: unknown key"),
     # malformed INI files; a % is literal text
     (["solve"], "[solve]\nq = 4%\n", "field solve.q: must be a number >= 1 or inf, got '4%'"),
@@ -177,6 +179,16 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     # a box so small that P overflows on its frequency lattice
     (["decay-verify"], "[grid]\nL = 1e-150\n", "field grid.L:"),
     (["solve", "--grid-L", "1e-150"], None, "field grid.L:"),
+    # an I2 envelope (1 + |t|^a |x|)^-mu that underflows, also where |x|^2
+    # overflows; a radial phase that needs the panel cap from the start, in x
+    # and in t; a |t| so small that the damping ladder scaled by it never
+    # reaches the tail tolerance; a lattice phase x_i xi that overflows
+    (["kernel-scan", "--kind", "I2", "--x-list", "1e160"], None, "field kernel.x_list:"),
+    (["kernel-scan", "--kind", "I2", "--x-list", "1e200"], None, "field kernel.x_list:"),
+    (["kernel-scan", "--n", "4", "--x-list", "1e160"], None, "field kernel.x_list:"),
+    (["kernel-scan", "--n", "4", "--t-list", "1e6"], None, "field kernel.t_list:"),
+    (["kernel-scan", "--t-list", "1e-300"], None, "field kernel.t_list:"),
+    (["kernel-scan", "--t-list", "1e-50", "--x-list", "1e300"], None, "field kernel.x_list:"),
 ])
 def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
     if ini is not None:
@@ -222,6 +234,20 @@ def test_flag_sets_the_keys_its_table_names(tmp_path, monkeypatch, name, flag):
         assert config["symbol"]["n"] == config["regions"]["n"] == "marker"
 
 
+def test_readme_flag_table_matches_commands():
+    # each row of README's "subcommand | flag: config key" table names
+    # exactly the flags of its cli.COMMANDS entry
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| subcommand | flag: config key |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, cell = re.fullmatch(r"\| `([\w-]+)` \| (.*) \|", line).groups()
+        rows[name] = sorted(re.findall(r"`(--[\w-]+)`", cell))
+    assert rows == {name: sorted(command.flags) for name, command in cli.COMMANDS.items()}
+
+
 def _record_reads(monkeypatch):
     """The set that collects "sec.key" for every config value a run reads."""
     reads = set()
@@ -258,17 +284,17 @@ def test_all_reads_every_config_key(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("args", [
     ["check-symbol", "--grid-N", "32"], ["check-symbol", "--grid-L", "10"],
-    ["check-symbol", "--t-list", "1"], ["check-symbol", "--eps-list", "0.2,0.1"],
-    ["solve", "--seed", "1"], ["solve", "--eps-list", "0.1"],
+    ["check-symbol", "--t-list", "1"], ["check-symbol", "--x-list", "0.2,0.1"],
+    ["solve", "--seed", "1"], ["solve", "--x-list", "0.1"],
     ["kernel-scan", "--seed", "1"], ["kernel-scan", "--grid-N", "32"],
     ["kernel-scan", "--grid-L", "20"],
     ["decay-verify", "--seed", "1"], ["decay-verify", "--grid-N", "128"],
     ["decay-verify", "--grid-L", "20"], ["decay-verify", "--t-list", "1,2"],
-    ["decay-verify", "--eps-list", "0.1"],
+    ["decay-verify", "--x-list", "0.1"],
     ["regions", "--seed", "1"], ["regions", "--poly", "1+|x|^4"],
     ["regions", "--m-expect", "4"], ["regions", "--grid-N", "32"],
     ["regions", "--grid-L", "10"], ["regions", "--t-list", "1"],
-    ["regions", "--eps-list", "0.1"],
+    ["regions", "--x-list", "0.1"],
     ["check-symbol", "--m", "6"],  # regions' flag, not an abbreviated --m-expect
 ])
 def test_flag_of_an_unread_section_exits_2(tmp_path, capsys, args):
@@ -438,13 +464,12 @@ def test_check_symbol_draws_sphere_probe_once(tmp_path, monkeypatch):
 
 
 def test_radial_kernel_scan_loads_no_scipy(tmp_path):
-    # the radial path (Bessel factor, Gauss-Legendre rule) is numpy alone
-    cfg = tmp_path / "radial.ini"
-    cfg.write_text("[kernel]\nmethod = radial\n")  # n = 2, I1 at |x| = 0 and 1
+    # the radial path (Bessel factor, Gauss-Legendre rule) is numpy alone;
+    # kernel-scan takes it above n = 3, here for I2 at |x| = 0 and 1
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     code = ("import sys; from ddlab import cli; "
-            f"rc = cli.run(['kernel-scan', '--config', {str(cfg)!r}, "
+            "rc = cli.run(['kernel-scan', '--n', '4', '--kind', 'I2', "
             f"'--out', {str(tmp_path / 'o')!r}]); "
             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

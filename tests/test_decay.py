@@ -282,6 +282,55 @@ def test_large_time_claim_does_not_decay_at_A(key, m, n):
     assert _claimed(key, m, n)[_A] == 0
 
 
+def _known_answer_ratio(t, p, q):
+    """||U(t) f||_q / ||f||_p for P = (1 + |xi|^2)^2 and f = exp(-|x|^2 / 2) on R^2.
+
+    sqrt(P) = 1 + |xi|^2, so U(t) f = Re(e^{it} e^{it|D|^2} f), which is
+    Re[e^{it} exp(-r^2 / (2 w)) / w] with w = 1 - 2it, and ||f||_p = (2 pi / p)^{1/p}.
+    In u = r^2 the norm is (pi int |U(t) f|^q du)^{1/q}, whose phase
+    t u / |w|^2 is linear in u: a trapezoid rule with 16 nodes per radian,
+    cut where the Gaussian factor exp(-u / (2 |w|^2)) is e^-40.
+    """
+    w = 1.0 - 2.0j * t
+    u_max = 80.0 * abs(w) ** 2
+    nodes = 4096 + 16 * int(u_max * t / abs(w) ** 2)
+    u, h = np.linspace(0.0, u_max, nodes + 1, retstep=True)
+    g = np.abs((np.exp(1j * t - u / (2.0 * w)) / w).real)
+    if q == math.inf:
+        norm = g.max()
+    else:
+        gq = g ** q
+        norm = (math.pi * h * (gq.sum() - 0.5 * (gq[0] + gq[-1]))) ** (1.0 / q)
+    return norm / (2.0 * math.pi / p) ** (1.0 / p)
+
+
+# The U claims on the conjugate line q = p' against the known-answer symbol
+# (1 + |xi|^2)^2 (m = 4, n = 2), a lower bound for ||U(t)||_{p->p'}: the
+# slope of the ratio over the regime's window refutes a claim when it falls
+# below e - SLOPE_TOL as t -> 0, or rises above e + SLOPE_TOL as t -> inf.
+# The large-time row claims t^{-1/2} on the whole line, but the slopes read
+# -0.010 at 1/p = 1/2 (Plancherel: no decay) and -0.260 at 5/8; each is held
+# as a strict xfail until the row is corrected.
+KNOWN_ANSWER_CASES = [
+    pytest.param(regime, inv_p, id=f"{regime}-{inv_p}", marks=[pytest.mark.xfail(
+        strict=True, reason="the row claims t^{-1/2} where 1/2 <= 1/p < 3/4")]
+        if regime == "large" and inv_p < Fraction(3, 4) else [])
+    for regime in ("small", "large")
+    for inv_p in (Fraction(1, 2), Fraction(5, 8), Fraction(3, 4), Fraction(7, 8), Fraction(1))]
+
+
+@pytest.mark.parametrize("regime, inv_p", KNOWN_ANSWER_CASES)
+def test_u_claim_holds_for_the_known_answer_symbol(regime, inv_p):
+    p, q = 1 / inv_p, (math.inf if inv_p == 1 else 1 / (1 - inv_p))
+    e = D.theoretical_exponent(D.ExponentQuery("U", regime, p, q, 4, 2, "convolution"))
+    ts = np.geomspace(*D.DEFAULT_WINDOWS[regime], 9)
+    slope = D.fit_power_law(ts, [_known_answer_ratio(t, float(p), float(q)) for t in ts]).exponent
+    if regime == "small":
+        assert slope >= e - D.SLOPE_TOL
+    else:
+        assert slope <= e + D.SLOPE_TOL
+
+
 # ---------------------------------------------------------------------------
 # power-law fitting
 # ---------------------------------------------------------------------------

@@ -30,6 +30,11 @@ def beam(n=2):
 FAST = K.QuadConfig(eps_list=(0.4, 0.2, 0.1), order=2, lattice_N=256)
 
 
+def damped(p, kind, sign, t, x, eps, cfg=FAST):
+    """The kernel at one fixed eps: eval_kernel on the one-eps, order-0 ladder."""
+    return K.eval_kernel(p, kind, sign, t, x, replace(cfg, eps_list=(eps,), order=0)).value
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
@@ -61,7 +66,7 @@ def test_lattice_guard_rejects_high_dimension():
     with pytest.raises(K.KernelConfigError):
         K.eval_kernel(beam(4), "I1", +1, 1.0, np.zeros(4), FAST)
     with pytest.raises(K.KernelConfigError):
-        K.eval_damped(beam(3), "I1", +1, 1.0, np.zeros(3), 0.2,
+        K.eval_kernel(beam(3), "I1", +1, 1.0, np.zeros(3),
                       K.QuadConfig(eps_list=(0.2,), lattice_N=1024, order=0))
 
 
@@ -75,8 +80,7 @@ def test_kind_and_sign_validation():
     for method in ("lattice", "radial"):
         for sign in (0, 2):
             with pytest.raises(K.KernelConfigError, match="sign must be"):
-                K.eval_damped(beam(), "I1", sign, 1.0, np.zeros(2), 0.2,
-                              replace(FAST, method=method))
+                K.eval_kernel(beam(), "I1", sign, 1.0, np.zeros(2), replace(FAST, method=method))
 
 
 @pytest.mark.parametrize("method", ["lattice", "radial"])
@@ -85,8 +89,6 @@ def test_x_of_wrong_length_rejected(method, length):
     cfg = replace(FAST, method=method)
     with pytest.raises(K.KernelConfigError, match="x must have length 2"):
         K.eval_kernel(beam(), "I1", +1, 1.0, np.ones(length), cfg)
-    with pytest.raises(K.KernelConfigError, match="x must have length 2"):
-        K.eval_damped(beam(), "I1", +1, 1.0, np.ones(length), 0.2, cfg)
 
 
 @pytest.mark.parametrize("method", ["lattice", "radial"])
@@ -97,12 +99,9 @@ def test_x_of_wrong_length_rejected(method, length):
     (1.0, (0.0, math.nan), "x"),
 ])
 def test_non_finite_query_rejected(method, t, x, field):
-    cfg = replace(FAST, method=method)
-    for evaluate in (lambda: K.eval_kernel(beam(), "I1", +1, t, x, cfg),
-                     lambda: K.eval_damped(beam(), "I1", +1, t, x, 0.2, cfg)):
-        with pytest.raises(K.KernelConfigError, match="must be finite") as err:
-            evaluate()
-        assert err.value.field == field
+    with pytest.raises(K.KernelConfigError, match="must be finite") as err:
+        K.eval_kernel(beam(), "I1", +1, t, x, replace(FAST, method=method))
+    assert err.value.field == field
 
 
 def test_lattice_positivity_strict_only_for_I2():
@@ -215,16 +214,16 @@ def test_lattice_sample_records_work():
 def test_even_symmetry_in_x():
     p = beam()
     x = np.array([0.7, -0.3])
-    a = K.eval_damped(p, "I1", +1, 0.5, x, 0.2, FAST)
-    b = K.eval_damped(p, "I1", +1, 0.5, -x, 0.2, FAST)
+    a = damped(p, "I1", +1, 0.5, x, 0.2)
+    b = damped(p, "I1", +1, 0.5, -x, 0.2)
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_time_reversal_conjugates():
     p = beam()
     x = np.array([0.4, 0.1])
-    a = K.eval_damped(p, "I2", +1, 0.8, x, 0.2, FAST)
-    b = K.eval_damped(p, "I2", +1, -0.8, x, 0.2, FAST)
+    a = damped(p, "I2", +1, 0.8, x, 0.2)
+    b = damped(p, "I2", +1, -0.8, x, 0.2)
     assert b == pytest.approx(np.conj(a), rel=1e-12)
 
 
@@ -238,25 +237,11 @@ def test_sign_branches_are_conjugate():
     assert b == pytest.approx(np.conj(a), rel=1e-12)
 
 
-def test_eps_monotone_at_zero_probe():
-    # t = 0, x = 0: the damped transform of the weight, real and
-    # decreasing in eps
-    p = beam()
-    vals = [K.eval_damped(p, "I2", +1, 0.0, np.zeros(2), e, FAST)
-            for e in (0.4, 0.2, 0.1, 0.05)]
-    for v in vals:
-        assert abs(v.imag) < 1e-12 * abs(v.real)
-    reals = [v.real for v in vals]
-    assert reals == sorted(reals)  # larger value at smaller eps
-
-
 def test_lattice_refinement_converged():
     p = beam()
     x = np.array([1.0, 0.0])
-    v1 = K.eval_damped(p, "I1", +1, 0.5, x, 0.2,
-                       K.QuadConfig(eps_list=(0.2,), lattice_N=256, order=0))
-    v2 = K.eval_damped(p, "I1", +1, 0.5, x, 0.2,
-                       K.QuadConfig(eps_list=(0.2,), lattice_N=512, order=0))
+    v1 = damped(p, "I1", +1, 0.5, x, 0.2, replace(FAST, lattice_N=256))
+    v2 = damped(p, "I1", +1, 0.5, x, 0.2, replace(FAST, lattice_N=512))
     assert abs(v1 - v2) <= 1e-8 * abs(v2)
 
 
@@ -286,8 +271,8 @@ def test_lattice_matches_radial_oracle():
     pairs = [(t, r) for t in (0.25, 0.5, 1.0) for r in (0.0, 0.8, 1.6)]
     for t, r in pairs:
         x = np.array([r, 0.0])
-        lat = K.eval_damped(p, "I1", +1, t, x, 0.1, cfg)
-        rad = K.eval_damped(p, "I1", +1, t, x, 0.1, replace(cfg, method="radial"))
+        lat = K.eval_kernel(p, "I1", +1, t, x, cfg).value
+        rad = K.eval_kernel(p, "I1", +1, t, x, replace(cfg, method="radial")).value
         assert abs(lat - rad) <= 1e-6 * max(abs(lat), abs(rad))
 
 
@@ -296,8 +281,8 @@ def test_lattice_matches_radial_oracle_3d():
     cfg = K.QuadConfig(eps_list=(0.2,), lattice_N=160, order=0)
     for t, r in [(0.5, 0.0), (0.5, 1.0)]:
         x = np.array([r, 0.0, 0.0])
-        lat = K.eval_damped(p, "I1", +1, t, x, 0.2, cfg)
-        rad = K.eval_damped(p, "I1", +1, t, x, 0.2, replace(cfg, method="radial"))
+        lat = K.eval_kernel(p, "I1", +1, t, x, cfg).value
+        rad = K.eval_kernel(p, "I1", +1, t, x, replace(cfg, method="radial")).value
         assert abs(lat - rad) <= 1e-8 * abs(rad)
 
 
@@ -386,7 +371,7 @@ def test_lattice_matches_closed_form(A, N, kind, sign, t, x):
     cfg = K.QuadConfig(eps_list=(ORACLE_EPS,), order=0, lattice_N=N)
     x = np.array(x)
     exact = _closed_form(kind, sign, t, x, A)
-    got = K.eval_damped(_squared_quadratic(A), kind, sign, t, x, ORACLE_EPS, cfg)
+    got = K.eval_kernel(_squared_quadratic(A), kind, sign, t, x, cfg).value
     assert abs(got - exact) <= 1e-12 * abs(exact)
 
 
@@ -414,7 +399,7 @@ def test_radial_matches_closed_form(A, N, kind, sign, t, x):
     cfg = K.QuadConfig(eps_list=(ORACLE_EPS,), order=0, method="radial")
     x = np.array(x)
     exact = _closed_form(kind, sign, t, x, A)
-    got = K.eval_damped(_squared_quadratic(A), kind, sign, t, x, ORACLE_EPS, cfg)
+    got = K.eval_kernel(_squared_quadratic(A), kind, sign, t, x, cfg).value
     assert abs(got - exact) <= 1e-9 * abs(exact)
 
 
@@ -435,11 +420,11 @@ def test_extrapolation_robust_across_eps_lists():
 def test_radial_rejects_nonradial_and_singular():
     cfg = replace(K.QuadConfig(), method="radial")
     with pytest.raises(K.KernelConfigError):
-        K.eval_damped(sym.parse_symbol("1 + x1^4 + 2*x2^4", 2),
-                      "I1", +1, 1.0, np.zeros(2), 0.1, cfg)
+        K.eval_kernel(sym.parse_symbol("1 + x1^4 + 2*x2^4", 2),
+                      "I1", +1, 1.0, np.zeros(2), cfg)
     with pytest.raises(K.KernelConfigError):
-        K.eval_damped(sym.SymbolPoly.radial_power(2, 4),
-                      "I2", +1, 1.0, np.zeros(2), 0.1, cfg)
+        K.eval_kernel(sym.SymbolPoly.radial_power(2, 4),
+                      "I2", +1, 1.0, np.zeros(2), cfg)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -473,8 +458,7 @@ def test_batched_radial_matches_per_eps_calls(n, kind, t, r, scaled, sign):
     x = np.zeros(n)
     x[0] = r
     batched, _ = K._damped_radial_values(p, kind, sign, t, x, cfg.eps_list)
-    single = np.array([K.eval_damped(p, kind, sign, t, x, e, replace(cfg, method="radial"))
-                       for e in cfg.eps_list])
+    single = np.array([damped(p, kind, sign, t, x, e, cfg) for e in cfg.eps_list])
     assert batched.shape == single.shape
     assert np.max(np.abs(batched - single) / np.abs(single)) <= 1e-11
 
@@ -571,8 +555,8 @@ def test_radial_closed_form_homogeneous():
         for sign in (+1, -1):
             z = eps - 1j * sign * t
             exact = np.pi / z * np.exp(-r * r / (4 * z))
-            got = K.eval_damped(p, "I1", sign, t, np.array([r, 0.0]), eps,
-                                replace(K.QuadConfig(), method="radial"))
+            got = damped(p, "I1", sign, t, np.array([r, 0.0]), eps,
+                         replace(K.QuadConfig(), method="radial"))
             assert got == pytest.approx(exact, rel=1e-7)
 
 
@@ -648,8 +632,8 @@ def test_eval_kernel_error_estimate_invariant():
     s = K.eval_kernel(p, "I1", +1, 0.5, np.array([0.5, 0.0]),
                       K.QuadConfig(eps_list=(0.2, 0.1, 0.05), order=2,
                                    lattice_N=512))
-    fine = K.eval_damped(p, "I1", +1, 0.5, np.array([0.5, 0.0]), 0.05,
-                         K.QuadConfig(eps_list=(0.05,), lattice_N=512, order=0))
+    fine = K.eval_kernel(p, "I1", +1, 0.5, np.array([0.5, 0.0]),
+                         K.QuadConfig(eps_list=(0.05,), lattice_N=512, order=0)).value
     assert s.err >= abs(fine - s.value) - 1e-12
     assert not s.flagged
 
@@ -660,7 +644,7 @@ def test_finest_eps_lattice_matches_radial():
     cfg = K.QuadConfig(eps_list=(0.2, 0.1), order=1, lattice_N=512)
     x = np.array([0.5, 0.0])
     fine, _, _ = K._lattice_sums(beam(), "I1", +1, 0.5, x, cfg.eps_list, cfg.lattice_N)
-    radial = K.eval_damped(beam(), "I1", +1, 0.5, x, cfg.eps_list[-1], replace(cfg, method="radial"))
+    radial = damped(beam(), "I1", +1, 0.5, x, cfg.eps_list[-1], replace(cfg, method="radial"))
     assert abs(fine[-1] - radial) < 1e-8
 
 

@@ -12,9 +12,6 @@ ALLOWED = {
     # the reference oracle that the region tests and the benchmark's gate
     # compare locate and classify against
     ("regions", "contains_bruteforce"),
-    # the fixed-eps evaluator; whether it keeps a role once the kernels need
-    # no damping is an open decision (ROADMAP)
-    ("kernel", "eval_damped"),
     # the exact exponent of one query, which the benchmark's numerics
     # workload scores its verdicts against
     ("decay", "theoretical_exponent"),

@@ -238,9 +238,11 @@ def test_h2_verdict_invariant_under_positive_scaling():
 def test_h2_decided_on_a_rescaled_principal_part(scale):
     # H2 and its floor are invariant under positive scaling, and the check
     # scales P_m by a power of two: every decision and number matches the
-    # unscaled symbol's, in P's units when they are normal floats
+    # unscaled symbol's, in P's units when they are normal floats.  H1's
+    # ellipticity floor is relative to max |P_m| too, so H1 passes at every scale.
     base = sym.check_hypotheses(beam())[1]
-    rep = sym.check_hypotheses(scale * beam() + 1.0 - scale)[1]
+    h1, rep = sym.check_hypotheses(scale * SymbolPoly.radial_power(2, 4) + 1.0)
+    assert h1.passed
     assert rep.passed
     if abs(math.log2(scale)) < 450:  # 48 scale^2 stays a normal float
         assert not rep.flags
