@@ -3,7 +3,7 @@
 Subcommands: check-symbol, solve, kernel-scan, decay-verify, regions, all.
 Configuration is layered: built-in defaults < INI config file < CLI flags.
 Exit status: 0 when every check passes, 1 on failed verdicts, 2 on
-usage/config errors.
+usage/config errors; a run that exits 2 removes the artifacts it wrote.
 """
 
 from __future__ import annotations
@@ -157,8 +157,7 @@ def cmd_check_symbol(cfg, outdir):
             "description": h1.description,
             "witnesses": witnesses(h1),
         },
-    }]
-    checks.append({
+    }, {
         "name": "H2",
         "verdict": "pass" if h2.passed else "fail",
         "details": {
@@ -167,7 +166,7 @@ def cmd_check_symbol(cfg, outdir):
             "flags": list(h2.flags),
             "witnesses": witnesses(h2),
         },
-    })
+    }]
     return checks, {}
 
 
@@ -242,13 +241,10 @@ def cmd_decay_verify(cfg, outdir):
     lq = math.inf if cfg["decay"]["q"].strip() == "inf" else _fraction(cfg, "decay", "q")
     qr = decay.ExponentQuery(part, regime, lp, lq, p.order, p.n, route)
     report = decay.verify_lp_lq(p, qr, grid=_grid(cfg, "grid", p.n))
-    _write_json(outdir / "decay_report.json", report.to_dict())
+    details = report.to_dict()  # decay_report.json and the check's details
+    _write_json(outdir / "decay_report.json", details)
     spectral.write_norm_series(outdir / "norms.csv", report.norm_rows)
-    checks = [{
-        "name": "decay-verify",
-        "verdict": report.verdict,
-        "details": report.to_dict(),
-    }]
+    checks = [{"name": "decay-verify", "verdict": report.verdict, "details": details}]
     return checks, {"decay_report.json": "exponent comparison",
                     "norms.csv": "normalized output-norm series"}
 
@@ -390,14 +386,21 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    outdir, kept = Path(args.out), None
     try:
         cfg = load_config(args.config)
         _apply_flags(cfg, args)
-        outdir = Path(args.out)
+        made = [d for d in (outdir, *outdir.parents) if not d.exists()]  # innermost first
         outdir.mkdir(parents=True, exist_ok=True)
+        kept = set(outdir.iterdir())
         checks, artifacts = _run_pipeline(args.command, cfg, outdir)
     except (ConfigError, decay.NormError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        if kept is not None:  # a run that exits 2 leaves only what was there before it
+            for path in set(outdir.iterdir()) - kept:
+                path.unlink()
+            for d in made:
+                d.rmdir()
         return 2
 
     report = {

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -79,13 +78,19 @@ def weak_lq_norm(f, q, g: GridSpec) -> float:
 # ---------------------------------------------------------------------------
 
 def _inv(value, field) -> Fraction:
-    """1/value as an exact fraction; value may be Fraction, int, str, or inf."""
-    if value in (math.inf, "inf", None):
-        return Fraction(0)
-    f = Fraction(value)
-    if f <= 0:
+    """1/value as an exact fraction; value may be a Fraction, an int or a str,
+    or infinity as math.inf, "inf" or None.  Any other float is refused:
+    its binary value is not the exponent it stands for."""
+    f = value
+    if not isinstance(value, (Fraction, int)):  # the exact types are never inf
+        if value in (math.inf, "inf", None):
+            return Fraction(0)
+        if isinstance(value, float):
+            raise RegionError(f"{field} must be an exact rational or inf, got {value!r}", field)
+        f = Fraction(value)
+    if f.numerator <= 0:  # the sign of a Fraction is its numerator's
         raise RegionError(f"Lebesgue exponents must be positive, got {value!r}", field)
-    return 1 / f
+    return Fraction(f.denominator, f.numerator)
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,9 @@ class ExponentQuery:
     "multiplier" is the direct sine-multiplier route (AEF triangle,
     uniformly bounded for large t).  U has only the convolution route,
     which it takes whatever route is given.
+
+    inv_p, inv_q and point = IndexPoint(inv_p, inv_q) are set at construction
+    and are not fields: == and hash see only the inputs.
     """
 
     part: str
@@ -110,46 +118,36 @@ class ExponentQuery:
     def __post_init__(self):
         for name, allowed in (("part", ("U", "V")), ("regime", ("small", "large")),
                               ("route", ("convolution", "multiplier"))):
-            if getattr(self, name) not in allowed:
-                raise RegionError(f"{name} must be {' or '.join(allowed)}, "
-                                  f"got {getattr(self, name)!r}")
-        ip, iq = self.inv_p, self.inv_q
-        if not (Fraction(1, 2) <= ip <= 1 and 0 <= iq <= Fraction(1, 2)):
-            raise RegionError(
-                f"(1/p, 1/q) = ({ip}, {iq}) outside 1 <= p <= 2 <= q <= inf",
-                "q" if Fraction(1, 2) <= ip <= 1 else "p")
-
-    # cached in the instance dict: the dataclass __eq__ and __hash__ see
-    # only the fields, so cached values never change equality
-    @cached_property
-    def inv_p(self) -> Fraction:
-        return _inv(self.p, "p")
-
-    @cached_property
-    def inv_q(self) -> Fraction:
-        return _inv(self.q, "q")
-
-    @cached_property
-    def point(self) -> IndexPoint:
-        return IndexPoint(self.inv_p, self.inv_q)
+            if (value := getattr(self, name)) not in allowed:
+                raise RegionError(f"{name} must be {' or '.join(allowed)}, got {value!r}")
+        ip, iq = _inv(self.p, "p"), _inv(self.q, "q")
+        p_ok = ip.denominator <= 2 * ip.numerator <= 2 * ip.denominator  # 1/2 <= 1/p <= 1
+        if not (p_ok and 2 * iq.numerator <= iq.denominator):  # 1/q <= 1/2
+            raise RegionError(f"(1/p, 1/q) = ({ip}, {iq}) outside 1 <= p <= 2 <= q <= inf",
+                              "q" if p_ok else "p")
+        object.__setattr__(self, "inv_p", ip)
+        object.__setattr__(self, "inv_q", iq)
+        object.__setattr__(self, "point", IndexPoint(ip, iq))
 
 
 def _claim(qr: ExponentQuery) -> tuple:
-    """(Classification, exact time exponent) of the query's row of
-    regions.CLAIMS: U reads its convolution row on either route, and the AEF
-    triangle is the pentagon when n < m.
+    """(Classification, exact time exponent, (part, regime, route, region
+    kind)) of the query's row of regions.CLAIMS: U reads its convolution row
+    on either route, and the AEF triangle is the pentagon when n < m.
 
     Raises RegionError naming the region when the index pair is not
     admissible for the route.
     """
-    kind, exponent = CLAIMS[qr.part, qr.regime, "convolution" if qr.part == "U" else qr.route]
-    region = build_region("pentagon" if kind == "AEF" and qr.n < qr.m else kind, qr.m, qr.n)
+    key = (qr.part, qr.regime, "convolution" if qr.part == "U" else qr.route)
+    kind, exponent = CLAIMS[key]
+    kind = "pentagon" if kind == "AEF" and qr.n < qr.m else kind
+    region = build_region(kind, qr.m, qr.n)
     cls = classify(region, qr.point)
     if cls.location == "outside":
         raise RegionError(
             f"index point ({qr.inv_p}, {qr.inv_q}) outside region "
             f"{region.kind} (m={qr.m}, n={qr.n})")
-    return cls, exponent(qr.inv_p, qr.inv_q, qr.m, qr.n)
+    return cls, exponent(qr.inv_p, qr.inv_q, qr.m, qr.n), (*key, kind)
 
 
 def theoretical_exponent(qr: ExponentQuery) -> Fraction:
@@ -206,6 +204,7 @@ def _output_reducer(qr: ExponentQuery, cls: Classification, g: GridSpec):
 class DecayReport:
     query: ExponentQuery
     theoretical: Fraction
+    claim: tuple  # (part, regime, route, region kind) of the CLAIMS row tested
     fit: DecayFit | None
     c_emp: float | None
     clearance: float
@@ -220,6 +219,7 @@ class DecayReport:
     def to_dict(self) -> dict:
         return {
             "query": {**asdict(self.query), "p": str(self.query.p), "q": str(self.query.q)},
+            "claim": dict(zip(("part", "regime", "route", "region"), self.claim)),
             "theoretical_exponent": self.theoretical,
             "fitted_exponent": None if self.fit is None else self.fit.exponent,
             "residual": None if self.fit is None else self.fit.residual,
@@ -252,7 +252,7 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
         raise RegionError(
             f"query (m={qr.m}, n={qr.n}) does not match symbol "
             f"(m={p.order}, n={p.n})")
-    cls, theo = _claim(qr)
+    cls, theo, claim = _claim(qr)
     if grid is None:
         grid = make_grid(qr.n, 128, 16.0)
     if t_grid is None:
@@ -263,11 +263,9 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
         raise ValueError(f"t_grid must list finite times > 0, got {t_grid.tolist()}")
     data = gaussian_family(grid) if data is None else list(data)
 
-    notes = []
-    series = []
+    notes, series, data_norms = [], [], []
     worst_clearance = 1.0
-    data_norms = []
-    data_kind = out_kind = "strong"
+    data_kind = "strong"
     for name, f in data:
         dn, data_kind = _data_norm(f, qr, cls, grid)
         if dn == 0:
@@ -297,8 +295,7 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
 
     contaminated = worst_clearance < 1.0 - CLEARANCE_THRESHOLD
     ts, vals = np.array(series).T
-    fit = None
-    c_emp = None
+    fit = c_emp = None
     verdict = "inconclusive"
     try:
         fit = fit_power_law(ts, vals)
@@ -308,12 +305,11 @@ def verify_lp_lq(p: SymbolPoly, qr: ExponentQuery, grid: GridSpec | None = None,
         c_emp = float(np.max(vals / ts ** float(theo)))
     if contaminated:
         notes.append(f"box-contaminated: clearance {worst_clearance:.3e}")
-        verdict = "inconclusive"
     elif fit is not None:
         verdict = "consistent" if abs(fit.exponent - float(theo)) <= SLOPE_TOL \
             else "contradicted"
     return DecayReport(
-        query=qr, theoretical=theo, fit=fit, c_emp=c_emp,
+        query=qr, theoretical=theo, claim=claim, fit=fit, c_emp=c_emp,
         clearance=float(worst_clearance), nyquist_tail=float(worst_tail),
         norm_kind=out_kind, data_norm_kind=data_kind, verdict=verdict,
         series=tuple(series), norm_rows=tuple(norm_rows), notes=tuple(notes),

@@ -26,23 +26,29 @@ class RegionError(ValueError):
 
 
 def _fr(value) -> Fraction:
-    if isinstance(value, (Fraction, int, str)):
-        return Fraction(value)
+    if isinstance(value, (Fraction, int, str)):  # a Fraction passes through
+        return value if isinstance(value, Fraction) else Fraction(value)
     raise RegionError(f"expected an exact rational, got {value!r}")
 
 
 @dataclass(frozen=True)
 class IndexPoint:
-    """Point (1/p, 1/q) in the unit square, exact."""
+    """Point (1/p, 1/q) in the unit square, exact.  Its `homogeneous` triple,
+    not a field, is (x, y, w) = (xn yd, yn xd, xd yd) for (xn/xd, yn/yd) in
+    lowest terms: a half-plane row (A, B, C) holds iff A x + B y + C w >= 0,
+    as w > 0, and two points are equal iff their triples are."""
 
     inv_p: Fraction
     inv_q: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "inv_p", _fr(self.inv_p))
-        object.__setattr__(self, "inv_q", _fr(self.inv_q))
-        if not (0 <= self.inv_p <= 1 and 0 <= self.inv_q <= 1):
+        x, y = _fr(self.inv_p), _fr(self.inv_q)
+        object.__setattr__(self, "inv_p", x)
+        object.__setattr__(self, "inv_q", y)
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        if not (0 <= xn <= xd and 0 <= yn <= yd):
             raise RegionError(f"index point {self} outside the unit square")
+        object.__setattr__(self, "homogeneous", (xn * yd, yn * xd, xd * yd))
 
     def as_tuple(self):
         return (self.inv_p, self.inv_q)
@@ -83,7 +89,7 @@ class IndexRegion:
             (v,) = verts
             return tuple(_integer_row(*row) for row in (
                 (1, 0, -v.inv_p), (-1, 0, v.inv_p), (0, 1, -v.inv_q), (0, -1, v.inv_q)))
-        homog = [_homogeneous(v) for v in verts]
+        homog = [v.homogeneous for v in verts]
         A, B, C = _edge_row(verts[0], verts[1])
         if all(A * x + B * y + C * w == 0 for x, y, w in homog[2:]):
             lo = min(verts, key=IndexPoint.as_tuple)
@@ -263,14 +269,6 @@ def _flip(row):
     return tuple(-c for c in row)
 
 
-def _homogeneous(pt):
-    """(xn yd, yn xd, xd yd) for pt = (xn/xd, yn/yd): row (A, B, C) holds at
-    pt iff A x + B y + C w >= 0 for this (x, y, w), since xd yd > 0."""
-    xn, xd = pt.inv_p.numerator, pt.inv_p.denominator
-    yn, yd = pt.inv_q.numerator, pt.inv_q.denominator
-    return xn * yd, yn * xd, xd * yd
-
-
 def _edge_row(a, b):
     """Row whose value at p is a positive multiple of the cross product
     (b - a) x (p - a): p lies on the left of a -> b, or on its line."""
@@ -287,7 +285,7 @@ def _cap_row(a, b):
 def locate(region: IndexRegion, pt: IndexPoint) -> str:
     """Exact point location: "interior", "boundary", or "outside", by one
     pass over the region's integer half-plane table."""
-    x, y, w = _homogeneous(pt)
+    x, y, w = pt.homogeneous
     on_edge = False
     for A, B, C in region.halfplanes:
         s = A * x + B * y + C * w
@@ -313,16 +311,19 @@ def classify(region: IndexRegion, pt: IndexPoint) -> Classification:
 
     At B = (1, 1/q_a) the output norm weakens to weak-L^{q_a}; at
     D = (1/q_a', 0) the input weakens to the Lorentz (q_a', 1) space;
-    on the AEF edge with 1/q = 1/p - m/(2n) the output is weak-L^q.
+    on the AEF edge with 1/q = 1/p - m/(2n) the output is weak-L^q.  Both
+    tests compare the point's homogeneous triple (x, y, w) in integers.
     """
     loc = locate(region, pt)
-    if region.kind == "AEF":
-        edge = pt.inv_q == pt.inv_p - Fraction(region.m, 2 * region.n)
-        return Classification(loc, weak_output=edge and loc != "outside")
+    x, y, w = hom = pt.homogeneous
+    if region.kind == "AEF":  # y/w = x/w - m/(2n)
+        return Classification(loc, weak_output=loc != "outside"
+                              and 2 * region.n * (x - y) == region.m * w)
     if region.endpoints is None:
         return Classification(loc)
     B, D = region.endpoints
-    return Classification(loc, weak_output=pt == B, lorentz_data=pt == D)
+    return Classification(loc, weak_output=hom == B.homogeneous,
+                          lorentz_data=hom == D.homogeneous)
 
 
 def contains_bruteforce(region: IndexRegion, pt: IndexPoint) -> bool:

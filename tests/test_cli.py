@@ -303,6 +303,24 @@ def test_flag_of_an_unread_section_exits_2(tmp_path, capsys, args):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("args, partial", [
+    (["kernel-scan", "--kind", "I2", "--x-list", "1e160"], "samples.csv"),
+    (["all", "--poly", "1+|x|^2"], "solve_norms.csv"),  # kernel-scan refuses m = 2
+])
+def test_exit_2_removes_the_artifacts_it_wrote(tmp_path, capsys, args, partial):
+    # each run writes `partial` before the config error
+    out = tmp_path / "new" / "out"
+    assert run(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: field ")
+    assert not (tmp_path / "new").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("mine")
+    assert run(args + ["--out", str(kept)]) == 2
+    assert os.listdir(kept) == ["notes.txt"]
+    assert (kept / "notes.txt").read_text() == "mine"
+
+
 def test_nonpositive_lattice_symbol_exits_2(tmp_path, capsys):
     rc = run(["solve", "--poly", "x1^4+x2^4", "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -361,6 +379,9 @@ def test_decay_verify_consistent(tmp_path):
     rep = json.loads((out / "decay_report.json").read_text())
     assert rep["verdict"] == "consistent"
     assert rep["theoretical_exponent"] == "1/1"
+    # the default V multiplier query at n = 2 < m = 4 reads the pentagon
+    assert rep["claim"] == {"part": "V", "regime": "small", "route": "multiplier",
+                            "region": "pentagon"}
 
 
 def test_all_runs_are_byte_identical(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -214,14 +215,48 @@ def test_exponent_outside_region_raises():
         D.theoretical_exponent(qr)  # (1, 2/5) outside the AEF triangle
 
 
-def test_exponent_query_equality_ignores_cached_values():
+def test_exponent_query_equality_ignores_derived_values():
     a = D.ExponentQuery("V", "large", 1, 3, 4, 6)
-    b = D.ExponentQuery("V", "large", 1, 3, 4, 6)
-    assert a.point.as_tuple() == (Fraction(1), Fraction(1, 3))  # cached on a only
-    assert "point" in vars(a) and "point" not in vars(b)
+    b = D.ExponentQuery("V", "large", Fraction(1), Fraction(3), 4, 6)
+    assert (a.inv_p, a.inv_q) == (b.inv_p, b.inv_q) == (Fraction(1), Fraction(1, 3))
+    assert a.point == b.point == R.IndexPoint(Fraction(1), Fraction(1, 3))
+    assert D.ExponentQuery("V", "large", "3/2", math.inf, 4, 6).point.as_tuple() \
+        == (Fraction(2, 3), Fraction(0))
+    assert [f.name for f in dataclasses.fields(a)] == ["part", "regime", "p", "q", "m", "n",
+                                                       "route"]
+    object.__setattr__(b, "point", None)  # a derived value takes no part in == and hash
     assert a == b and hash(a) == hash(b)
     assert {a: "B corner"}[b] == "B corner"
     assert a != D.ExponentQuery("V", "large", 1, 3, 4, 6, route="multiplier")
+
+
+@pytest.mark.parametrize("p, q, field", [(1.2, 4, "p"), (Fraction(6, 5), 2.5, "q")])
+def test_exponent_query_refuses_float_exponents(p, q, field):
+    # 1.2 is 5404319552844595/4503599627370496 in binary: not the exponent meant
+    with pytest.raises(D.RegionError, match="exact rational or inf") as err:
+        D.ExponentQuery("V", "small", p, q, 4, 2, route="multiplier")
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("part, route, n, row", [
+    ("U", "multiplier", 6, ("U", "large", "convolution", "delta_0")),  # U has one route
+    ("V", "convolution", 6, ("V", "large", "convolution", "delta_m")),
+    ("V", "multiplier", 6, ("V", "large", "multiplier", "AEF")),
+    ("V", "multiplier", 2, ("V", "large", "multiplier", "pentagon")),  # n < m
+])
+def test_claim_names_the_row_and_region_it_read(part, route, n, row):
+    qr = D.ExponentQuery(part, "large", 2, 2, 4, n, route=route)
+    assert D._claim(qr)[2] == row
+    rep = D.verify_lp_lq(beam(n), qr, grid=sp.make_grid(n, 8, 8.0), t_grid=[2.0, 4.0])
+    assert rep.claim == row
+    assert rep.to_dict()["claim"] == dict(zip(("part", "regime", "route", "region"), row))
+
+
+def test_exponent_query_accepts_math_inf():
+    for q in (math.inf, float("inf"), "inf", None):
+        qr = D.ExponentQuery("V", "small", Fraction(6, 5), q, 4, 2, route="multiplier")
+        assert (qr.inv_p, qr.inv_q) == (Fraction(5, 6), Fraction(0))
+        assert D.theoretical_exponent(qr) == Fraction(1, 6)
 
 
 # Every claim checked against facts that need no paper text, over m in

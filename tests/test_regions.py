@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction as F
 
@@ -286,3 +287,88 @@ def test_svg_contains_all_overlays():
     assert svg.count("<polygon") == 3
     assert "stroke-dasharray" in svg
     assert svg.count("<text") >= 13  # axis labels plus vertex labels
+
+
+def _restated_classifier(reg):
+    """classify's rules restated on Fractions, as a function of the point:
+    a polygon's closed half-planes, on whose lines lies its boundary; a
+    segment or point region holds only boundary points; the AEF weak edge
+    1/q = 1/p - m/(2n); and the B/D tags read from the vertex labels unless
+    q_a is 1 or infinite."""
+    verts = reg.distinct_vertices()
+    o = verts[0]
+    area = sum((b.inv_p - o.inv_p) * (c.inv_q - o.inv_q)
+               - (b.inv_q - o.inv_q) * (c.inv_p - o.inv_p)
+               for b, c in zip(verts[1:], verts[2:]))
+    if area < 0:
+        verts = verts[::-1]
+    edges = [(a, b.inv_p - a.inv_p, b.inv_q - a.inv_q)
+             for a, b in zip(verts, verts[1:] + verts[:1])]
+    lo, hi = min(verts, key=R.IndexPoint.as_tuple), max(verts, key=R.IndexPoint.as_tuple)
+    corners = dict(zip(reg.labels, reg.vertices))
+    tags = reg.kind in ("delta_a", "hexagon") and corners["B"].inv_q not in (0, 1)
+
+    def location(pt):
+        if area == 0:  # the segment lo--hi, or the point lo = hi
+            on = ((hi.inv_p - lo.inv_p) * (pt.inv_q - lo.inv_q)
+                  == (hi.inv_q - lo.inv_q) * (pt.inv_p - lo.inv_p)
+                  and lo.inv_p <= pt.inv_p <= hi.inv_p
+                  and min(lo.inv_q, hi.inv_q) <= pt.inv_q <= max(lo.inv_q, hi.inv_q))
+            return "boundary" if on else "outside"
+        sides = [dx * (pt.inv_q - a.inv_q) - dy * (pt.inv_p - a.inv_p) for a, dx, dy in edges]
+        return "outside" if min(sides) < 0 else "boundary" if 0 in sides else "interior"
+
+    def restated(pt):
+        loc = location(pt)
+        if reg.kind == "AEF":
+            return R.Classification(loc, weak_output=loc != "outside"
+                                    and pt.inv_q == pt.inv_p - F(reg.m, 2 * reg.n))
+        if tags:
+            return R.Classification(loc, weak_output=pt == corners["B"],
+                                    lorentz_data=pt == corners["D"])
+        return R.Classification(loc)
+
+    return restated
+
+
+def _parity_regions(m, n):
+    kinds = ["delta_0", "delta_m", "AEF", "hexagon"] if n >= m else ["delta_0", "pentagon"]
+    regs = [R.build_region(kind, m, n) for kind in kinds]
+    # from the lowest admissible a (q_a infinite: B and D on C) to a = mn/2 (q_a = 1)
+    for a in (F(n * (4 - m), 2), F(1, 3), F(m - 1), F(m + 1), F(m * n, 2)):
+        if a != m and a <= F(m * n, 2):
+            regs.append(R.build_region("delta_a", m, n, a=a))
+    return regs
+
+
+PARITY_GRID = 24
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_classify_matches_fraction_restatement(m):
+    pts = [R.IndexPoint(F(i, PARITY_GRID), F(j, PARITY_GRID))
+           for i in range(PARITY_GRID + 1) for j in range(PARITY_GRID + 1)]
+    seen = set()
+    for n in range(2, 9):
+        for reg in _parity_regions(m, n):
+            restated = _restated_classifier(reg)
+            for pt in pts:
+                got = R.classify(reg, pt)
+                assert got == restated(pt), (reg.kind, m, n, reg.a, pt)
+                seen.add((reg.kind, got))
+    # every location and both flags occur
+    assert {cls.location for _, cls in seen} == {"interior", "boundary", "outside"}
+    assert any(cls.weak_output for _, cls in seen) and any(cls.lorentz_data for _, cls in seen)
+    assert any(kind == "AEF" and cls.weak_output for kind, cls in seen)
+
+
+def test_index_point_triple_is_derived_not_a_field():
+    half = F(1, 2)
+    pt = R.IndexPoint(half, F(1, 3))
+    assert pt.inv_p is half  # a Fraction passes through unchanged
+    assert pt.homogeneous == (3, 2, 6)
+    assert [f.name for f in dataclasses.fields(pt)] == ["inv_p", "inv_q"]
+    assert pt == R.IndexPoint("1/2", 1 - F(2, 3)) and hash(pt) == hash(R.IndexPoint(half, "1/3"))
+    for x, y in ((F(-1, 2), 0), (F(3, 2), 0), (0, F(4, 3)), (1, -1)):
+        with pytest.raises(R.RegionError, match="outside the unit square"):
+            R.IndexPoint(x, y)
