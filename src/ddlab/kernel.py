@@ -150,9 +150,10 @@ def _lattice_axis(p: SymbolPoly, eps_list, N):
 
 MAX_LATTICE_POINTS = 2**27
 LATTICE_MAX_N = 3  # the lattice is desk-scale up to this dimension
-# Each block of _damped_sums holds CHUNK_POINTS nodes (a lattice chunk at least
-# one row), the budget of the symbol's batch evaluation.
-
+# A block of _damped_sums holds CHUNK_POINTS // 2 nodes (a lattice block at
+# least one row of axis 0): its seven arrays take 0.9 MiB, inside a core's 2 MiB
+# L2 on the 2-vCPU Xeon measured, where an n = 2, N = 512 lattice sample took
+# 1.5x as long with blocks of CHUNK_POINTS nodes and 1.16x with CHUNK_POINTS // 4.
 
 def _lattice_sums(p, kind, sign, t, x, eps_list, N):
     """Trapezoid sums at every eps, on the full lattice and on the
@@ -161,11 +162,11 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, N):
     An axis on which P is even is folded onto its mirror halves: its nodes
     are -xi_max (which has no mirror on the lattice) and the xi >= 0, with
     weights exp(i x_i xi), 1 at xi = 0 and 2 cos(x_i xi) for each pair +-xi.
-    Any other axis keeps its N nodes with weights exp(i x_i xi).  The coarse
-    sublattice is the even original indices k on every axis; k and N - k
-    have the same parity.  A fully even symbol thus takes (N/2 + 1)^n values
-    of sqrt(P) instead of N^n, reduced by _damped_sums one chunk at a time;
-    the coarse sums index the chunk's own damping and oscillation arrays.
+    Any other axis keeps its N nodes with weights exp(i x_i xi).  A fully
+    even symbol thus takes (N/2 + 1)^n values of sqrt(P) instead of N^n.
+    The coarse sublattice is the even original indices k on every axis (k
+    and N - k have the same parity).  Each axis lists them first, and the
+    coarse sums take the weights zeroed off that leading sub-block.
 
     Returns (fine_values, coarse_values, work): complex arrays over eps_list
     and {"points": lattice points evaluated, "folded_axes": tuple of axes}.
@@ -184,35 +185,29 @@ def _lattice_sums(p, kind, sign, t, x, eps_list, N):
         raise KernelConfigError(
             f"the phase x_i xi overflows at the lattice edge xi_max = {xi_max:.3g}", "x")
     folded = p.even_axes
-    nodes, weights, coarse_masks = [], [], []
+    nodes, weights = [], []
     for i in range(n):
         idx = np.r_[0, N // 2:N] if i in folded else np.arange(N)  # indices on the full axis
+        idx = idx[np.argsort(idx % 2, kind="stable")]  # coarse (even) nodes first
         sin_x, cos_x = _sin_cos(x[i] * axis[idx])
         w = cos_x + 1j * sin_x  # exp(i x_i xi)
-        if i in folded:
-            w[1:] = 2.0 * cos_x[1:]
-            w[1] = 1.0
+        if i in folded:  # 2 cos for each pair +-xi; -xi_max and xi = 0 have no mirror
+            w = np.where(idx == 0, w, 2.0 * cos_x)
+            w[idx == N // 2] = 1.0
         nodes.append(axis[idx])
-        weights.append(w)
-        coarse_masks.append(idx % 2 == 0)
-    # outer product of the weights of axes 1..n-1; the flat (C order) indices of
-    # its coarse nodes, and in each block those of the block's coarse nodes
-    rest_weight = reduce(np.multiply.outer, weights[1:], np.ones(()))
-    rest_coarse = np.flatnonzero(reduce(np.logical_and.outer, coarse_masks[1:], True))
-    fine, coarse = np.zeros((2, len(eps_list)), dtype=complex)
+        weights.append(np.stack([w, w * (idx % 2 == 0)], axis=1))  # fine, coarse
+    # column weights: the outer product of the weights of axes 1..n-1, per column
+    cols = reduce(lambda c, w: (c[:, None] * w).reshape(-1, 2), weights[1:], np.ones((1, 2)))
+    sums = np.zeros((2, len(eps_list)), dtype=complex)  # fine, coarse
     def blocks():
-        chunk = max(1, CHUNK_POINTS // rest_weight.size)
+        chunk = max(1, CHUNK_POINTS // 2 // len(cols))
         for start in range(0, nodes[0].size, chunk):
-            rows = slice(start, start + chunk)
-            A = sqrt_symbol(p, [nodes[0][rows]] + nodes[1:], strict=(kind == "I2"))
-            weight = np.multiply.outer(weights[0][rows], rest_weight)
-            if kind == "I2":
-                weight /= A
-            coarse_rows = np.flatnonzero(coarse_masks[0][rows])
-            index = np.add.outer(coarse_rows * rest_weight.size, rest_coarse).ravel()
-            yield A.ravel(), weight.ravel(), fine, None, (index, coarse)
-    _damped_sums(blocks(), sign, t, eps_list)
-    return (fine * h**n, coarse * (2.0 * h) ** n,
+            r = slice(start, start + chunk)
+            A = sqrt_symbol(p, [nodes[0][r]] + nodes[1:], strict=(kind == "I2"))
+            A = A.reshape(-1, len(cols))  # r x R
+            yield A, (1.0 / A if kind == "I2" else None), weights[0][r]
+    _damped_sums(blocks(), cols, sign, t, eps_list, sums)
+    return (sums[0] * h**n, sums[1] * (2.0 * h) ** n,
             {"points": math.prod(v.size for v in nodes), "folded_axes": folded})
 
 
@@ -358,38 +353,44 @@ def _horner(coeffs, u, out):
     return out
 
 
-def _damped_sums(blocks, sign, t, eps_list):
-    """Add sum exp((i s t - eps) A) weight over each block, at every eps.
+def _damped_sums(blocks, cols, sign, t, eps_list, sums, masses=None):
+    """Add sum_ab exp((i s t - eps) A_ab) amp_ab rows[a, j] cols[b, j] over
+    each block to sums[j, k], k the index of eps in eps_list.
 
-    blocks yields (A, weight, sums, masses, coarse): sqrt(P) and the real or
-    complex weight (with I2's 1/A) on a block of nodes, 1-d, the arrays over
-    eps_list that receive the sums and the damped masses sum exp(-eps A)
-    |weight| (or None), and None or (index, coarse_sums): coarse_sums also
-    receives the sums over the nodes at the flat indices index, taken from the
-    same damping and oscillation arrays.  A block's temporaries live until the
-    next block is made, so the heap is not trimmed between blocks.
+    blocks yields (A, amp, rows): sqrt(P) on an r x R block of nodes, None or
+    a real factor per node (such as I2's 1/A) and the complex row weights,
+    shape (r, J); cols holds the complex column weights, shape (R, J), the
+    same for every block.  masses, None or an array over eps_list, receives
+    the damped masses: the sum for j = 0 with every factor taken absolute and
+    no oscillation.  For each eps, exp(-eps A) cos(s t A) amp and
+    exp(-eps A) sin(s t A) amp go into buffers reused across eps values and
+    blocks; one matmul contracts them with the columns, held as real
+    [Re, Im] pairs, and one product with the rows.
     """
-    for A, weight, sums, masses, coarse in blocks:
+    pairs = np.ascontiguousarray(cols, dtype=complex).view(float)
+    buf = np.empty(0)
+    for A, amp, rows in blocks:
+        r, R = A.shape
         sin_st, cos_st = _sin_cos(sign * t * A)
-        osc = np.empty(A.shape, dtype=complex)  # exp(i s t A) weight
-        if np.iscomplexobj(weight):
-            osc.real, osc.imag = cos_st, sin_st
-            osc *= weight
-        else:
-            np.multiply(cos_st, weight, out=osc.real)
-            np.multiply(sin_st, weight, out=osc.imag)
-        abs_weight = None if masses is None else np.abs(weight)
-        if coarse is not None:
-            index, coarse_sums = coarse
-            coarse_osc = osc[index]
+        if amp is not None:
+            cos_st *= amp
+            sin_st *= amp
+        if buf.size < 3 * A.size:
+            buf = np.empty(3 * A.size)
+        damp, osc = buf[:A.size].reshape(r, R), buf[A.size:3 * A.size].reshape(2, r, R)
+        if masses is not None:
+            mass_weight = np.abs(np.outer(rows[:, 0], cols[:, 0]) * (1.0 if amp is None else amp))
         for k, eps in enumerate(eps_list):
-            damp = np.exp(-eps * A)
-            # einsum, not np.dot: an unpinned multithreaded BLAS dot is slower at these sizes
-            sums[k] += np.einsum("i,i->", damp, osc)
-            if coarse is not None:
-                coarse_sums[k] += np.einsum("i,i->", damp[index], coarse_osc)
+            np.multiply(A, -eps, out=damp)
+            np.exp(damp, out=damp)
+            np.multiply(damp, cos_st, out=osc[0])  # damped cos, damped sin
+            np.multiply(damp, sin_st, out=osc[1])
+            # BLAS matmul: 1.5 ms per n = 2, N = 512 lattice sample, on one core or
+            # two (2.7 ms with einsum's own loop; 2-vCPU Xeon)
+            cos_cols, sin_cols = (osc.reshape(2 * r, R) @ pairs).reshape(2, r, -1).view(complex)
+            sums[:, k] += np.einsum("aj,aj->j", rows, cos_cols + 1j * sin_cols)
             if masses is not None:
-                masses[k] += np.einsum("i,i->", damp, abs_weight)
+                masses[k] += np.vdot(damp, mass_weight)
 
 
 @lru_cache(maxsize=None)
@@ -410,8 +411,8 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list):
     from the smallest eps and the first composition has one panel per
     PANEL_PHASE of total phase (at least 64, a power of two), so
     oscillations at large t stay resolved.  _damped_sums reduces the
-    panels in blocks of CHUNK_POINTS nodes, so memory does not grow with t
-    or |x|.  Composite panels are doubled until every value is stable to
+    panels in blocks of CHUNK_POINTS // 2 nodes, so memory does not grow with
+    t or |x|.  Composite panels are doubled until every value is stable to
     RADIAL_RTOL or to its rounding floor.  A first composition that would reach
     RADIAL_MAX_PANELS raises KernelConfigError naming x or t, the larger phase.
     """
@@ -434,28 +435,28 @@ def _damped_radial_values(p, kind, sign, t, x, eps_list):
             f"{RADIAL_MAX_PANELS} panels or more", "x" if x_phase > t_phase else "t")
     panels = max(64, 2 ** math.ceil(math.log2(first)))
     nodes, weights = _gauss_legendre()
-    block = CHUNK_POINTS // nodes.size  # panels per block
+    block = CHUNK_POINTS // 2 // nodes.size  # panels per block
 
     def compose(m):
         """Values on m panels and the damped masses sum |weight| exp(-eps sqrt(P))."""
         edges = np.linspace(0.0, R, m + 1)
-        vals, mass = np.zeros(len(eps_list), dtype=complex), np.zeros(len(eps_list))
+        vals, mass = np.zeros((1, len(eps_list)), dtype=complex), np.zeros(len(eps_list))
         def blocks():
+            # rows: panels, weighed by their half-widths; columns: Gauss nodes
             for start in range(0, m, block):
                 e = edges[start:start + block + 1]
                 mid = 0.5 * (e[:-1] + e[1:])
                 half = 0.5 * (e[1:] - e[:-1])
-                rr = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+                rr = mid[:, None] + half[:, None] * nodes[None, :]
                 A = checked_sqrt(np.polynomial.polynomial.polyval(rr, ray),
-                                 lambda idx: (float(rr[idx[0]]),) + (0.0,) * (p.n - 1),
+                                 lambda idx: (float(rr[idx]),) + (0.0,) * (p.n - 1),
                                  strict=(kind == "I2"))
-                weight = (half[:, None] * weights[None, :]).ravel()
-                weight *= rr ** (p.n - 1) * _angular_factor(p.n, r_abs_x * rr)
+                amp = rr ** (p.n - 1) * _angular_factor(p.n, r_abs_x * rr)
                 if kind == "I2":
-                    weight /= A
-                yield A, weight, vals, mass, None
-        _damped_sums(blocks(), sign, t, eps_list)
-        return vals, mass
+                    amp /= A
+                yield A, amp, half[:, None]
+        _damped_sums(blocks(), weights[:, None], sign, t, eps_list, vals, mass)
+        return vals[0], mass
 
     prev, _ = compose(panels)
     while panels < RADIAL_MAX_PANELS:

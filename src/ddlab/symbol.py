@@ -143,9 +143,8 @@ class SymbolPoly:
     def evaluate(self, xi):
         """Evaluate at one point (length-n) or a batch with shape (..., n).
 
-        The points are walked in fixed blocks (see _blocks), and each power
-        x_i^a is a product of a - 1 multiplications rather than a call to
-        pow, so values can differ from pow's in the last bits.
+        The points are walked in fixed blocks (see _blocks), and the powers
+        come from _powers, so values can differ from pow's in the last bits.
         """
         xi = np.asarray(xi, dtype=float)
         if xi.shape[-1] != self.n:
@@ -162,18 +161,25 @@ class SymbolPoly:
         """Evaluate on the tensor lattice spanned by the 1-d arrays in axes.
 
         axes[i] varies along output dimension i; the result has shape
-        (len(axes[0]), ..., len(axes[n-1])).
+        (len(axes[0]), ..., len(axes[n-1])).  The coefficients form a tensor
+        over the exponents P's terms use on each axis, and each axis in turn
+        contracts it with its nodes' powers of those exponents (np.vander,
+        each x^a = x^(a-1) x, as in _powers).  An overflowing power meets
+        zero coefficients there: P is NaN, not inf.
         """
         if len(axes) != self.n:
             raise SymbolError("need one axis per dimension")
-        axes = [np.asarray(ax, dtype=float) for ax in axes]
-        shaped = [ax.reshape((1,) * i + (-1,) + (1,) * (self.n - i - 1))
-                  for i, ax in enumerate(axes)]
-        # pow on the 1-d axes, not _blocks' repeated products: the spectral
-        # artifacts are built from these lattice values
-        powers = {(i, a): shaped[i] ** a
-                  for alpha, _ in self.terms for i, a in enumerate(alpha) if a}
-        return _terms_sum(self, powers, tuple(ax.size for ax in axes))
+        exps = [sorted({alpha[i] for alpha, _ in self.terms}) for i in range(self.n)]
+        out = np.zeros([len(e) for e in exps])
+        for alpha, c in self.terms:
+            out[tuple(e.index(a) for e, a in zip(exps, alpha))] = c
+        for ax, e in zip(axes, exps):
+            ax = np.asarray(ax, dtype=float)
+            powers = np.vander(ax, max(e, default=0) + 1, increasing=True)[:, e]
+            # contract the leading axis of out; the axis of these nodes goes last
+            lead = out.reshape(len(e), math.prod(out.shape[1:]))
+            out = (lead.T @ powers.T).reshape(out.shape[1:] + ax.shape)
+        return out
 
     def __str__(self):
         return to_literal(self)
@@ -195,8 +201,8 @@ def _coerce(value, n) -> SymbolPoly:
 
 # A block of a batch evaluation holds CHUNK_POINTS // n points, so its
 # coordinate-major copy holds CHUNK_POINTS values and each other temporary
-# (a power, a term, a Hessian entry) CHUNK_POINTS // n.  The kernel lattice
-# chunks and radial node blocks share the budget.
+# (a power, a term, a Hessian entry) CHUNK_POINTS // n.  The kernel's
+# lattice and radial blocks take half of it (see kernel).
 CHUNK_POINTS = 2**15
 
 
@@ -205,43 +211,35 @@ def _blocks(points, polys):
 
     Yields (rows, values): a slice of the rows and, for each polynomial of
     polys, its values there.  Each block takes a coordinate-major copy of
-    its points and forms every power x_i^a that some term needs once, by
-    repeated multiplication; all terms of all polys share these powers.
+    its points and the powers of each coordinate up to the highest exponent
+    some term uses; all terms of all polys share these powers.
     """
-    need = {}  # coordinate -> exponents >= 1 some term uses
-    for q in polys:
-        for alpha, _ in q.terms:
-            for i, a in enumerate(alpha):
-                if a:
-                    need.setdefault(i, set()).add(a)
+    top = [max((a[i] for q in polys for a, _ in q.terms), default=0)
+           for i in range(points.shape[1])]
     block = max(1, CHUNK_POINTS // points.shape[1])
     for start in range(0, points.shape[0], block):
         cols = np.ascontiguousarray(points[start:start + block].T)
-        powers = {}
-        for i, exps in need.items():
-            x = power = cols[i]
-            for a in range(1, max(exps) + 1):
-                if a > 1:
-                    power = power * x
-                if a in exps:
-                    powers[i, a] = power
+        powers = [_powers(x, d) for x, d in zip(cols, top)]
         yield (slice(start, start + cols.shape[1]),
                [_terms_sum(q, powers, cols.shape[1]) for q in polys])
 
 
-def _terms_sum(p: SymbolPoly, powers, shape) -> np.ndarray:
-    """sum_alpha c_alpha prod_i x_i^alpha_i, an array of the given shape, from
-    the powers x_i^a of the coordinates (arrays that broadcast to it)."""
-    out = np.zeros(shape)
+def _powers(x, top) -> list:
+    """[1.0, x, ..., x^top] for the 1-d array x, each x^a = x^(a-1) x, not pow.
+    Separate arrays, not one (top + 1) x size table per block: filling such
+    tables made check_hypotheses 10% slower."""
+    powers = [1.0, x]
+    for _ in range(top - 1):
+        powers.append(powers[-1] * x)
+    return powers[:top + 1]
+
+
+def _terms_sum(p: SymbolPoly, powers, size) -> np.ndarray:
+    """sum_alpha c_alpha prod_i x_i^alpha_i at size points, from the powers
+    of the coordinates (see _powers), each term left to right."""
+    out = np.zeros(size)
     for alpha, c in p.terms:
-        factors = [powers[i, a] for i, a in enumerate(alpha) if a]
-        if not factors:
-            out += c
-            continue
-        term = c * factors[0]
-        for f in factors[1:]:
-            term = term * f  # not *=: the factors may broadcast
-        out += term
+        out += math.prod((powers[i][a] for i, a in enumerate(alpha) if a), start=c)
     return out
 
 

@@ -115,6 +115,23 @@ def test_lattice_positivity_strict_only_for_I2():
     assert err.value.point == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("kind", ["I1", "I2"])
+def test_lattice_positivity_error_names_a_lattice_node(kind):
+    # P = 1 + |x|^4 - 3 x1^2 is negative around x1^2 = 3/2, x2 = 0, away from
+    # the origin: the node reported must be one of the lattice's, with the
+    # coordinates of its own place in the coarse-first order, and P there the
+    # value reported
+    p = sym.parse_symbol("1 + |x|^4 - 3*x1^2", 2)
+    cfg = K.QuadConfig(eps_list=(0.4, 0.2, 0.1), order=2, lattice_N=64)
+    with pytest.raises(LatticePositivityError) as err:
+        K.eval_kernel(p, kind, +1, 1.0, np.array([0.3, 0.0]), cfg)
+    axis, _ = K._lattice_axis(p, cfg.eps_list, cfg.lattice_N)
+    point, value = err.value.point, err.value.value
+    assert all(v in axis for v in point) and point[0] != 0.0
+    assert value < 0.0
+    assert value == pytest.approx(p.evaluate(point), rel=1e-13)
+
+
 def test_lattice_sample_memory_budget_n3():
     cfg = K.QuadConfig(eps_list=(0.4, 0.2, 0.1), order=2, lattice_N=128)
     tracemalloc.start()
@@ -169,8 +186,14 @@ def test_lattice_sums_match_full_lattice(monkeypatch, text, n, folded, kind, sig
     monkeypatch.setattr(K, "_lattice_axis", lambda *args: (axis, h))
     eps_list = cfg.eps_list + (0.02,)
     ref_fine, ref_coarse = _full_lattice_sums(p, kind, sign, 0.8, x, eps_list, axis, h)
-    # the default chunking, and chunks of an odd number of rows
-    for chunk_points in (K.CHUNK_POINTS, 999):
+    # a block holds the whole rows of axis 0 that fit in CHUNK_POINTS // 2 nodes,
+    # and each axis lists its coarse (even-index) nodes first; besides the
+    # default and 999, blocks of c0 - 1 and c0 rows put a block boundary
+    # strictly inside axis 0's coarse prefix of c0 rows and at its end
+    N = cfg.lattice_N
+    rest = math.prod(N // 2 + 1 if i in folded else N for i in range(1, n))
+    c0 = N // 4 + 1 if 0 in folded else N // 2
+    for chunk_points in (K.CHUNK_POINTS, 999, 2 * (c0 - 1) * rest, 2 * c0 * rest):
         monkeypatch.setattr(K, "CHUNK_POINTS", chunk_points)
         fine, coarse, work = K._lattice_sums(p, kind, sign, 0.8, x, eps_list, cfg.lattice_N)
         assert work["folded_axes"] == folded

@@ -344,6 +344,24 @@ def test_evaluate_matches_exact_rational_arithmetic(n, monkeypatch):
         _assert_exact(p, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1), grid)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_evaluate_on_axes_zero_constant_and_single_nodes(n):
+    # the coefficient tensor is empty for the zero polynomial and 1 x ... x 1
+    # for a constant; an axis of one node is a contraction over one row
+    axes = [np.linspace(-1.0, 2.0, 3 + i) for i in range(n)]
+    shape = tuple(ax.size for ax in axes)
+    zero = SymbolPoly.from_terms(n, {}).evaluate_on_axes(axes)
+    assert zero.shape == shape and not np.any(zero)
+    np.testing.assert_array_equal(SymbolPoly.constant(n, 2.5).evaluate_on_axes(axes),
+                                  np.full(shape, 2.5))
+    p = sym.parse_symbol("1 + |x|^4 - 3*x1^2 + x1*x%d" % n, n)
+    for single in ([ax[1:2] for ax in axes], [axes[0][2:]] + axes[1:]):
+        grid = p.evaluate_on_axes(single)
+        assert grid.shape == tuple(ax.size for ax in single)
+        want = p.evaluate(np.stack(np.meshgrid(*single, indexing="ij"), axis=-1))
+        np.testing.assert_allclose(grid, want, rtol=1e-14, atol=1e-14)
+
+
 @pytest.mark.parametrize("check", [
     lambda p: sym._h1_report(p, sym.sphere_directions(p.n)),
     lambda p: sym._h2_report(p, sym.sphere_directions(p.n)),
