@@ -86,10 +86,6 @@ def _field(cfg, sec, key, convert, expected, valid=lambda value: True):
 
 _int = partial(_field, convert=int, expected="an integer")
 _fraction = partial(_field, convert=Fraction, expected="a rational number")
-_positive = partial(_field, convert=float, expected="a positive finite number",
-                    valid=lambda value: 0 < value < math.inf)
-_count = partial(_field, convert=int, expected="a positive integer",
-                 valid=lambda value: value > 0)
 
 
 def _float_list(text):
@@ -102,11 +98,7 @@ _finite_floats = partial(_field, convert=_float_list,
 
 
 def _grid(cfg, sec, n):
-    return spectral.make_grid(n, _int(cfg, sec, "N"), _positive(cfg, sec, "L"))
-
-
-def _choice(cfg, sec, key, allowed):
-    return _field(cfg, sec, key, str, " or ".join(allowed), lambda value: value in allowed)
+    return spectral.make_grid(n, _int(cfg, sec, "N"), _field(cfg, sec, "L", float, "a number"))
 
 
 def _json_default(obj):
@@ -121,12 +113,38 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _write(path, text):
+    """text as the ASCII file at path: every artifact is written here."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+
+
 def _write_json(path, obj):
     """obj as JSON; NaN and Infinity are not JSON, so a non-finite number
     raises ValueError before the file is opened."""
-    text = json.dumps(obj, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text + "\n")
+    _write(path, json.dumps(obj, sort_keys=True, indent=2, default=_json_default,
+                            allow_nan=False) + "\n")
+
+
+def _write_csv(path, header, rows):
+    """A CSV file: text cells verbatim, numbers by repr; a non-finite number
+    raises ValueError before the file is opened."""
+    lines = [",".join(header)]
+    for row in rows:
+        if not all(isinstance(v, str) or math.isfinite(v) for v in row):
+            raise ValueError("the CSV rows hold a non-finite number")
+        lines.append(",".join(v if isinstance(v, str) else repr(v) for v in row))
+    _write(path, "\n".join(lines) + "\n")
+
+
+NORM_COLUMNS = ("t", "l2", "lq", "linf")  # solve_norms.csv and norms.csv
+
+
+def _samples_table(samples, n):
+    """samples.csv's header and rows, one row per kernel sample at x in R^n."""
+    header = ("kind", "sign", "t", *(f"x{i + 1}" for i in range(n)), "re", "im", "err")
+    return header, [(s.kind, f"{s.sign:+d}", s.t, *s.x, s.value.real, s.value.imag, s.err)
+                    for s in samples]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +153,7 @@ def _write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 def _parse_symbol(cfg):
-    p = symbol.parse_symbol(cfg["symbol"]["poly"], _count(cfg, "symbol", "n"))
+    p = symbol.parse_symbol(cfg["symbol"]["poly"], _int(cfg, "symbol", "n"))
     expect = cfg["symbol"]["m_expect"]
     if expect.strip() and p.order != _int(cfg, "symbol", "m_expect"):
         raise ConfigError(f"field symbol.m_expect: symbol has order {p.order}, expected {expect}")
@@ -144,9 +162,7 @@ def _parse_symbol(cfg):
 
 def cmd_check_symbol(cfg, outdir):
     p = _parse_symbol(cfg)
-    # sphere_directions rejects a negative seed at every n
-    seed = _field(cfg, "run", "seed", int, "a non-negative integer", lambda value: value >= 0)
-    h1, h2 = symbol.check_hypotheses(p, seed)
+    h1, h2 = symbol.check_hypotheses(p, _int(cfg, "run", "seed"))
     def witnesses(report):
         return [{"kind": w.kind, "point": w.point, "value": w.value} for w in report.witnesses]
     checks = [{
@@ -177,7 +193,7 @@ def cmd_solve(cfg, outdir):
     u0 = np.exp(-sum(x**2 for x in xs) / (2.0 * SOLVE_WIDTH**2)).astype(complex)
     u1 = np.zeros(g.shape, dtype=complex)
     q_text = cfg["solve"]["q"]
-    q = _field(cfg, "solve", "q", float, "a number >= 1 or inf", lambda value: value >= 1)
+    q = _field(cfg, "solve", "q", float, "a number >= 1 or inf")
     norms = [decay.norm_reducer(v, g) for v in (2, q, math.inf)]
     rows = []
     e0 = None
@@ -191,7 +207,7 @@ def cmd_solve(cfg, outdir):
         s = spectral.abs_squared(state.u)  # the row and the clearance read |u|^2
         clear = min(clear, spectral.box_clearance(s, g))
         rows.append((t, *(norm(s) for norm in norms)))
-    spectral.write_norm_series(outdir / "solve_norms.csv", rows)
+    _write_csv(outdir / "solve_norms.csv", NORM_COLUMNS, rows)
     tail = spectral.spectral_tail_fraction(np.fft.fftn(u0), g)
     checks = [{
         "name": "energy-conservation",
@@ -207,18 +223,18 @@ def cmd_kernel_scan(cfg, outdir):
     signs = {"+": +1, "+1": +1, "1": +1, "-": -1, "-1": -1}
     sign = _field(cfg, "kernel", "sign", lambda text: signs.get(text.strip()),
                   "+, +1, 1, - or -1", lambda value: value is not None)
-    kernel.mu_nu(p.order, p.n)  # the envelopes need order m > 2: fail before sampling
+    kernel.mu_nu(p.order, p.n)  # the envelopes need m > 2 and n >= 2: fail before sampling
     qcfg = kernel.QuadConfig(
         eps_list=KERNEL_EPS, order=len(KERNEL_EPS) - 1,
         method="lattice" if p.n <= kernel.LATTICE_MAX_N else "radial")
-    kind = _choice(cfg, "kernel", "kind", kernel.KINDS)
+    kind = cfg["kernel"]["kind"]
     samples = []
     for t in _finite_floats(cfg, "kernel", "t_list"):
         tcfg = kernel.scaled_config(qcfg, t)
         for r in _finite_floats(cfg, "kernel", "x_list"):
             x = [r] + [0.0] * (p.n - 1)  # r e1
             samples.append(kernel.eval_kernel(p, kind, sign, t, x, tcfg))
-    kernel.samples_to_csv(outdir / "samples.csv", samples)
+    _write_csv(outdir / "samples.csv", *_samples_table(samples, p.n))
     report = kernel.check_bound(samples, p)
     _write_json(outdir / "kernel_bounds.json", report)
     flagged = sum(1 for s in samples if s.flagged)
@@ -234,16 +250,14 @@ def cmd_kernel_scan(cfg, outdir):
 
 def cmd_decay_verify(cfg, outdir):
     p = _parse_symbol(cfg)
-    part = _choice(cfg, "decay", "part", ("U", "V"))
-    regime = _choice(cfg, "decay", "regime", ("small", "large"))
-    route = _choice(cfg, "decay", "route", ("convolution", "multiplier"))
+    sec = cfg["decay"]
     lp = _fraction(cfg, "decay", "p")
-    lq = math.inf if cfg["decay"]["q"].strip() == "inf" else _fraction(cfg, "decay", "q")
-    qr = decay.ExponentQuery(part, regime, lp, lq, p.order, p.n, route)
+    lq = math.inf if sec["q"].strip() == "inf" else _fraction(cfg, "decay", "q")
+    qr = decay.ExponentQuery(sec["part"], sec["regime"], lp, lq, p.order, p.n, sec["route"])
     report = decay.verify_lp_lq(p, qr, grid=_grid(cfg, "grid", p.n))
     details = report.to_dict()  # decay_report.json and the check's details
     _write_json(outdir / "decay_report.json", details)
-    spectral.write_norm_series(outdir / "norms.csv", report.norm_rows)
+    _write_csv(outdir / "norms.csv", NORM_COLUMNS, report.norm_rows)
     checks = [{"name": "decay-verify", "verdict": report.verdict, "details": details}]
     return checks, {"decay_report.json": "exponent comparison",
                     "norms.csv": "normalized output-norm series"}
@@ -257,8 +271,7 @@ def cmd_regions(cfg, outdir):
     kinds = ("delta_m", "AEF", "hexagon") if kind == "all" else (kind,)
     built = [regions.build_region(k, m, n, a=a) for k in kinds]
     _write_json(outdir / "regions.json", built if len(built) > 1 else built[0])
-    with open(outdir / "regions.svg", "w", encoding="ascii") as fh:
-        fh.write(regions.regions_svg(built))
+    _write(outdir / "regions.svg", regions.regions_svg(built))
     checks = [{
         "name": f"regions({r.kind})",
         "verdict": "pass",
@@ -291,7 +304,7 @@ class Subcommand:
 
 SYMBOL_FLAGS = {"--poly": ("symbol.poly",), "--n": ("symbol.n",),
                 "--m-expect": ("symbol.m_expect",)}
-SYMBOL_FIELDS = {"poly": "symbol.poly"}
+SYMBOL_FIELDS = {"poly": "symbol.poly", "n": "symbol.n"}
 GRID_FLAGS = {"--grid-N": ("grid.N",), "--grid-L": ("grid.L",)}
 GRID_FIELDS = {"N": "grid.N", "L": "grid.L"}
 
@@ -299,13 +312,13 @@ COMMANDS = {
     "check-symbol": Subcommand(
         cmd_check_symbol,
         flags={**SYMBOL_FLAGS, "--seed": ("run.seed",)},
-        fields=SYMBOL_FIELDS),
+        fields={**SYMBOL_FIELDS, "seed": "run.seed"}),
     "solve": Subcommand(
         cmd_solve,
         flags={**SYMBOL_FLAGS, **GRID_FLAGS, "--t-list": ("solve.t_list",)},
         # a GridError without a field is a state that overflowed, sqrt(P) t
         # not finite: P on a lattice whose xi_max = pi N/(2L) is too large, or t
-        fields={**SYMBOL_FIELDS, **GRID_FIELDS, None: "grid.L, solve.t_list"}),
+        fields={**SYMBOL_FIELDS, **GRID_FIELDS, "q": "solve.q", None: "grid.L, solve.t_list"}),
     "kernel-scan": Subcommand(
         cmd_kernel_scan,
         flags={**SYMBOL_FLAGS, "--kind": ("kernel.kind",), "--t-list": ("kernel.t_list",),
@@ -321,9 +334,9 @@ COMMANDS = {
                "--p": ("decay.p",), "--q": ("decay.q",), "--route": ("decay.route",)},
         # the route picks the region kind; a RegionError without a field is an
         # index point outside the route's region
-        fields={**SYMBOL_FIELDS, **GRID_FIELDS, "m": "symbol.poly", "n": "symbol.n",
-                "p": "decay.p", "q": "decay.q", "kind": "decay.route",
-                None: "decay.p, decay.q, decay.route"}),
+        fields={**SYMBOL_FIELDS, **GRID_FIELDS, "m": "symbol.poly", "part": "decay.part",
+                "regime": "decay.regime", "route": "decay.route", "p": "decay.p",
+                "q": "decay.q", "kind": "decay.route", None: "decay.p, decay.q, decay.route"}),
     "regions": Subcommand(
         cmd_regions,
         flags={"--kind": ("regions.kind",), "--m": ("regions.m",), "--n": ("regions.n",),
@@ -337,9 +350,6 @@ COMMANDS = {
         fields={}),  # each pipeline of the loop names its own fields
 }
 
-# the field blamed by each library error class that carries none
-_CLASS_FIELDS = {symbol.SymbolError: "poly", spectral.LatticePositivityError: "poly"}
-
 
 def _run_pipeline(name, cfg, outdir):
     """Run COMMANDS[name]'s pipeline; a library error leaves it as a
@@ -347,10 +357,8 @@ def _run_pipeline(name, cfg, outdir):
     command = COMMANDS[name]
     try:
         return command.pipeline(cfg, outdir)
-    except (*_CLASS_FIELDS, spectral.GridError, kernel.KernelConfigError,
-            regions.RegionError) as exc:
-        field = _CLASS_FIELDS[type(exc)] if type(exc) in _CLASS_FIELDS else exc.field
-        names = field if isinstance(field, tuple) else (field,)
+    except symbol.InputError as exc:
+        names = exc.field if isinstance(exc.field, tuple) else (exc.field,)
         keys = ", ".join(command.fields[f] for f in names if f in command.fields)
         raise ConfigError(f"field {keys}: {exc}" if keys else str(exc)) from exc
 
@@ -394,7 +402,7 @@ def run(argv) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         kept = set(outdir.iterdir())
         checks, artifacts = _run_pipeline(args.command, cfg, outdir)
-    except (ConfigError, decay.NormError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         if kept is not None:  # a run that exits 2 leaves only what was there before it
             for path in set(outdir.iterdir()) - kept:

@@ -18,7 +18,7 @@ from .fitting import DecayFit, FitError, fit_power_law
 from .regions import CLAIMS, Classification, IndexPoint, RegionError, build_region, classify
 from .spectral import (GridSpec, _times_power, abs_squared, box_clearance, data_transforms,
                        make_grid, propagate_part, spectral_tail_fraction)
-from .symbol import SymbolPoly
+from .symbol import InputError, SymbolPoly
 
 __all__ = [
     "DecayFit", "fit_power_law", "ExponentQuery", "lq_norm", "weak_lq_norm", "norm_reducer",
@@ -27,8 +27,8 @@ __all__ = [
 ]
 
 
-class NormError(ValueError):
-    """Invalid norm order."""
+class NormError(InputError):
+    """Invalid norm order ("q") or a datum of zero norm."""
 
 
 PRODUCT_MAX_Q = 16  # up to this integer q, s^{q/2} takes products and at most one sqrt
@@ -43,7 +43,7 @@ def norm_reducer(q, g: GridSpec, weak=False):
     q = float(q)
     if not (q >= 1 and (math.isfinite(q) or not weak)):
         raise NormError(f"{'weak norms here need finite' if weak else 'L^q norms need'} "
-                        f"q >= 1, got {q}")
+                        f"q >= 1, got {q}", "q")
     cell = g.cell_volume
     if weak:  # for s sorted ascending: the k-th largest value takes (k * cell)^{2/q}
         scale = (np.arange(g.npoints, 0, -1, dtype=float) * cell) ** (2.0 / q)
@@ -119,7 +119,7 @@ class ExponentQuery:
         for name, allowed in (("part", ("U", "V")), ("regime", ("small", "large")),
                               ("route", ("convolution", "multiplier"))):
             if (value := getattr(self, name)) not in allowed:
-                raise RegionError(f"{name} must be {' or '.join(allowed)}, got {value!r}")
+                raise RegionError(f"{name} must be {' or '.join(allowed)}, got {value!r}", name)
         ip, iq = _inv(self.p, "p"), _inv(self.q, "q")
         p_ok = ip.denominator <= 2 * ip.numerator <= 2 * ip.denominator  # 1/2 <= 1/p <= 1
         if not (p_ok and 2 * iq.numerator <= iq.denominator):  # 1/q <= 1/2

@@ -20,7 +20,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .symbol import CHUNK_POINTS, RadialInverseError, SymbolPoly, ray_coefficients, ray_level
+from .symbol import (CHUNK_POINTS, InputError, RadialInverseError, SymbolPoly, ray_coefficients,
+                     ray_level)
 from .regions import CLAIMS, mu_a
 from .spectral import _sin_cos, _times_power, checked_sqrt, sqrt_symbol
 
@@ -56,15 +57,11 @@ BESSEL_TOL = np.finfo(float).eps / 4
 SATURATION_TOL = 0.05  # see check_bound
 
 
-class KernelConfigError(ValueError):
+class KernelConfigError(InputError):
     """Bad quadrature configuration (eps list, kind, method); `field` names
-    the input at fault, when there is one: a QuadConfig field, "t", "x" or
-    "poly", or the tuple ("poly", "kind") when the symbol and the kernel kind
-    conflict."""
-
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field
+    the input at fault, when there is one: a QuadConfig field, "kind", "t",
+    "x", "poly" or "n", or the tuple ("poly", "kind") when the symbol and the
+    kernel kind conflict."""
 
 
 def _check_order(order, count):
@@ -521,7 +518,7 @@ def _checked_point(p: SymbolPoly, kind, sign, t, x) -> np.ndarray:
     """Validate kind, sign and a finite (t, x) of a query; return x as a
     float array of length p.n."""
     if kind not in KINDS:
-        raise KernelConfigError(f"kind must be one of {KINDS}")
+        raise KernelConfigError(f"kind must be one of {KINDS}", "kind")
     if sign not in (+1, -1):
         raise KernelConfigError("sign must be +1 or -1")
     if not math.isfinite(t):
@@ -587,9 +584,12 @@ def envelope_exponents(kind, m, n):
 def mu_nu(m, n):
     """Spatial envelope power mu = mu_m and the auxiliary time power nu = (n-m)/(m-2).
 
-    Both need order m > 2, as every envelope does."""
+    Both need order m > 2 and dimension n >= 2, as every envelope does: the
+    claims they come from hold for n >= 2 only."""
     if m <= 2:
         raise KernelConfigError(f"kernel envelopes need order m > 2, got m = {m}", "poly")
+    if n < 2:
+        raise KernelConfigError(f"kernel envelopes need dimension n >= 2, got n = {n}", "n")
     return mu_a(m, m, n), Fraction(n - m, m - 2)
 
 
@@ -696,27 +696,3 @@ def check_bound(samples, p: SymbolPoly) -> KernelBoundReport:
     return KernelBoundReport(kind=kind, m=m, n=n, mu=mu, nu=nu,
                              regimes=tuple(regimes), description=desc,
                              notes=tuple(notes))
-
-
-# ---------------------------------------------------------------------------
-# Output formats
-# ---------------------------------------------------------------------------
-
-def samples_to_csv(path, samples):
-    """One CSV row per sample; a non-finite number raises ValueError before
-    the file is opened."""
-    samples = list(samples)
-    if not samples:
-        raise KernelConfigError("nothing to write")
-    if not all(math.isfinite(v) for s in samples
-               for v in (s.t, *s.x, s.value.real, s.value.imag, s.err)):
-        raise ValueError("the kernel samples hold a non-finite number")
-    n = len(samples[0].x)
-    cols = ["kind", "sign", "t"] + [f"x{i + 1}" for i in range(n)] + ["re", "im", "err"]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(cols) + "\n")
-        for s in samples:
-            row = [s.kind, f"{s.sign:+d}", repr(s.t)]
-            row += [repr(v) for v in s.x]
-            row += [repr(s.value.real), repr(s.value.imag), repr(s.err)]
-            fh.write(",".join(row) + "\n")

@@ -14,15 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+from .symbol import InputError
 
-class RegionError(ValueError):
+
+class RegionError(InputError):
     """Invalid region parameters or inadmissible index point; `field` names the
     input at fault, when there is one: a build_region parameter ("m", "n",
-    "a" or "kind") or an ExponentQuery exponent ("p" or "q")."""
-
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field
+    "a" or "kind") or an ExponentQuery field ("part", "regime", "route", "p"
+    or "q")."""
 
 
 def _fr(value) -> Fraction:

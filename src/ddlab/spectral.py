@@ -13,25 +13,23 @@ from functools import cached_property
 
 import numpy as np
 
-from .symbol import SymbolPoly
+from .symbol import InputError, SymbolPoly
 
 MAX_GRID_POINTS = 2**26  # memory cap on N^n
 TAIL_CUTOFF = 0.5  # see spectral_tail_fraction
 EDGE_BAND = 0.25  # see box_clearance
 
 
-class GridError(ValueError):
+class GridError(InputError):
     """Invalid grid parameters, memory-cap violation or data that do not fit
     the grid; `field` names the make_grid parameter at fault ("n", "N" or
     "L"), when there is one."""
 
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field
 
-
-class LatticePositivityError(ValueError):
+class LatticePositivityError(InputError):
     """P <= 0 (P < 0 where sqrt(P) alone is needed) at a lattice point or radial node."""
+
+    field = "poly"
 
     def __init__(self, point, value):
         super().__init__(f"P(xi) = {value!r} <= 0 at xi = {tuple(point)}")
@@ -305,14 +303,3 @@ def _outer_fraction(power, grids, limit) -> float:
     for axis_vals in grids:
         mask |= np.abs(axis_vals) > limit
     return float(np.sum(power[mask]) / total)
-
-
-def write_norm_series(path, rows):
-    """CSV with columns t, l2, lq, linf (one row per time); a non-finite
-    number raises ValueError before the file is opened."""
-    if not all(math.isfinite(v) for row in rows for v in row):
-        raise ValueError("the norm series holds a non-finite number")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("t,l2,lq,linf\n")
-        for t, l2, lq, linf in rows:
-            fh.write(f"{t!r},{l2!r},{lq!r},{linf!r}\n")

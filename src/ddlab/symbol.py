@@ -17,8 +17,22 @@ from functools import lru_cache
 import numpy as np
 
 
-class SymbolError(ValueError):
-    """Invalid symbol input (zero polynomial, bad dimension, bad literal)."""
+class InputError(ValueError):
+    """A bad input to the library; `field` names the input at fault, when
+    there is one, and a subclass may state a default."""
+
+    field = None
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field or self.field
+
+
+class SymbolError(InputError):
+    """Invalid symbol input (zero polynomial, bad literal: "poly"), dimension
+    ("n") or probe seed ("seed")."""
+
+    field = "poly"
 
 
 class RadialInverseError(RuntimeError):
@@ -43,7 +57,7 @@ class SymbolPoly:
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
-            raise SymbolError(f"dimension must be a positive integer, got {self.n!r}")
+            raise SymbolError(f"dimension must be a positive integer, got {self.n!r}", "n")
         for alpha, c in self.terms:
             if len(alpha) != self.n or any(a < 0 for a in alpha):
                 raise SymbolError(f"bad exponent tuple {alpha!r} for dimension {self.n}")
@@ -434,9 +448,9 @@ def sphere_directions(n, count=None, seed=0) -> np.ndarray:
     be a non-negative integer at every n.
     """
     if n < 1:
-        raise SymbolError("dimension must be >= 1")
+        raise SymbolError("dimension must be >= 1", "n")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise SymbolError(f"seed must be a non-negative integer, got {seed!r}")
+        raise SymbolError(f"seed must be a non-negative integer, got {seed!r}", "seed")
     if n == 1:
         return np.array([[1.0], [-1.0]])
     if count is None:

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ddlab import cli, symbol
+from ddlab import cli, kernel, symbol
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -63,6 +64,42 @@ def test_write_json_refuses_non_finite_numbers(tmp_path):
         with pytest.raises(ValueError):
             cli._write_json(path, {"value": [1.0, bad]})
         assert not path.exists()
+
+
+def test_samples_csv_header(tmp_path):
+    s = kernel.KernelSample("I1", +1, 0.5, (0.0, 0.0), 1 + 2j, 1e-9)
+    path = tmp_path / "samples.csv"
+    cli._write_csv(path, *cli._samples_table([s], 2))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "kind,sign,t,x1,x2,re,im,err"
+    assert lines[1].startswith("I1,+1,0.5,")
+
+
+@pytest.mark.parametrize("field, bad", [("value", complex(math.nan, 0.0)), ("err", math.inf),
+                                        ("x", (0.0, -math.inf))])
+def test_samples_csv_refuses_non_finite_numbers(tmp_path, field, bad):
+    s = dataclasses.replace(kernel.KernelSample("I1", +1, 0.5, (0.0, 0.0), 1 + 2j, 1e-9),
+                            **{field: bad})
+    path = tmp_path / "samples.csv"
+    with pytest.raises(ValueError, match="non-finite"):
+        cli._write_csv(path, *cli._samples_table([s], 2))
+    assert not path.exists()
+
+
+def test_norm_series_csv(tmp_path):
+    path = tmp_path / "norms.csv"
+    cli._write_csv(path, cli.NORM_COLUMNS, [(0.1, 1.0, 2.0, 3.0), (0.2, 0.5, 0.25, 0.125)])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,l2,lq,linf"
+    assert len(lines) == 3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_norm_series_csv_refuses_non_finite_numbers(tmp_path, bad):
+    path = tmp_path / "norms.csv"
+    with pytest.raises(ValueError, match="non-finite"):
+        cli._write_csv(path, cli.NORM_COLUMNS, [(0.1, 1.0, 2.0, 3.0), (0.2, 0.5, bad, 0.125)])
+    assert not path.exists()
 
 
 def test_check_symbol_failure_exit_code(tmp_path):
@@ -189,6 +226,13 @@ def test_m_expect_mismatch_exits_2(tmp_path):
     (["kernel-scan", "--n", "4", "--t-list", "1e6"], None, "field kernel.t_list:"),
     (["kernel-scan", "--t-list", "1e-300"], None, "field kernel.t_list:"),
     (["kernel-scan", "--t-list", "1e-50", "--x-list", "1e300"], None, "field kernel.x_list:"),
+    # rules the library states and names: the kernel kind, the probe seed at
+    # n <= 3 and the norm order q
+    (["kernel-scan", "--kind", "I3"], None, "field kernel.kind:"),
+    (["check-symbol", "--seed", "-1"], None, "field run.seed:"),
+    (["solve"], "[solve]\nq = 0.5\n", "field solve.q:"),
+    # the kernel envelopes, like H1 and the regions, need n >= 2
+    (["kernel-scan", "--n", "1"], None, "field symbol.n:"),
 ])
 def test_bad_field_value_exits_2_naming_field(tmp_path, capsys, args, ini, field):
     if ini is not None:

@@ -46,3 +46,24 @@ def test_every_public_name_is_referenced_in_the_package():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
         and not any(node.name in names for other, names in used if other is not node)}
     assert unreferenced == ALLOWED
+
+
+def _openers(node, scope, out):
+    """Add to out the innermost function name (scope at module level) of
+    every call to an `open` under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+            else scope
+        if isinstance(child, ast.Call) and "open" in _names(child.func):
+            out.add(inner)
+        _openers(child, inner, out)
+
+
+def test_only_the_cli_writer_opens_files():
+    # the numerics modules return values; cli._write puts every artifact on disk
+    openers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = set()
+        _openers(ast.parse(path.read_text(encoding="utf-8")), None, found)
+        openers |= {(path.stem, name) for name in found}
+    assert openers == {("cli", "_write")}

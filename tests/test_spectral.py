@@ -249,22 +249,6 @@ def test_box_clearance_detects_edge_mass():
     assert sp.box_clearance(sp.abs_squared(shifted), g) < 0.5
 
 
-def test_norm_series_csv(tmp_path):
-    path = tmp_path / "norms.csv"
-    sp.write_norm_series(path, [(0.1, 1.0, 2.0, 3.0), (0.2, 0.5, 0.25, 0.125)])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,l2,lq,linf"
-    assert len(lines) == 3
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_norm_series_csv_refuses_non_finite_numbers(tmp_path, bad):
-    path = tmp_path / "norms.csv"
-    with pytest.raises(ValueError, match="non-finite"):
-        sp.write_norm_series(path, [(0.1, 1.0, 2.0, 3.0), (0.2, 0.5, bad, 0.125)])
-    assert not path.exists()
-
-
 def test_symbol_that_overflows_on_the_lattice_names_L():
     # xi_max = pi N/(2L) ~ 1e152 for L = 1e-150, so |xi|^4 overflows; each
     # path that takes sqrt(P) on a grid refuses it, with no RuntimeWarning
